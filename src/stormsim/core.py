@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 SECONDS_PER_DAY = 86400
 
 
@@ -62,6 +64,15 @@ def slot_of(seconds: float, interval_seconds: int) -> SlotIndex:
     return SlotIndex(int(day), int(remainder // interval_seconds))
 
 
+def cell_keys(times: np.ndarray, tas: np.ndarray, interval_seconds: int, max_ta: int) -> np.ndarray:
+    """Flat index ``(day * slots_per_day + slot) * (max_ta + 1) + ta`` of each
+    event's cell, with day and slot as in :func:`slot_of`; keys sort by day,
+    slot, then TA. The interval divides the day, so ``time // interval`` is
+    ``day * slots_per_day + slot`` exactly."""
+    slots_per_day(interval_seconds)  # raises unless the interval divides the day
+    return (times // interval_seconds).astype(np.int64) * (max_ta + 1) + tas
+
+
 @dataclass(frozen=True, slots=True)
 class RsrEvent:
     """One RRC Setup Request arrival with its ground-truth label.
@@ -76,7 +87,7 @@ class RsrEvent:
     burst_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
+        if not self.time_s >= 0:  # also rejects nan
             raise ValueError(f"event time must be non-negative, got {self.time_s!r}")
         if self.device_id < 0 or self.ta < 0:
             raise ValueError("device_id and ta must be non-negative")
@@ -84,6 +95,18 @@ class RsrEvent:
             raise ValueError("burst_id must be present exactly for attack events")
         if self.burst_id is not None and self.burst_id < 0:
             raise ValueError("burst_id must be non-negative")
+
+
+def event_columns(events: Sequence[RsrEvent]) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's ``time_s`` and ``ta`` as arrays."""
+    times = np.fromiter((e.time_s for e in events), dtype=float, count=len(events))
+    return times, np.fromiter((e.ta for e in events), dtype=np.int64, count=len(events))
+
+
+def burst_column(events: Sequence[RsrEvent]) -> np.ndarray:
+    """Each event's ``burst_id`` as an array, -1 for legit events."""
+    ids = (-1 if e.burst_id is None else e.burst_id for e in events)
+    return np.fromiter(ids, dtype=np.int64, count=len(events))
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,15 +176,22 @@ def read_trace(path) -> tuple[list[RsrEvent], Optional[list[Verdict]]]:
                 label = Label(record["label"])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad label {record['label']!r}") from exc
-            events.append(
-                RsrEvent(
+            int_types = {type(record["device_id"]), type(record["ta"]), type(record.get("burst_id", 0))}
+            if int_types != {int} or type(record["time_s"]) not in (int, float):
+                raise ValueError(
+                    f"{path}:{lineno}: device_id, ta and burst_id must be integers, time_s a number"
+                )
+            try:
+                event = RsrEvent(
                     time_s=float(record["time_s"]),
-                    device_id=int(record["device_id"]),
-                    ta=int(record["ta"]),
+                    device_id=record["device_id"],
+                    ta=record["ta"],
                     label=label,
                     burst_id=record.get("burst_id"),
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            events.append(event)
             has_verdict = "verdict" in record or "anomaly" in record
             if has_verdict:
                 if not {"verdict", "anomaly"} <= keys:

@@ -5,6 +5,9 @@ Scoring happens on every arriving request using the partial count of the
 interval so far against the full-interval profile; partial counts are biased
 low early in an interval, which makes the detector conservative rather than
 trigger-happy.
+
+``on_rsr`` is the streaming detector. ``score_events`` scores a whole trace
+at once, and ``on_rsr`` replayed event by event is its oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Decision, RsrEvent, SlotIndex, Verdict, slot_of
+import numpy as np
+
+from .core import SECONDS_PER_DAY, Decision, RsrEvent, SlotIndex, Verdict, cell_keys, slot_of
 from .profiler import KpiProfile
 
 
@@ -70,13 +75,6 @@ class DetectorState:
     flagged: set[int] = field(default_factory=set)
     policy_log: list[Policy] = field(default_factory=list)
 
-    def active_policies(self) -> list[Policy]:
-        if self.slot is None:
-            return []
-        return [
-            p for p in self.policy_log if (p.day, p.slot_of_day) == (self.slot.day, self.slot.slot_of_day)
-        ]
-
 
 def interval_rollover(state: DetectorState, new_slot: SlotIndex) -> None:
     """Advance to a strictly later interval: counts, flags and policies reset.
@@ -124,3 +122,52 @@ def on_rsr(
         )
     decision = Decision.REJECT if event.ta in state.flagged else Decision.ACCEPT
     return Verdict(decision=decision, anomaly=score)
+
+
+def score_events(
+    times: np.ndarray,
+    tas: np.ndarray,
+    profile: KpiProfile,
+    sigma_floor: float,
+    horizon_days: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score a whole time-sorted trace, given as ``time_s`` and ``ta`` arrays.
+
+    Returns each event's flat cell key (``core.cell_keys``) and the score
+    ``on_rsr`` gives it. An event's running count is its rank within its
+    cell under a stable argsort of the keys. Within a cell scores never
+    decrease, so a cell is flagged at the first event whose own score
+    exceeds gamma, and the cell's highest score is its score on the full
+    interval count.
+    """
+    if horizon_days < 1:
+        raise ValueError(f"horizon_days must be at least 1, got {horizon_days!r}")
+    if not sigma_floor > 0:
+        raise ValueError(f"sigma_floor must be positive, got {sigma_floor!r}")
+    if len(times) and times[-1] >= horizon_days * SECONDS_PER_DAY:
+        raise ValueError("trace extends past the declared horizon")
+    if np.any(times[1:] < times[:-1]):
+        raise ValueError("trace must be sorted by time")
+    too_far = tas > profile.max_ta
+    if too_far.any():
+        raise ValueError(
+            f"event TA {int(tas[too_far.argmax()])} outside profile range 0..{profile.max_ta}; "
+            "geometry and profile configuration disagree"
+        )
+    cells = cell_keys(times, tas, profile.interval_seconds, profile.max_ta)
+    order = np.argsort(cells, kind="stable")
+    sorted_cells = cells[order]
+    counts = np.empty_like(cells)
+    counts[order] = np.arange(1, len(cells) + 1) - np.searchsorted(sorted_cells, sorted_cells)
+    del order, sorted_cells  # peak memory grows with the trace-length arrays alive at once
+    table = cells % profile.mean.size  # the cell's (slot, TA) position in the profile
+    denom = np.maximum(profile.std, sigma_floor).ravel()[table]
+    return cells, (counts - profile.mean.ravel()[table]) / denom
+
+
+def group_max(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct keys in ascending order, the largest value of each, and each element's group."""
+    groups, group_of = np.unique(keys, return_inverse=True)
+    maxima = np.full(groups.size, -np.inf)
+    np.maximum.at(maxima, group_of, values)
+    return groups, maxima, group_of

@@ -1,29 +1,25 @@
-"""End-to-end replay of a labeled trace through the detector.
+"""End-to-end run of a labeled trace through the detector.
 
 Each request is the tail of the Msg1/Msg2/Msg3 exchange: the detector sees a
 copy, answers accept or reject, and the outcome is recorded against the
 event's ground-truth label so detection and false-alarm probabilities can be
-computed afterwards.
+computed afterwards. Verdicts and policies derive from the batch scoring
+kernel ``detector.score_events``; replaying the trace through
+``detector.on_rsr`` one event at a time is the oracle they are tested
+against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .config import ScoringMode
-from .core import (
-    SECONDS_PER_DAY,
-    Decision,
-    Label,
-    RsrEvent,
-    Verdict,
-    slot_of,
-    slots_per_day,
-)
-from .detector import DetectorConfig, DetectorState, Policy, anomaly_score, on_rsr
+from .core import Decision, RsrEvent, Verdict, burst_column, cell_keys, event_columns, slots_per_day
+from .detector import DetectorConfig, Policy, group_max, score_events
 from .profiler import KpiProfile
 from .traffic import Burst
 
@@ -62,59 +58,6 @@ class Metrics:
     denominators: dict
 
 
-def _check_order(trace: Sequence[RsrEvent]) -> None:
-    previous = 0.0
-    for event in trace:
-        if event.time_s < previous:
-            raise ValueError("trace must be sorted by time")
-        previous = event.time_s
-
-
-def _run_per_rsr(
-    trace: Sequence[RsrEvent], profile: KpiProfile, config: DetectorConfig
-) -> tuple[list[Verdict], list[Policy]]:
-    state = DetectorState()
-    verdicts = [on_rsr(event, profile, config, state) for event in trace]
-    return verdicts, state.policy_log
-
-
-def _run_interval_end(
-    trace: Sequence[RsrEvent], profile: KpiProfile, config: DetectorConfig
-) -> tuple[list[Verdict], list[Policy]]:
-    """Batch variant: score each cell once on its full interval count.
-
-    All events of a flagged cell are marked rejected retrospectively; the
-    attached anomaly value is the cell's end-of-interval score.
-    """
-    verdicts: list[Verdict] = []
-    policies: list[Policy] = []
-    for slot, group in groupby(trace, key=lambda e: slot_of(e.time_s, profile.interval_seconds)):
-        events = list(group)
-        counts: dict[int, int] = {}
-        for event in events:
-            if event.ta > profile.max_ta:
-                raise ValueError(
-                    f"event TA {event.ta} outside profile range 0..{profile.max_ta}; "
-                    "geometry and profile configuration disagree"
-                )
-            counts[event.ta] = counts.get(event.ta, 0) + 1
-        scores: dict[int, float] = {}
-        flagged: set[int] = set()
-        interval_end_s = float(slot.day * SECONDS_PER_DAY + (slot.slot_of_day + 1) * profile.interval_seconds)
-        for ta in sorted(counts):
-            mean, std = profile.lookup(slot.slot_of_day, ta)
-            scores[ta] = anomaly_score(counts[ta], mean, std, config.sigma_floor)
-            if scores[ta] > config.gamma:
-                flagged.add(ta)
-                policies.append(
-                    Policy(ta=ta, day=slot.day, slot_of_day=slot.slot_of_day, issued_at_s=interval_end_s)
-                )
-        for event in events:
-            decision = Decision.REJECT if event.ta in flagged else Decision.ACCEPT
-            verdicts.append(Verdict(decision=decision, anomaly=scores[event.ta]))
-    return verdicts, policies
-
-
 def run(
     trace: Sequence[RsrEvent],
     profile: KpiProfile,
@@ -122,17 +65,33 @@ def run(
     horizon_days: int,
     scoring_mode: ScoringMode = ScoringMode.PER_RSR,
 ) -> RunReport:
-    """Feed every event through the detector in time order; fully deterministic."""
-    if horizon_days < 1:
-        raise ValueError(f"horizon_days must be at least 1, got {horizon_days!r}")
-    if trace and trace[-1].time_s >= horizon_days * SECONDS_PER_DAY:
-        raise ValueError("trace extends past the declared horizon")
-    _check_order(trace)
+    """Score every event and derive verdicts and policies; fully deterministic.
+
+    ``per_rsr`` rejects an event when its own score exceeds gamma and issues
+    a policy at each cell's first crossing, in trace order. ``interval_end``
+    scores each cell once on its full count: every event of a flagged cell
+    is rejected and carries the cell's score, and policies are issued at the
+    interval end in (day, slot, TA) order.
+    """
+    times, tas = event_columns(trace)
+    cells, anomalies = score_events(times, tas, profile, config.sigma_floor, horizon_days)
+    n_ta = profile.max_ta + 1
     if scoring_mode is ScoringMode.PER_RSR:
-        verdicts, policies = _run_per_rsr(trace, profile, config)
+        crossings = np.flatnonzero(anomalies > config.gamma)
+        _cells, first = np.unique(cells[crossings], return_index=True)
+        issued = np.sort(crossings[first])
+        policy_cells, issued_at_s = cells[issued], [trace[i].time_s for i in issued.tolist()]
     else:
-        verdicts, policies = _run_interval_end(trace, profile, config)
-    flagged = {(p.day, p.slot_of_day, p.ta) for p in policies}
+        cell_set, cell_final, cell_of = group_max(cells, anomalies)
+        anomalies = cell_final[cell_of]
+        policy_cells = cell_set[cell_final > config.gamma]
+        issued_at_s = ((policy_cells // n_ta + 1) * profile.interval_seconds).astype(float).tolist()
+    day_slot, policy_tas = np.divmod(policy_cells, n_ta)
+    days, slots = np.divmod(day_slot, profile.n_slots)
+    policies = list(map(Policy, policy_tas.tolist(), days.tolist(), slots.tolist(), issued_at_s))
+    decisions = (Decision.ACCEPT, Decision.REJECT)
+    rejected = (anomalies > config.gamma).tolist()
+    verdicts = list(map(Verdict, [decisions[r] for r in rejected], anomalies.tolist()))
     return RunReport(
         gamma=config.gamma,
         sigma_floor=config.sigma_floor,
@@ -142,7 +101,7 @@ def run(
         horizon_days=horizon_days,
         events=list(trace),
         verdicts=verdicts,
-        flagged=flagged,
+        flagged={(p.day, p.slot_of_day, p.ta) for p in policies},
         policies=policies,
     )
 
@@ -157,42 +116,38 @@ def compute_metrics(report: RunReport, bursts: Sequence[Burst]) -> Metrics:
     whole horizon, including empty ones. The per-cell rate is co-reported
     with (intervals x TA bins) as denominator.
     """
-    attack_cells: set[tuple[int, int, int]] = set()
-    detected: set[int] = set()
-    attack_events = 0
-    rejected_attack_events = 0
-    for event, verdict in zip(report.events, report.verdicts):
-        if event.label is not Label.ATTACK:
-            continue
-        attack_events += 1
-        slot = slot_of(event.time_s, report.interval_seconds)
-        attack_cells.add((slot.day, slot.slot_of_day, event.ta))
-        if verdict.decision is Decision.REJECT:
-            rejected_attack_events += 1
-            detected.add(event.burst_id)
-
+    cells = cell_keys(*event_columns(report.events), report.interval_seconds, report.max_ta)
+    burst_ids = burst_column(report.events)
+    attack = burst_ids >= 0
+    rejected_attack = attack & np.fromiter(
+        (v.decision is Decision.REJECT for v in report.verdicts), dtype=bool, count=len(report.verdicts)
+    )
+    detected = np.unique(burst_ids[rejected_attack]).size
+    n_slots = slots_per_day(report.interval_seconds)
+    n_ta = report.max_ta + 1
+    flagged = [(day * n_slots + slot) * n_ta + ta for day, slot, ta in report.flagged]
+    false_cells = np.setdiff1d(np.array(flagged, dtype=np.int64), cells[attack])
+    fa_intervals = np.unique(false_cells // n_ta).size
     bursts_with_events = sum(1 for b in bursts if b.count > 0)
-    false_cells = {cell for cell in report.flagged if cell not in attack_cells}
-    fa_intervals = {(day, slot) for day, slot, _ta in false_cells}
 
     intervals_total = report.intervals_total
-    cells_total = intervals_total * (report.max_ta + 1)
-    p_detection = len(detected) / bursts_with_events if bursts_with_events else None
+    cells_total = intervals_total * n_ta
+    p_detection = detected / bursts_with_events if bursts_with_events else None
     return Metrics(
         p_detection=p_detection,
-        p_false_alarm=len(fa_intervals) / intervals_total,
-        p_false_alarm_per_cell=len(false_cells) / cells_total,
+        p_false_alarm=fa_intervals / intervals_total,
+        p_false_alarm_per_cell=false_cells.size / cells_total,
         numerators={
-            "detected_bursts": len(detected),
-            "false_alarm_intervals": len(fa_intervals),
-            "false_alarm_cells": len(false_cells),
-            "rejected_attack_events": rejected_attack_events,
+            "detected_bursts": detected,
+            "false_alarm_intervals": fa_intervals,
+            "false_alarm_cells": false_cells.size,
+            "rejected_attack_events": int(np.count_nonzero(rejected_attack)),
         },
         denominators={
             "bursts": bursts_with_events,
             "intervals": intervals_total,
             "cells": cells_total,
-            "attack_events": attack_events,
+            "attack_events": int(np.count_nonzero(attack)),
         },
     )
 

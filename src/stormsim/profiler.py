@@ -7,13 +7,14 @@ rows on disk, behind a one-line metadata header.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import SECONDS_PER_DAY, RsrEvent, slots_per_day
+from .core import SECONDS_PER_DAY, RsrEvent, cell_keys, event_columns, slots_per_day
 
 
 def count_per_interval(
@@ -33,8 +34,7 @@ def count_per_interval(
     shape = (days, n_slots, max_ta + 1)
     if not trace:
         return np.zeros(shape, dtype=np.int64)
-    times = np.fromiter((e.time_s for e in trace), dtype=float, count=len(trace))
-    tas = np.fromiter((e.ta for e in trace), dtype=np.int64, count=len(trace))
+    times, tas = event_columns(trace)
     if int(tas.max()) > max_ta:
         raise ValueError(
             f"event TA {int(tas.max())} exceeds max_ta={max_ta}; "
@@ -42,11 +42,8 @@ def count_per_interval(
         )
     if float(times.min()) < 0.0 or float(times.max()) >= days * SECONDS_PER_DAY:
         raise ValueError(f"events must lie within [0, {days * SECONDS_PER_DAY}) seconds")
-    day = (times // SECONDS_PER_DAY).astype(np.int64)
-    slot = ((times % SECONDS_PER_DAY) // interval_seconds).astype(np.int64)
-    flat = (day * n_slots + slot) * (max_ta + 1) + tas
-    counts = np.bincount(flat, minlength=days * n_slots * (max_ta + 1))
-    return counts.reshape(shape).astype(np.int64)
+    keys = cell_keys(times, tas, interval_seconds, max_ta)
+    return np.bincount(keys, minlength=days * n_slots * (max_ta + 1)).reshape(shape)
 
 
 @dataclass
@@ -84,13 +81,28 @@ class CountAccumulator:
 
 @dataclass(eq=False)
 class KpiProfile:
-    """Long-term per-(slot-of-day, TA) count statistics from clean traffic."""
+    """Long-term per-(slot-of-day, TA) count statistics from clean traffic.
+
+    Both tables are shaped (slots_per_day, max_ta + 1) and hold finite,
+    non-negative values.
+    """
 
     interval_seconds: int
     max_ta: int
     training_days: int
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = (self.n_slots, self.max_ta + 1)
+        if self.mean.shape != shape or self.std.shape != shape:
+            raise ValueError(
+                f"profile tables must have shape {shape}, got {self.mean.shape} and {self.std.shape}"
+            )
+        valid = np.isfinite(self.mean) & np.isfinite(self.std) & (self.mean >= 0) & (self.std >= 0)
+        if not valid.all():
+            slot, ta = np.argwhere(~valid)[0].tolist()
+            raise ValueError(f"profile cell ({slot}, {ta}): mean and std must be finite and non-negative")
 
     @property
     def n_slots(self) -> int:
@@ -184,6 +196,11 @@ def load_profile(path) -> KpiProfile:
             raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
         if (slot, ta) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
+        # the chained comparisons are False for nan, so this also rejects it
+        if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):
+            raise ValueError(
+                f"{path}:{lineno}: mean and std must be finite and non-negative, got {line!r}"
+            )
         seen.add((slot, ta))
         mean[slot, ta] = cell_mean
         std[slot, ta] = cell_std

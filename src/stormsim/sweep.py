@@ -2,9 +2,9 @@
 
 The same trace is reused for every gamma (paired comparison), so both curves
 are exactly monotone in the threshold rather than statistically so. Scores do
-not depend on gamma, so they are computed once and thresholded per grid
-point; the sequential replay in ``pipeline`` stays available as the oracle
-for that shortcut.
+not depend on gamma, so they are computed once by ``detector.score_events``
+and thresholded per grid point; replaying the trace through
+``detector.on_rsr`` one event at a time is the oracle for that shortcut.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import SECONDS_PER_DAY, Label, RsrEvent, slots_per_day
+from .core import RsrEvent, burst_column, event_columns, slots_per_day
+from .detector import group_max, score_events
 from .geometry import TaQuantizer, max_ta_index
 from .profiler import KpiProfile, count_per_interval, train
 from .traffic import Burst, build_trace
@@ -75,53 +76,21 @@ def build_score_cache(
     horizon_days: int,
 ) -> ScoreCache:
     """Score every event once and aggregate per burst, per cell and per interval."""
-    if horizon_days < 1:
-        raise ValueError(f"horizon_days must be at least 1, got {horizon_days!r}")
-    mean = profile.mean
-    denom = np.maximum(profile.std, sigma_floor)
-    interval = profile.interval_seconds
+    cells, scores = score_events(*event_columns(trace), profile, sigma_floor, horizon_days)
+    burst_ids = burst_column(trace)
+    attack = burst_ids >= 0
+    clean = ~np.isin(cells, cells[attack])
+    clean_cells, clean_last, _cell_of = group_max(cells[clean], scores[clean])
+    clean_intervals = clean_cells // (profile.max_ta + 1)
+    _intervals, interval_clean_max, _interval_of = group_max(clean_intervals, clean_last)
+    _bursts, burst_max, _burst_of = group_max(burst_ids[attack], scores[attack])
 
-    scores = np.empty(len(trace), dtype=float)
-    counts: dict[tuple[int, int, int], int] = {}
-    cell_last: dict[tuple[int, int, int], float] = {}
-    attack_cells: set[tuple[int, int, int]] = set()
-    burst_max: dict[int, float] = {}
-    for i, event in enumerate(trace):
-        if event.ta > profile.max_ta:
-            raise ValueError(
-                f"event TA {event.ta} outside profile range 0..{profile.max_ta}; "
-                "geometry and profile configuration disagree"
-            )
-        day, remainder = divmod(event.time_s, SECONDS_PER_DAY)
-        cell = (int(day), int(remainder // interval), event.ta)
-        count = counts.get(cell, 0) + 1
-        counts[cell] = count
-        score = (count - mean[cell[1], event.ta]) / denom[cell[1], event.ta]
-        scores[i] = score
-        cell_last[cell] = score
-        if event.label is Label.ATTACK:
-            attack_cells.add(cell)
-            previous = burst_max.get(event.burst_id)
-            if previous is None or score > previous:
-                burst_max[event.burst_id] = score
-
-    interval_clean: dict[tuple[int, int], float] = {}
-    clean_last: list[float] = []
-    for cell, last in cell_last.items():
-        if cell in attack_cells:
-            continue
-        clean_last.append(last)
-        key = (cell[0], cell[1])
-        current = interval_clean.get(key)
-        if current is None or last > current:
-            interval_clean[key] = last
-
-    intervals_total = horizon_days * slots_per_day(interval)
+    intervals_total = horizon_days * slots_per_day(profile.interval_seconds)
     return ScoreCache(
         scores=scores,
-        burst_max=np.array(sorted(burst_max.values()), dtype=float),
-        interval_clean_max=np.array(sorted(interval_clean.values()), dtype=float),
-        clean_cell_last=np.array(sorted(clean_last), dtype=float),
+        burst_max=np.sort(burst_max),
+        interval_clean_max=np.sort(interval_clean_max),
+        clean_cell_last=np.sort(clean_last),
         bursts_total=sum(1 for b in bursts if b.count > 0),
         intervals_total=intervals_total,
         cells_total=intervals_total * (profile.max_ta + 1),

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from stormsim import AttackSpec, KpiProfile, LegitTrafficSpec, ScenarioConfig
+from stormsim import (
+    SECONDS_PER_DAY,
+    AttackSpec,
+    Decision,
+    DetectorState,
+    KpiProfile,
+    Label,
+    LegitTrafficSpec,
+    Metrics,
+    Policy,
+    ScenarioConfig,
+    Verdict,
+    on_rsr,
+    slot_of,
+    slots_per_day,
+)
 
 
 @pytest.fixture
@@ -34,4 +49,73 @@ def make_profile(
         training_days=training_days,
         mean=np.zeros(shape) if mean is None else mean,
         std=np.zeros(shape) if std is None else std,
+    )
+
+
+def replay(trace, profile, config):
+    """The oracle: one fresh DetectorState and one on_rsr call per event."""
+    state = DetectorState()
+    verdicts = [on_rsr(event, profile, config, state) for event in trace]
+    return verdicts, state.policy_log
+
+
+def interval_end_replay(trace, profile, config):
+    """Interval-end oracle: every event carries its cell's last replay score."""
+    scores, _policies = replay(trace, profile, config)
+    last = {}
+    for event, verdict in zip(trace, scores):
+        slot = slot_of(event.time_s, profile.interval_seconds)
+        last[(slot.day, slot.slot_of_day, event.ta)] = verdict.anomaly
+    verdicts = []
+    for event in trace:
+        slot = slot_of(event.time_s, profile.interval_seconds)
+        score = last[(slot.day, slot.slot_of_day, event.ta)]
+        verdicts.append(Verdict(Decision.REJECT if score > config.gamma else Decision.ACCEPT, score))
+    policies = [
+        Policy(
+            ta=ta,
+            day=day,
+            slot_of_day=slot,
+            issued_at_s=float(day * SECONDS_PER_DAY + (slot + 1) * profile.interval_seconds),
+        )
+        for (day, slot, ta), score in sorted(last.items())
+        if score > config.gamma
+    ]
+    return verdicts, policies
+
+
+def replay_metrics(trace, verdicts, policies, bursts, interval_seconds, max_ta, horizon_days):
+    """Loop reference for compute_metrics: the same definitions, one event at a time."""
+    attack_cells, detected = set(), set()
+    attack_events = rejected_attack_events = 0
+    for event, verdict in zip(trace, verdicts):
+        if event.label is not Label.ATTACK:
+            continue
+        attack_events += 1
+        slot = slot_of(event.time_s, interval_seconds)
+        attack_cells.add((slot.day, slot.slot_of_day, event.ta))
+        if verdict.decision is Decision.REJECT:
+            rejected_attack_events += 1
+            detected.add(event.burst_id)
+    false_cells = {(p.day, p.slot_of_day, p.ta) for p in policies} - attack_cells
+    fa_intervals = {(day, slot) for day, slot, _ta in false_cells}
+    bursts_with_events = sum(1 for b in bursts if b.count > 0)
+    intervals = horizon_days * slots_per_day(interval_seconds)
+    cells = intervals * (max_ta + 1)
+    return Metrics(
+        p_detection=len(detected) / bursts_with_events if bursts_with_events else None,
+        p_false_alarm=len(fa_intervals) / intervals,
+        p_false_alarm_per_cell=len(false_cells) / cells,
+        numerators={
+            "detected_bursts": len(detected),
+            "false_alarm_intervals": len(fa_intervals),
+            "false_alarm_cells": len(false_cells),
+            "rejected_attack_events": rejected_attack_events,
+        },
+        denominators={
+            "bursts": bursts_with_events,
+            "intervals": intervals,
+            "cells": cells,
+            "attack_events": attack_events,
+        },
     )

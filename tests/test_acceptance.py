@@ -16,6 +16,8 @@ import stormsim as ss
 from stormsim.cli import main as cli_main
 from stormsim.sweep import build_score_cache
 
+from conftest import replay, replay_metrics
+
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
@@ -262,24 +264,34 @@ def test_criterion_7_byte_determinism(tmp_path):
 
 def test_criterion_8_cached_scores_equal_replay(default_config, eval_artifacts):
     profile, trace, bursts, cache = eval_artifacts
+    horizon = default_config.eval_days
     all_ok = True
     details = []
     for gamma in (2.0, 6.5):
         detector = ss.DetectorConfig(gamma=gamma, sigma_floor=default_config.sigma_floor)
-        replay = ss.run(trace, profile, detector, default_config.eval_days)
-        replay_rejects = np.array([v.decision is ss.Decision.REJECT for v in replay.verdicts])
-        replay_scores = np.array([v.anomaly for v in replay.verdicts])
+        verdicts, policies = replay(trace, profile, detector)
+        replay_rejects = np.array([v.decision is ss.Decision.REJECT for v in verdicts])
+        replay_scores = np.array([v.anomaly for v in verdicts])
         verdicts_equal = bool(np.array_equal(replay_rejects, cache.scores > gamma))
         scores_equal = bool(np.array_equal(replay_scores, cache.scores))
-        metrics = ss.compute_metrics(replay, bursts)
+        metrics = replay_metrics(
+            trace, verdicts, policies, bursts, profile.interval_seconds, profile.max_ta, horizon
+        )
         row = ss.metrics_at(cache, gamma)
         metrics_equal = (
             metrics.p_detection == row.p_detection
             and metrics.p_false_alarm == row.p_false_alarm
             and metrics.p_false_alarm_per_cell == row.p_false_alarm_per_cell
         )
-        all_ok = all_ok and verdicts_equal and scores_equal and metrics_equal
-        details.append(
-            f"gamma={gamma}: verdicts={verdicts_equal}, scores={scores_equal}, metrics={metrics_equal}"
+        batch = ss.run(trace, profile, detector, horizon)
+        run_equal = (
+            batch.verdicts == verdicts
+            and batch.policies == policies
+            and ss.compute_metrics(batch, bursts) == metrics
         )
-    report("criterion 8 (sweep caching oracle)", all_ok, "; ".join(details))
+        all_ok = all_ok and verdicts_equal and scores_equal and metrics_equal and run_equal
+        details.append(
+            f"gamma={gamma}: verdicts={verdicts_equal}, scores={scores_equal}, "
+            f"metrics={metrics_equal}, run={run_equal}"
+        )
+    report("criterion 8 (sweep caching and run vs on_rsr replay)", all_ok, "; ".join(details))

@@ -162,6 +162,22 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="label"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":"3"',
+            '"time_s":1.0,"device_id":0,"ta":true,"label":"legit"',
+            '"time_s":"1.0","device_id":0,"ta":0,"label":"legit"',
+            '"time_s":1.0,"device_id":0,"ta":-1,"label":"legit"',
+            '"time_s":NaN,"device_id":0,"ta":0,"label":"legit"',
+        ],
+    )
+    def test_bad_field_type_rejected(self, tmp_path, fields):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"time_s":0.5,"device_id":0,"ta":0,"label":"legit"}\n{' + fields + "}\n")
+        with pytest.raises(ValueError, match=f"{path}:2: "):
+            read_trace(path)
+
     def test_partial_verdicts_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(

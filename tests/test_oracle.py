@@ -1,0 +1,174 @@
+"""Batch scoring against the on_rsr replay on random small traces.
+
+``pipeline.run`` in both scoring modes and ``build_score_cache`` +
+``metrics_at`` must reproduce the streaming detector exactly: scores bit for
+bit, then verdicts, policies, flagged cells and every metric.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stormsim import (
+    SECONDS_PER_DAY,
+    Burst,
+    DetectorConfig,
+    Label,
+    RsrEvent,
+    ScoringMode,
+    build_score_cache,
+    compute_metrics,
+    metrics_at,
+    run,
+)
+
+from conftest import interval_end_replay, make_profile, replay, replay_metrics
+
+# std values straddle every sigma_floor below, so both sides of the floor occur
+MEANS = (0.0, 0.5, 1.0, 2.5)
+STDS = (0.0, 0.25, 1.0, 1.75, 3.0)
+FLOORS = (0.5, 1.0, 2.0)
+GAMMAS = (0.0, 0.5, 1.0, 2.0, 6.5, math.inf)
+
+
+@st.composite
+def scenarios(draw):
+    interval = draw(st.sampled_from((300, 3600, 21600, 86400)))
+    n_slots = SECONDS_PER_DAY // interval
+    max_ta = draw(st.integers(0, 3))
+    horizon_days = draw(st.integers(1, 2))
+    last_interval = horizon_days * n_slots - 1
+    # a few active intervals, so cells collect several events and most slots stay empty
+    active = draw(
+        st.lists(
+            st.one_of(st.just(0), st.just(last_interval), st.integers(0, last_interval)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    placements = st.one_of(st.just("start"), st.just("last"), st.floats(0.0, 1.0, exclude_max=True))
+    raw = draw(
+        st.lists(
+            # burst -1 is legit; half the events are, so clean cells often share an interval
+            st.tuples(
+                st.sampled_from(active),
+                placements,
+                st.integers(0, max_ta),
+                st.one_of(st.just(-1), st.integers(0, 2)),
+            ),
+            max_size=40,
+        )
+    )
+    events = []
+    for index, placement, ta, burst in raw:
+        start, end = index * interval, (index + 1) * interval
+        if placement == "start":
+            time_s = float(start)  # on an interval boundary, a day boundary when index % n_slots == 0
+        else:
+            # "last" is the last float before the interval end, and before the horizon for the last interval
+            fraction = 1.0 if placement == "last" else placement
+            time_s = min(start + fraction * interval, math.nextafter(end, 0.0))
+        label = Label.LEGIT if burst < 0 else Label.ATTACK
+        events.append(
+            RsrEvent(time_s=time_s, device_id=0, ta=ta, label=label, burst_id=None if burst < 0 else burst)
+        )
+    events.sort(key=lambda e: e.time_s)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_slots, max_ta + 1)
+    profile = make_profile(
+        interval_seconds=interval,
+        max_ta=max_ta,
+        mean=rng.choice(MEANS, size=shape),
+        std=rng.choice(STDS, size=shape),
+    )
+    bursts = [
+        Burst(
+            burst_id=b,
+            adversary_id=0,
+            start_s=0.0,
+            window_s=5.0,
+            event_times=tuple(e.time_s for e in events if e.burst_id == b),
+        )
+        for b in range(4)  # burst 3 never has events and must not count
+    ]
+    floor = draw(st.sampled_from(FLOORS))
+    gammas = draw(st.lists(st.one_of(st.sampled_from(GAMMAS), st.floats(-2.0, 8.0)), min_size=1, max_size=3))
+    return events, bursts, profile, horizon_days, floor, gammas
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_batch_paths_equal_on_rsr_replay(scenario):
+    trace, bursts, profile, horizon, floor, gammas = scenario
+    cache = build_score_cache(trace, bursts, profile, floor, horizon)
+
+    def oracle_metrics(verdicts, policies):
+        return replay_metrics(
+            trace, verdicts, policies, bursts, profile.interval_seconds, profile.max_ta, horizon
+        )
+
+    for gamma in gammas:
+        config = DetectorConfig(gamma=gamma, sigma_floor=floor)
+        verdicts, policies = replay(trace, profile, config)
+        replay_scores = np.array([v.anomaly for v in verdicts], dtype=float)
+        assert np.array_equal(cache.scores, replay_scores)
+        metrics = oracle_metrics(verdicts, policies)
+
+        per_rsr = run(trace, profile, config, horizon, ScoringMode.PER_RSR)
+        assert np.array_equal(np.array([v.anomaly for v in per_rsr.verdicts], dtype=float), replay_scores)
+        assert per_rsr.verdicts == verdicts
+        assert per_rsr.policies == policies
+        assert per_rsr.flagged == {(p.day, p.slot_of_day, p.ta) for p in policies}
+        assert compute_metrics(per_rsr, bursts) == metrics
+
+        row = metrics_at(cache, gamma)
+        assert row.p_detection == metrics.p_detection
+        assert row.p_false_alarm == metrics.p_false_alarm
+        assert row.p_false_alarm_per_cell == metrics.p_false_alarm_per_cell
+        assert row.bursts_total == metrics.denominators["bursts"]
+        assert row.intervals_total == metrics.denominators["intervals"]
+
+        end_verdicts, end_policies = interval_end_replay(trace, profile, config)
+        interval_end = run(trace, profile, config, horizon, ScoringMode.INTERVAL_END)
+        assert interval_end.verdicts == end_verdicts
+        assert interval_end.policies == end_policies
+        assert interval_end.flagged == per_rsr.flagged
+        assert compute_metrics(interval_end, bursts) == oracle_metrics(end_verdicts, end_policies)
+
+
+def _legit(time_s, ta):
+    return RsrEvent(time_s=time_s, device_id=0, ta=ta, label=Label.LEGIT)
+
+
+BAD_TRACES = {
+    "unsorted": ([_legit(400.0, 1), _legit(5.0, 1)], "sorted"),
+    "past horizon": ([_legit(86400.5, 1)], "horizon"),
+    "TA above max_ta": ([_legit(5.0, 1), _legit(6.0, 11)], r"event TA 11 outside profile range 0\.\.10"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TRACES))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda trace, profile: run(trace, profile, DetectorConfig(gamma=1.0), 1),
+        lambda trace, profile: run(trace, profile, DetectorConfig(gamma=1.0), 1, ScoringMode.INTERVAL_END),
+        lambda trace, profile: build_score_cache(trace, [], profile, 1.0, 1),
+    ],
+    ids=["per_rsr", "interval_end", "score_cache"],
+)
+def test_batch_paths_check_inputs_alike(entry, bad):
+    trace, match = BAD_TRACES[bad]
+    with pytest.raises(ValueError, match=match):
+        entry(trace, make_profile())
+
+
+def test_ta_message_matches_on_rsr():
+    trace, match = BAD_TRACES["TA above max_ta"]
+    with pytest.raises(ValueError, match=match):
+        replay(trace, make_profile(), DetectorConfig(gamma=1.0))
+

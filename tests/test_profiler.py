@@ -42,6 +42,7 @@ class TestCounting:
     def test_boundary_arithmetic(self):
         trace = [legit(10.0, 7), legit(200.0, 7), legit(310.0, 7)]
         table = count_per_interval(trace, 300, 10, 1)
+        assert table.dtype == np.int64
         assert table[0, 0, 7] == 2
         assert table[0, 1, 7] == 1
         assert table.sum() == 3
@@ -141,6 +142,22 @@ class TestTraining:
             assert abs(slot_sums[slot] - expected) / expected < 0.10
 
 
+class TestProfileValidation:
+    @pytest.mark.parametrize("table, value", [("std", -1.0), ("mean", np.nan), ("std", np.inf)])
+    def test_invalid_moment_rejected(self, table, value):
+        tables = {"mean": np.zeros((288, 11)), "std": np.zeros((288, 11))}
+        tables[table][3, 4] = value
+        with pytest.raises(ValueError, match=r"cell \(3, 4\): mean and std must be finite"):
+            KpiProfile(interval_seconds=300, max_ta=10, training_days=2, **tables)
+
+    def test_table_shape_must_match_metadata(self):
+        with pytest.raises(ValueError, match="shape"):
+            KpiProfile(
+                interval_seconds=300, max_ta=10, training_days=2,
+                mean=np.zeros((288, 10)), std=np.zeros((288, 10)),
+            )
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -209,6 +226,15 @@ class TestPersistence:
             "#interval_seconds=300,max_ta=10,training_days=2\nslot,ta,mean,std\n1,2,three,0.5\n"
         )
         with pytest.raises(ValueError, match="malformed"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("row", ["0,5,1.0,-1.0", "0,5,nan,1.0", "0,5,inf,1.0"])
+    def test_invalid_moments_rejected(self, tmp_path, row):
+        path = tmp_path / "profile.csv"
+        path.write_text(
+            f"#interval_seconds=300,max_ta=10,training_days=2\nslot,ta,mean,std\n1,2,3.0,0.5\n{row}\n"
+        )
+        with pytest.raises(ValueError, match=f"{path}:4: mean and std must be finite and non-negative"):
             load_profile(path)
 
     def test_out_of_bounds_cell_rejected(self, tmp_path):

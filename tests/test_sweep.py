@@ -19,6 +19,8 @@ from stormsim import (
 )
 from stormsim.sweep import SWEEP_CSV_HEADER
 
+from conftest import replay, replay_metrics
+
 
 class TestRunExperiment:
     def test_rows_sorted_and_monotone(self, small_config):
@@ -60,18 +62,23 @@ class TestCacheVsReplay:
         )
         cache = build_score_cache(trace, bursts, profile, small_config.sigma_floor, 2)
         for gamma in (0.0, 2.0, 6.5):
-            report = run(trace, profile, DetectorConfig(gamma=gamma), horizon_days=2)
-            replay_scores = np.array([v.anomaly for v in report.verdicts])
+            config = DetectorConfig(gamma=gamma)
+            verdicts, policies = replay(trace, profile, config)
+            replay_scores = np.array([v.anomaly for v in verdicts])
             assert np.array_equal(replay_scores, cache.scores)
-            replay_rejects = np.array(
-                [v.decision is Decision.REJECT for v in report.verdicts]
-            )
+            replay_rejects = np.array([v.decision is Decision.REJECT for v in verdicts])
             assert np.array_equal(replay_rejects, cache.scores > gamma)
-            metrics = compute_metrics(report, bursts)
+            metrics = replay_metrics(
+                trace, verdicts, policies, bursts, profile.interval_seconds, profile.max_ta, 2
+            )
             row = metrics_at(cache, gamma)
             assert row.p_detection == metrics.p_detection
             assert row.p_false_alarm == metrics.p_false_alarm
             assert row.p_false_alarm_per_cell == metrics.p_false_alarm_per_cell
+            report = run(trace, profile, config, horizon_days=2)
+            assert report.verdicts == verdicts
+            assert report.policies == policies
+            assert compute_metrics(report, bursts) == metrics
 
 
 class TestSweepCsv:
