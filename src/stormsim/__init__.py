@@ -22,7 +22,9 @@ from .core import (
     Label,
     RsrEvent,
     SlotIndex,
+    Trace,
     Verdict,
+    Verdicts,
     read_trace,
     slot_of,
     slots_per_day,
@@ -30,8 +32,8 @@ from .core import (
     write_trace,
 )
 from .detector import DetectorConfig, DetectorState, Policy, anomaly_score, interval_rollover, on_rsr
-from .geometry import Position, TaQuantizer, max_ta_index, place_devices, ta_index
-from .pipeline import Metrics, RunReport, compute_metrics, run, write_policy_log, write_summary
+from .geometry import TaQuantizer, max_ta_index, place_devices, ta_index
+from .pipeline import Metrics, compute_metrics, run, write_policy_log, write_summary
 from .profiler import (
     CountAccumulator,
     KpiProfile,
@@ -41,7 +43,6 @@ from .profiler import (
     train,
 )
 from .sweep import (
-    ScoreCache,
     SweepResult,
     SweepRow,
     build_score_cache,
@@ -52,10 +53,7 @@ from .sweep import (
 )
 from .traffic import (
     Burst,
-    CellLayout,
-    PlacedDevice,
     build_trace,
-    derive_layout,
     diurnal_rate,
     gen_attack_bursts,
     gen_legit_events,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackSpec",
     "Burst",
-    "CellLayout",
     "ConfigError",
     "CountAccumulator",
     "Decision",
@@ -76,20 +73,18 @@ __all__ = [
     "Label",
     "LegitTrafficSpec",
     "Metrics",
-    "PlacedDevice",
     "Policy",
-    "Position",
     "RsrEvent",
-    "RunReport",
     "ScenarioConfig",
-    "ScoreCache",
     "ScoringMode",
     "SECONDS_PER_DAY",
     "SlotIndex",
     "SweepResult",
     "SweepRow",
     "TaQuantizer",
+    "Trace",
     "Verdict",
+    "Verdicts",
     "anomaly_score",
     "build_score_cache",
     "build_trace",
@@ -97,7 +92,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "count_per_interval",
-    "derive_layout",
     "diurnal_rate",
     "gen_attack_bursts",
     "gen_legit_events",

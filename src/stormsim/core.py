@@ -8,9 +8,11 @@ the day exactly so slot boundaries stay aligned across days.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,26 +89,14 @@ class RsrEvent:
     burst_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.time_s >= 0:  # also rejects nan
-            raise ValueError(f"event time must be non-negative, got {self.time_s!r}")
+        if not 0 <= self.time_s < math.inf:  # also rejects nan
+            raise ValueError(f"event time must be finite and non-negative, got {self.time_s!r}")
         if self.device_id < 0 or self.ta < 0:
             raise ValueError("device_id and ta must be non-negative")
         if (self.burst_id is not None) != (self.label is Label.ATTACK):
             raise ValueError("burst_id must be present exactly for attack events")
         if self.burst_id is not None and self.burst_id < 0:
             raise ValueError("burst_id must be non-negative")
-
-
-def event_columns(events: Sequence[RsrEvent]) -> tuple[np.ndarray, np.ndarray]:
-    """Each event's ``time_s`` and ``ta`` as arrays."""
-    times = np.fromiter((e.time_s for e in events), dtype=float, count=len(events))
-    return times, np.fromiter((e.ta for e in events), dtype=np.int64, count=len(events))
-
-
-def burst_column(events: Sequence[RsrEvent]) -> np.ndarray:
-    """Each event's ``burst_id`` as an array, -1 for legit events."""
-    ids = (-1 if e.burst_id is None else e.burst_id for e in events)
-    return np.fromiter(ids, dtype=np.int64, count=len(events))
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,88 +107,154 @@ class Verdict:
     anomaly: float
 
 
+def _columns(obj, dtypes: dict) -> None:
+    """Convert each named column of a frozen dataclass to a 1-D array of its
+    dtype, refusing casts across kinds (float to int, say), and require
+    equal lengths."""
+    for name, dtype in dtypes.items():
+        column = np.asarray(getattr(obj, name))
+        if column.ndim != 1 or (column.size and not np.can_cast(column.dtype, dtype, "same_kind")):
+            raise ValueError(f"{name} must be a 1-D {np.dtype(dtype)} column, got {column.dtype} {column.shape}")
+        object.__setattr__(obj, name, column.astype(dtype, copy=False))
+    if len({getattr(obj, name).size for name in dtypes}) > 1:
+        raise ValueError(f"columns {list(dtypes)} must have equal lengths")
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A labeled RSR trace as columns, one entry per request in trace order.
+
+    ``burst_id`` is -1 for a legit request and the burst's id for an attack
+    one, so the label is ``burst_id >= 0``. Iterating yields the requests as
+    :class:`RsrEvent`, the input of ``detector.on_rsr``.
+    """
+
+    time_s: np.ndarray
+    device_id: np.ndarray
+    ta: np.ndarray
+    burst_id: np.ndarray
+
+    def __post_init__(self) -> None:
+        _columns(self, {"time_s": np.float64, "device_id": np.int64, "ta": np.int64, "burst_id": np.int64})
+        if not np.all((self.time_s >= 0) & (self.time_s < math.inf)):  # also rejects nan
+            raise ValueError("event times must be finite and non-negative")
+        if np.any(self.device_id < 0) or np.any(self.ta < 0) or np.any(self.burst_id < -1):
+            raise ValueError("device_id and ta must be non-negative, burst_id -1 or more")
+
+    @property
+    def attack(self) -> np.ndarray:
+        return self.burst_id >= 0
+
+    def __len__(self) -> int:
+        return self.time_s.size
+
+    def __iter__(self) -> Iterator[RsrEvent]:
+        columns = (self.time_s, self.device_id, self.ta, self.burst_id)
+        for time_s, device_id, ta, burst_id in zip(*(c.tolist() for c in columns)):
+            label, burst = (Label.LEGIT, None) if burst_id < 0 else (Label.ATTACK, burst_id)
+            yield RsrEvent(time_s, device_id, ta, label, burst)
+
+
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """The detector's answer to each request of a trace, as columns."""
+
+    rejected: np.ndarray
+    anomaly: np.ndarray
+
+    def __post_init__(self) -> None:
+        _columns(self, {"rejected": np.bool_, "anomaly": np.float64})
+
+    def __len__(self) -> int:
+        return self.rejected.size
+
+    def __iter__(self) -> Iterator[Verdict]:
+        for rejected, anomaly in zip(self.rejected.tolist(), self.anomaly.tolist()):
+            yield Verdict(Decision.REJECT if rejected else Decision.ACCEPT, anomaly)
+
+
 _REQUIRED_KEYS = {"time_s", "device_id", "ta", "label"}
-_OPTIONAL_KEYS = {"burst_id", "verdict", "anomaly"}
+_ALL_KEYS = _REQUIRED_KEYS | {"burst_id", "verdict", "anomaly"}
+_INT64_MAX = 2**63 - 1
 
 
-def _event_record(event: RsrEvent, verdict: Optional[Verdict]) -> dict:
-    record: dict = {
-        "time_s": event.time_s,
-        "device_id": event.device_id,
-        "ta": event.ta,
-        "label": event.label.value,
-    }
-    if event.burst_id is not None:
-        record["burst_id"] = event.burst_id
-    if verdict is not None:
-        record["verdict"] = verdict.decision.value
-        record["anomaly"] = verdict.anomaly
-    return record
-
-
-def write_trace(
-    path,
-    events: Sequence[RsrEvent],
-    verdicts: Optional[Sequence[Verdict]] = None,
-) -> None:
-    """Write events as JSON Lines; verdict columns are included when supplied."""
-    if verdicts is not None and len(verdicts) != len(events):
+def write_trace(path, trace: Trace, verdicts: Optional[Verdicts] = None) -> None:
+    """Write a trace as JSON Lines; verdict columns are included when supplied."""
+    if verdicts is not None and len(verdicts) != len(trace):
         raise ValueError("verdicts must align one-to-one with events")
+    columns = [trace.time_s.tolist(), trace.device_id.tolist(), trace.ta.tolist(), trace.burst_id.tolist()]
+    if verdicts is not None:
+        columns += [verdicts.rejected.tolist(), map(_json_float, verdicts.anomaly.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, event in enumerate(events):
-            record = _event_record(event, verdicts[i] if verdicts is not None else None)
-            fh.write(json.dumps(record, separators=(",", ":")))
-            fh.write("\n")
+        for time_s, device_id, ta, burst_id, *verdict in zip(*columns):
+            label = '"legit"' if burst_id < 0 else f'"attack","burst_id":{burst_id}'
+            line = f'{{"time_s":{time_s!r},"device_id":{device_id},"ta":{ta},"label":{label}'
+            if verdict:
+                line += f',"verdict":"{"reject" if verdict[0] else "accept"}","anomaly":{verdict[1]}'
+            fh.write(line + "}\n")
 
 
-def read_trace(path) -> tuple[list[RsrEvent], Optional[list[Verdict]]]:
-    """Read a JSONL trace back; verdicts are returned when the file carries them."""
-    events: list[RsrEvent] = []
-    verdicts: list[Verdict] = []
+def _json_float(value: float) -> str:
+    """``value`` as ``json.dumps`` writes it: ``repr``, or Infinity and NaN."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def read_trace(path) -> tuple[Trace, Optional[Verdicts]]:
+    """Read a JSONL trace back; verdicts are returned when the file carries them.
+
+    Every record is checked, and a bad one raises ``ValueError`` naming its
+    ``path:line``.
+    """
+    rows: list[tuple[float, int, int, int]] = []
+    verdict_rows: list[tuple[bool, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            keys = set(record)
-            unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
-            if unknown:
-                raise ValueError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
-            if not _REQUIRED_KEYS <= keys:
-                raise ValueError(
-                    f"{path}:{lineno}: missing keys {sorted(_REQUIRED_KEYS - keys)}"
-                )
-            try:
-                label = Label(record["label"])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad label {record['label']!r}") from exc
-            int_types = {type(record["device_id"]), type(record["ta"]), type(record.get("burst_id", 0))}
-            if int_types != {int} or type(record["time_s"]) not in (int, float):
-                raise ValueError(
-                    f"{path}:{lineno}: device_id, ta and burst_id must be integers, time_s a number"
-                )
-            try:
-                event = RsrEvent(
-                    time_s=float(record["time_s"]),
-                    device_id=record["device_id"],
-                    ta=record["ta"],
-                    label=label,
-                    burst_id=record.get("burst_id"),
-                )
+                record = _parse_record(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            events.append(event)
-            has_verdict = "verdict" in record or "anomaly" in record
-            if has_verdict:
-                if not {"verdict", "anomaly"} <= keys:
-                    raise ValueError(f"{path}:{lineno}: verdict and anomaly must appear together")
-                verdicts.append(
-                    Verdict(decision=Decision(record["verdict"]), anomaly=float(record["anomaly"]))
-                )
-            if len(verdicts) not in (0, len(events)):
+            rows.append((float(record["time_s"]), record["device_id"], record["ta"], record.get("burst_id", -1)))
+            if "verdict" in record:
+                verdict_rows.append((record["verdict"] == "reject", float(record["anomaly"])))
+            if len(verdict_rows) not in (0, len(rows)):
                 raise ValueError(f"{path}:{lineno}: verdict columns must be all-or-none")
-    return events, (verdicts if verdicts else None)
+    trace = Trace(*zip(*rows)) if rows else Trace([], [], [], [])
+    return trace, (Verdicts(*zip(*verdict_rows)) if verdict_rows else None)
+
+
+def _parse_record(line: str) -> dict:
+    """One trace line as a dict; ``ValueError`` unless it is well-formed."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON ({exc})") from exc
+    if type(record) is not dict:
+        raise ValueError("a record must be a JSON object")
+    keys = record.keys()
+    if not keys <= _ALL_KEYS:
+        raise ValueError(f"unknown keys {sorted(keys - _ALL_KEYS)}")
+    if not _REQUIRED_KEYS <= keys:
+        raise ValueError(f"missing keys {sorted(_REQUIRED_KEYS - keys)}")
+    label = record["label"]
+    if label not in ("legit", "attack"):
+        raise ValueError(f"bad label {label!r}")
+    time_s, device_id, ta, burst_id = record["time_s"], record["device_id"], record["ta"], record.get("burst_id", 0)
+    if not (type(device_id) is int and type(ta) is int and type(burst_id) is int and type(time_s) in (int, float)):
+        raise ValueError("device_id, ta and burst_id must be integers, time_s a number")
+    if not (0 <= device_id <= _INT64_MAX and 0 <= ta <= _INT64_MAX and 0 <= burst_id <= _INT64_MAX):
+        raise ValueError(f"device_id, ta and burst_id must lie in [0, {_INT64_MAX}]")
+    if not 0 <= time_s <= sys.float_info.max:  # also rejects nan and overlong integers
+        raise ValueError(f"event time must be finite and non-negative, got {time_s!r}")
+    if ("burst_id" in keys) != (label == "attack"):
+        raise ValueError("burst_id must be present exactly for attack events")
+    if ("verdict" in keys) != ("anomaly" in keys):
+        raise ValueError("verdict and anomaly must appear together")
+    if "verdict" in keys:
+        if record["verdict"] not in ("accept", "reject"):
+            raise ValueError(f"bad verdict {record['verdict']!r}")
+        anomaly = record["anomaly"]
+        if not (type(anomaly) is float or type(anomaly) is int and abs(anomaly) <= sys.float_info.max):
+            raise ValueError(f"anomaly must be a number, got {anomaly!r}")
+    return record

@@ -40,19 +40,9 @@ class TaQuantizer:
         )
 
 
-@dataclass(frozen=True)
-class Position:
-    """Radial distance to the gNB; the angle never matters for TA."""
-
-    distance_m: float
-
-    def __post_init__(self) -> None:
-        if self.distance_m < 0:
-            raise ValueError(f"distance_m must be non-negative, got {self.distance_m!r}")
-
-
-def place_devices(count: int, cell_radius_m: float, rng: np.random.Generator) -> list[Position]:
-    """Drop ``count`` devices i.i.d. uniform over the disk of the given radius.
+def place_devices(count: int, cell_radius_m: float, rng: np.random.Generator) -> np.ndarray:
+    """Distances to the gNB of ``count`` devices dropped i.i.d. uniform over
+    the disk of the given radius; the angle never matters for TA.
 
     Uniform area density: radius = R * sqrt(u) with u uniform on [0, 1).
     """
@@ -60,8 +50,7 @@ def place_devices(count: int, cell_radius_m: float, rng: np.random.Generator) ->
         raise ValueError(f"count must be non-negative, got {count!r}")
     if cell_radius_m <= 0:
         raise ValueError(f"cell_radius_m must be positive, got {cell_radius_m!r}")
-    radii = cell_radius_m * np.sqrt(rng.random(count))
-    return [Position(float(r)) for r in radii]
+    return cell_radius_m * np.sqrt(rng.random(count))
 
 
 def ta_index(distance_m: float, quantizer: TaQuantizer) -> int:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ScoringMode
-from .core import Decision, RsrEvent, Verdict, burst_column, cell_keys, event_columns, slots_per_day
+from .core import Trace, Verdicts, cell_keys, slots_per_day
 from .detector import DetectorConfig, Policy, group_max, score_events
 from .profiler import KpiProfile
 from .traffic import Burst
@@ -26,7 +26,7 @@ from .traffic import Burst
 
 @dataclass
 class RunReport:
-    """Everything one replay produced: per-event verdicts, flags, policies."""
+    """Everything one run produced: the scored trace, its verdicts, flagged cells, policies."""
 
     gamma: float
     sigma_floor: float
@@ -34,8 +34,8 @@ class RunReport:
     interval_seconds: int
     max_ta: int
     horizon_days: int
-    events: list[RsrEvent]
-    verdicts: list[Verdict]
+    trace: Trace
+    verdicts: Verdicts
     flagged: set[tuple[int, int, int]]
     policies: list[Policy]
 
@@ -59,7 +59,7 @@ class Metrics:
 
 
 def run(
-    trace: Sequence[RsrEvent],
+    trace: Trace,
     profile: KpiProfile,
     config: DetectorConfig,
     horizon_days: int,
@@ -73,14 +73,13 @@ def run(
     is rejected and carries the cell's score, and policies are issued at the
     interval end in (day, slot, TA) order.
     """
-    times, tas = event_columns(trace)
-    cells, anomalies = score_events(times, tas, profile, config.sigma_floor, horizon_days)
+    cells, anomalies = score_events(trace.time_s, trace.ta, profile, config.sigma_floor, horizon_days)
     n_ta = profile.max_ta + 1
     if scoring_mode is ScoringMode.PER_RSR:
         crossings = np.flatnonzero(anomalies > config.gamma)
         _cells, first = np.unique(cells[crossings], return_index=True)
         issued = np.sort(crossings[first])
-        policy_cells, issued_at_s = cells[issued], [trace[i].time_s for i in issued.tolist()]
+        policy_cells, issued_at_s = cells[issued], trace.time_s[issued].tolist()
     else:
         cell_set, cell_final, cell_of = group_max(cells, anomalies)
         anomalies = cell_final[cell_of]
@@ -89,9 +88,6 @@ def run(
     day_slot, policy_tas = np.divmod(policy_cells, n_ta)
     days, slots = np.divmod(day_slot, profile.n_slots)
     policies = list(map(Policy, policy_tas.tolist(), days.tolist(), slots.tolist(), issued_at_s))
-    decisions = (Decision.ACCEPT, Decision.REJECT)
-    rejected = (anomalies > config.gamma).tolist()
-    verdicts = list(map(Verdict, [decisions[r] for r in rejected], anomalies.tolist()))
     return RunReport(
         gamma=config.gamma,
         sigma_floor=config.sigma_floor,
@@ -99,8 +95,8 @@ def run(
         interval_seconds=profile.interval_seconds,
         max_ta=profile.max_ta,
         horizon_days=horizon_days,
-        events=list(trace),
-        verdicts=verdicts,
+        trace=trace,
+        verdicts=Verdicts(anomalies > config.gamma, anomalies),
         flagged={(p.day, p.slot_of_day, p.ta) for p in policies},
         policies=policies,
     )
@@ -116,13 +112,11 @@ def compute_metrics(report: RunReport, bursts: Sequence[Burst]) -> Metrics:
     whole horizon, including empty ones. The per-cell rate is co-reported
     with (intervals x TA bins) as denominator.
     """
-    cells = cell_keys(*event_columns(report.events), report.interval_seconds, report.max_ta)
-    burst_ids = burst_column(report.events)
-    attack = burst_ids >= 0
-    rejected_attack = attack & np.fromiter(
-        (v.decision is Decision.REJECT for v in report.verdicts), dtype=bool, count=len(report.verdicts)
-    )
-    detected = np.unique(burst_ids[rejected_attack]).size
+    trace = report.trace
+    cells = cell_keys(trace.time_s, trace.ta, report.interval_seconds, report.max_ta)
+    attack = trace.attack
+    rejected_attack = attack & report.verdicts.rejected
+    detected = np.unique(trace.burst_id[rejected_attack]).size
     n_slots = slots_per_day(report.interval_seconds)
     n_ta = report.max_ta + 1
     flagged = [(day * n_slots + slot) * n_ta + ta for day, slot, ta in report.flagged]

@@ -10,15 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .core import SECONDS_PER_DAY, RsrEvent, cell_keys, event_columns, slots_per_day
+from .core import SECONDS_PER_DAY, Trace, cell_keys, slots_per_day
 
 
 def count_per_interval(
-    trace: Sequence[RsrEvent],
+    trace: Trace,
     interval_seconds: int,
     max_ta: int,
     days: int,
@@ -32,17 +31,14 @@ def count_per_interval(
     if days < 1:
         raise ValueError(f"days must be at least 1, got {days!r}")
     shape = (days, n_slots, max_ta + 1)
-    if not trace:
-        return np.zeros(shape, dtype=np.int64)
-    times, tas = event_columns(trace)
-    if int(tas.max()) > max_ta:
+    if np.any(trace.ta > max_ta):
         raise ValueError(
-            f"event TA {int(tas.max())} exceeds max_ta={max_ta}; "
+            f"event TA {int(trace.ta.max())} exceeds max_ta={max_ta}; "
             "geometry and profile configuration disagree"
         )
-    if float(times.min()) < 0.0 or float(times.max()) >= days * SECONDS_PER_DAY:
+    if np.any(trace.time_s >= days * SECONDS_PER_DAY):
         raise ValueError(f"events must lie within [0, {days * SECONDS_PER_DAY}) seconds")
-    keys = cell_keys(times, tas, interval_seconds, max_ta)
+    keys = cell_keys(trace.time_s, trace.ta, interval_seconds, max_ta)
     return np.bincount(keys, minlength=days * n_slots * (max_ta + 1)).reshape(shape)
 
 

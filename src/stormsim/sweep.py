@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import RsrEvent, burst_column, event_columns, slots_per_day
+from .core import Trace, slots_per_day
 from .detector import group_max, score_events
 from .geometry import TaQuantizer, max_ta_index
 from .profiler import KpiProfile, count_per_interval, train
@@ -69,21 +69,20 @@ def train_profile_for(config: ScenarioConfig) -> KpiProfile:
 
 
 def build_score_cache(
-    trace: Sequence[RsrEvent],
+    trace: Trace,
     bursts: Sequence[Burst],
     profile: KpiProfile,
     sigma_floor: float,
     horizon_days: int,
 ) -> ScoreCache:
     """Score every event once and aggregate per burst, per cell and per interval."""
-    cells, scores = score_events(*event_columns(trace), profile, sigma_floor, horizon_days)
-    burst_ids = burst_column(trace)
-    attack = burst_ids >= 0
+    cells, scores = score_events(trace.time_s, trace.ta, profile, sigma_floor, horizon_days)
+    attack = trace.attack
     clean = ~np.isin(cells, cells[attack])
     clean_cells, clean_last, _cell_of = group_max(cells[clean], scores[clean])
     clean_intervals = clean_cells // (profile.max_ta + 1)
     _intervals, interval_clean_max, _interval_of = group_max(clean_intervals, clean_last)
-    _bursts, burst_max, _burst_of = group_max(burst_ids[attack], scores[attack])
+    _bursts, burst_max, _burst_of = group_max(trace.burst_id[attack], scores[attack])
 
     intervals_total = horizon_days * slots_per_day(profile.interval_seconds)
     return ScoreCache(

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .config import AttackSpec, LegitTrafficSpec, ScenarioConfig
-from .core import SECONDS_PER_DAY, Label, RsrEvent
+from .core import SECONDS_PER_DAY, Trace
 from .geometry import TaQuantizer, place_devices, ta_index
 
 _TWO_PI = 2.0 * math.pi
@@ -83,14 +83,9 @@ def diurnal_rate(
     return rate
 
 
-def gen_legit_events(
-    device_id: int,
-    ta: int,
-    spec: LegitTrafficSpec,
-    horizon_s: float,
-    rng: np.random.Generator,
-) -> list[RsrEvent]:
-    """One device's arrivals: a non-homogeneous Poisson process over the horizon.
+def gen_legit_events(spec: LegitTrafficSpec, horizon_s: float, rng: np.random.Generator) -> np.ndarray:
+    """One device's arrival times, ascending: a non-homogeneous Poisson
+    process over the horizon.
 
     Thinning against the constant majorant base*(1+amplitude): candidates come
     from a homogeneous process at the peak rate and survive with probability
@@ -99,16 +94,13 @@ def gen_legit_events(
     if horizon_s < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon_s!r}")
     if horizon_s == 0:
-        return []
+        return np.empty(0)
     peak_per_hour = spec.base_rate_per_hour * (1.0 + spec.diurnal_amplitude)
     n_candidates = int(rng.poisson(peak_per_hour / 3600.0 * horizon_s))
     times = rng.uniform(0.0, horizon_s, n_candidates)
     times.sort()
     keep = rng.random(n_candidates) * peak_per_hour < diurnal_rate(times, spec)
-    return [
-        RsrEvent(time_s=float(t), device_id=device_id, ta=ta, label=Label.LEGIT)
-        for t in times[keep]
-    ]
+    return times[keep]
 
 
 def gen_attack_bursts(
@@ -152,26 +144,16 @@ def gen_attack_bursts(
 def derive_layout(config: ScenarioConfig, seed: int, include_attacks: bool = True) -> CellLayout:
     """Place all devices for a trace seed and fix their TA bins."""
     quantizer = TaQuantizer(config.numerology_mu)
-    legit_positions = place_devices(
-        config.legit.device_count,
-        config.cell_radius_m,
-        substream(seed, _STREAM_LEGIT_PLACEMENT),
-    )
-    legit = tuple(
-        PlacedDevice(i, p.distance_m, ta_index(p.distance_m, quantizer))
-        for i, p in enumerate(legit_positions)
-    )
+
+    def placed(count: int, stream: int, first_id: int) -> tuple[PlacedDevice, ...]:
+        radii = place_devices(count, config.cell_radius_m, substream(seed, stream)).tolist()
+        return tuple(PlacedDevice(first_id + i, r, ta_index(r, quantizer)) for i, r in enumerate(radii))
+
+    legit = placed(config.legit.device_count, _STREAM_LEGIT_PLACEMENT, 0)
     adversaries: tuple[PlacedDevice, ...] = ()
     if include_attacks and config.attack.adversary_count > 0:
-        adv_positions = place_devices(
-            config.attack.adversary_count,
-            config.cell_radius_m,
-            substream(seed, _STREAM_ADVERSARY_PLACEMENT),
-        )
-        base = config.legit.device_count
-        adversaries = tuple(
-            PlacedDevice(base + j, p.distance_m, ta_index(p.distance_m, quantizer))
-            for j, p in enumerate(adv_positions)
+        adversaries = placed(
+            config.attack.adversary_count, _STREAM_ADVERSARY_PLACEMENT, config.legit.device_count
         )
     return CellLayout(legit=legit, adversaries=adversaries)
 
@@ -182,7 +164,7 @@ def build_trace(
     seed: int,
     days: int,
     include_attacks: bool = True,
-) -> tuple[list[RsrEvent], list[Burst], CellLayout]:
+) -> tuple[Trace, list[Burst], CellLayout]:
     """Generate the merged, time-ordered labeled trace for one scenario seed.
 
     Events are ordered by (time, device_id, per-device sequence), so the
@@ -194,52 +176,41 @@ def build_trace(
     horizon_s = float(days) * SECONDS_PER_DAY
     layout = derive_layout(config, seed, include_attacks)
 
-    keyed: list[tuple[float, int, int, RsrEvent]] = []
-    for dev in layout.legit:
-        events = gen_legit_events(
-            dev.device_id,
-            dev.ta,
-            config.legit,
-            horizon_s,
-            substream(seed, _STREAM_LEGIT_TRAFFIC, dev.device_id),
-        )
-        keyed.extend((e.time_s, e.device_id, i, e) for i, e in enumerate(events))
+    # One block of times per legit device and one per burst, each with its device and burst id.
+    owners = list(layout.legit)
+    time_blocks = [
+        gen_legit_events(config.legit, horizon_s, substream(seed, _STREAM_LEGIT_TRAFFIC, dev.device_id))
+        for dev in layout.legit
+    ]
+    block_bursts = [-1] * len(time_blocks)
 
     bursts: list[Burst] = []
     if include_attacks:
         raw: list[Burst] = []
         for j, dev in enumerate(layout.adversaries):
-            raw.extend(
-                gen_attack_bursts(
-                    dev.device_id,
-                    config.attack,
-                    horizon_s,
-                    substream(seed, _STREAM_ATTACK_TRAFFIC, j),
-                )
-            )
+            rng = substream(seed, _STREAM_ATTACK_TRAFFIC, j)
+            raw.extend(gen_attack_bursts(dev.device_id, config.attack, horizon_s, rng))
         raw.sort(key=lambda b: (b.start_s, b.adversary_id))
         bursts = [replace(b, burst_id=i) for i, b in enumerate(raw)]
+        adversary = {dev.device_id: dev for dev in layout.adversaries}
+        owners += [adversary[b.adversary_id] for b in bursts]
+        time_blocks += [np.array(b.event_times, dtype=float) for b in bursts]
+        block_bursts += [b.burst_id for b in bursts]
 
-        adversary_ta = {dev.device_id: dev.ta for dev in layout.adversaries}
-        per_adversary: dict[int, list[tuple[float, int]]] = {}
-        for burst in bursts:
-            stamped = per_adversary.setdefault(burst.adversary_id, [])
-            stamped.extend((t, burst.burst_id) for t in burst.event_times)
-        for adversary_id, stamped in per_adversary.items():
-            stamped.sort()
-            ta = adversary_ta[adversary_id]
-            for i, (t, burst_id) in enumerate(stamped):
-                event = RsrEvent(
-                    time_s=t,
-                    device_id=adversary_id,
-                    ta=ta,
-                    label=Label.ATTACK,
-                    burst_id=burst_id,
-                )
-                keyed.append((t, adversary_id, i, event))
-
-    keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [item[3] for item in keyed], bursts, layout
+    sizes = [times.size for times in time_blocks]
+    time_s = np.concatenate([np.empty(0), *time_blocks])
+    device_id = np.repeat(np.array([dev.device_id for dev in owners], dtype=np.int64), sizes)
+    burst_id = np.repeat(np.array(block_bursts, dtype=np.int64), sizes)
+    # A device's sequence runs in time order, and in burst id order among
+    # equal times, so rows tied on (time, device_id, burst_id) are identical.
+    order = np.lexsort((burst_id, device_id, time_s))
+    trace = Trace(
+        time_s=time_s[order],
+        device_id=device_id[order],
+        ta=np.repeat(np.array([dev.ta for dev in owners], dtype=np.int64), sizes)[order],
+        burst_id=burst_id[order],
+    )
+    return trace, bursts, layout
 
 
 def write_bursts_json(path, bursts: list[Burst]) -> None:

@@ -12,6 +12,7 @@ from stormsim import (
     Metrics,
     Policy,
     ScenarioConfig,
+    Trace,
     Verdict,
     on_rsr,
     slot_of,
@@ -49,6 +50,16 @@ def make_profile(
         training_days=training_days,
         mean=np.zeros(shape) if mean is None else mean,
         std=np.zeros(shape) if std is None else std,
+    )
+
+
+def trace_of(events) -> Trace:
+    """The columnar trace of hand-built ``RsrEvent`` rows."""
+    return Trace(
+        time_s=[e.time_s for e in events],
+        device_id=[e.device_id for e in events],
+        ta=[e.ta for e in events],
+        burst_id=[-1 if e.burst_id is None else e.burst_id for e in events],
     )
 
 

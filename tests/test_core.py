@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +11,9 @@ from stormsim import (
     Label,
     RsrEvent,
     SlotIndex,
+    Trace,
     Verdict,
+    Verdicts,
     read_trace,
     slot_of,
     slots_per_day,
@@ -84,63 +88,131 @@ class TestRsrEvent:
         RsrEvent(time_s=0.0, device_id=0, ta=0, label=Label.LEGIT)
         RsrEvent(time_s=5.0, device_id=2, ta=7, label=Label.ATTACK, burst_id=0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RsrEvent(time_s=bad, device_id=0, ta=0, label=Label.LEGIT)
 
-event_strategy = st.builds(
-    lambda t, dev, ta, attack, burst: RsrEvent(
-        time_s=t,
-        device_id=dev,
-        ta=ta,
-        label=Label.ATTACK if attack else Label.LEGIT,
-        burst_id=burst if attack else None,
-    ),
-    sim_times,
-    st.integers(min_value=0, max_value=10_000),
+
+def bits(trace: Trace, verdicts: Verdicts | None = None) -> list[tuple]:
+    """Every column's dtype and raw bytes, so equal means equal bit for bit."""
+    arrays = [trace.time_s, trace.device_id, trace.ta, trace.burst_id]
+    if verdicts is not None:
+        arrays += [verdicts.rejected, verdicts.anomaly]
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+class TestColumns:
+    def test_trace_iterates_as_events(self):
+        trace = Trace([0.5, 2.0], [1, 7], [3, 9], [-1, 4])
+        assert len(trace) == 2
+        assert list(trace) == [
+            RsrEvent(time_s=0.5, device_id=1, ta=3, label=Label.LEGIT),
+            RsrEvent(time_s=2.0, device_id=7, ta=9, label=Label.ATTACK, burst_id=4),
+        ]
+        assert trace.attack.tolist() == [False, True]
+        assert trace.time_s.dtype == np.float64 and trace.burst_id.dtype == np.int64
+
+    def test_verdicts_iterate_as_verdicts(self):
+        verdicts = Verdicts([False, True], [-0.5, 7.25])
+        assert len(verdicts) == 2
+        assert list(verdicts) == [Verdict(Decision.ACCEPT, -0.5), Verdict(Decision.REJECT, 7.25)]
+
+    def test_empty(self):
+        assert len(Trace([], [], [], [])) == 0
+        assert list(Verdicts([], [])) == []
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            (([0.0, 1.0], [0], [0, 0], [-1, -1]), "equal lengths"),
+            (([0.0], [0], [-1], [-1]), "non-negative"),
+            (([0.0], [-3], [0], [-1]), "non-negative"),
+            (([0.0], [0], [0], [-2]), "burst_id"),
+            (([math.nan], [0], [0], [-1]), "finite"),
+            (([math.inf], [0], [0], [-1]), "finite"),
+            (([-1.0], [0], [0], [-1]), "non-negative"),
+            (([0.0], [0.5], [0], [-1]), "device_id must be a 1-D int64 column"),
+            (([0.0], [0], ["a"], [-1]), "ta must be a 1-D int64 column"),
+            (([0.0], [0], [0], [[-1]]), "burst_id must be a 1-D int64 column"),
+        ],
+    )
+    def test_bad_trace_rejected(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            Trace(*columns)
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            (([True, False], [1.0]), "equal lengths"),
+            (([1], [1.0]), "rejected must be a 1-D bool column"),
+            (([True], ["x"]), "anomaly must be a 1-D float64 column"),
+        ],
+    )
+    def test_bad_verdicts_rejected(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            Verdicts(*columns)
+
+
+HORIZON_S = 2 * 86400.0
+trace_times = st.one_of(
+    st.just(0.0),
+    st.just(math.nextafter(HORIZON_S, 0.0)),
+    st.floats(min_value=0.0, max_value=HORIZON_S, exclude_max=True),
+)
+int64s = st.integers(min_value=0, max_value=2**63 - 1)
+row_strategy = st.tuples(
+    trace_times,
+    int64s,
     st.integers(min_value=0, max_value=200),
+    st.one_of(st.just(-1), int64s),  # -1 is legit, the rest attack
     st.booleans(),
-    st.integers(min_value=0, max_value=500),
+    st.floats(allow_nan=False),  # infinite anomalies round-trip too
 )
 
 
 class TestTraceSerialization:
-    @given(events=st.lists(event_strategy, max_size=30))
-    def test_round_trip_events(self, events):
+    @given(rows=st.lists(row_strategy, max_size=30), with_verdicts=st.booleans())
+    def test_round_trip_events(self, rows, with_verdicts):
         import pathlib
         import tempfile
 
+        rows = sorted(rows, key=lambda row: row[0])
+        time_s, device_id, ta, burst_id, rejected, anomaly = zip(*rows) if rows else ([],) * 6
+        trace = Trace(
+            np.array(time_s, float), np.array(device_id, np.int64), np.array(ta, np.int64), np.array(burst_id, np.int64)
+        )
+        verdicts = Verdicts(np.array(rejected, bool), np.array(anomaly, float)) if with_verdicts else None
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "trace.jsonl"
-            write_trace(path, events)
-            loaded, verdicts = read_trace(path)
-            assert loaded == events
-            assert verdicts is None
+            write_trace(path, trace, verdicts)
+            loaded, loaded_verdicts = read_trace(path)
+            expected = verdicts if len(trace) else None  # an empty file carries no verdict columns
+            assert bits(loaded, loaded_verdicts) == bits(trace, expected)
             first = path.read_bytes()
-            write_trace(path, loaded)
+            write_trace(path, loaded, loaded_verdicts)
             assert path.read_bytes() == first
 
     def test_round_trip_with_verdicts(self, tmp_path):
-        events = [
-            RsrEvent(time_s=0.125, device_id=1, ta=3, label=Label.LEGIT),
-            RsrEvent(time_s=2.5, device_id=7, ta=9, label=Label.ATTACK, burst_id=4),
-        ]
-        verdicts = [
-            Verdict(decision=Decision.ACCEPT, anomaly=-0.5),
-            Verdict(decision=Decision.REJECT, anomaly=7.25),
-        ]
+        trace = Trace([0.125, 2.5], [1, 7], [3, 9], [-1, 4])
+        verdicts = Verdicts([False, True], [-0.5, 7.25])
         path = tmp_path / "trace.jsonl"
-        write_trace(path, events, verdicts)
-        loaded_events, loaded_verdicts = read_trace(path)
-        assert loaded_events == events
-        assert loaded_verdicts == verdicts
+        write_trace(path, trace, verdicts)
+        assert path.read_text() == (
+            '{"time_s":0.125,"device_id":1,"ta":3,"label":"legit","verdict":"accept","anomaly":-0.5}\n'
+            '{"time_s":2.5,"device_id":7,"ta":9,"label":"attack","burst_id":4,"verdict":"reject","anomaly":7.25}\n'
+        )
+        loaded_trace, loaded_verdicts = read_trace(path)
+        assert bits(loaded_trace, loaded_verdicts) == bits(trace, verdicts)
 
     def test_verdict_length_mismatch(self, tmp_path):
-        events = [RsrEvent(time_s=0.0, device_id=0, ta=0, label=Label.LEGIT)]
+        trace = Trace([0.0], [0], [0], [-1])
         with pytest.raises(ValueError):
-            write_trace(tmp_path / "t.jsonl", events, [])
+            write_trace(tmp_path / "t.jsonl", trace, Verdicts([], []))
 
     def test_schema_keys(self, tmp_path):
-        events = [RsrEvent(time_s=1.0, device_id=0, ta=2, label=Label.ATTACK, burst_id=9)]
         path = tmp_path / "t.jsonl"
-        write_trace(path, events, [Verdict(Decision.REJECT, 8.0)])
+        write_trace(path, Trace([1.0], [0], [2], [9]), Verdicts([True], [8.0]))
         record = json.loads(path.read_text().strip())
         assert list(record) == ["time_s", "device_id", "ta", "label", "burst_id", "verdict", "anomaly"]
 
@@ -170,6 +242,18 @@ class TestTraceSerialization:
             '"time_s":"1.0","device_id":0,"ta":0,"label":"legit"',
             '"time_s":1.0,"device_id":0,"ta":-1,"label":"legit"',
             '"time_s":NaN,"device_id":0,"ta":0,"label":"legit"',
+            '"time_s":Infinity,"device_id":0,"ta":0,"label":"legit"',
+            '"time_s":' + "9" * 400 + ',"device_id":0,"ta":0,"label":"legit"',
+            '"time_s":1.0,"device_id":9223372036854775808,"ta":0,"label":"legit"',
+            '"time_s":1.0,"device_id":0,"ta":' + "9" * 30 + ',"label":"legit"',
+            '"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":9223372036854775808',
+            '"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":-1',
+            '"time_s":1.0,"device_id":0,"ta":0,"label":"legit","burst_id":3',
+            '"time_s":1.0,"device_id":0,"ta":0,"label":"attack"',
+            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"maybe","anomaly":0.0',
+            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":"x"',
+            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":' + "9" * 400,
+            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept"',
         ],
     )
     def test_bad_field_type_rejected(self, tmp_path, fields):

@@ -1,0 +1,65 @@
+"""Golden outputs: ``stormsim train``, ``run`` and ``sweep --profile`` on a small
+fixed config must write byte for byte what the recorded digests say.
+
+A refactor that keeps behaviour leaves every digest alone. A change that
+alters an output on purpose updates the digest here and says so in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from stormsim.cli import main
+
+CONFIG = {
+    "legit": {"device_count": 12},
+    "attack": {"adversary_count": 2, "bursts_per_day": 4.0},
+    "training_days": 2,
+    "eval_days": 2,
+    "gamma": 4.0,
+    "gamma_grid": [0.0, 2.0, 4.0, 6.5],
+    "seed_train": 41,
+    "seed_eval": 42,
+}
+
+GOLDEN = {
+    "per_rsr": {
+        "bursts.json": "93ae1fe36b9e8aff9f5491460862ba13e0b1af9c081170b0d9b70eadd5bbe8d7",
+        "policies.jsonl": "0997bc92e08d9c96d720379337b2290e1e81f7099996ab8e5c4895825ce61b9b",
+        "profile.csv": "411c923942ba325cca1e03b24bfd94d99e116a1110c2330b5924f98c01cbfae2",
+        "scenario.json": "1c6738fa6ed2d592dbe5e5250a61ee5e4471ad21c53093c0797456d54c665706",
+        "summary.json": "41a0d0948860b0b2f4cca6e38eea72f738887efc87abf2afccb8991b01f36190",
+        "sweep.csv": "ce3a14299e9f3136e60c5790070dda586251f0e3b4ae825a61af0c6257764ffa",
+        "trace.jsonl": "de76d388d07b7b8c6c664b48f97bf8f64cd32ab809c6ed2e37edb6015677ec6a",
+    },
+    "interval_end": {
+        "bursts.json": "93ae1fe36b9e8aff9f5491460862ba13e0b1af9c081170b0d9b70eadd5bbe8d7",
+        "policies.jsonl": "3044849a7254f189c8193ca09cafab35bedfa6c1bede3c8a41d6138a55e9d792",
+        "profile.csv": "411c923942ba325cca1e03b24bfd94d99e116a1110c2330b5924f98c01cbfae2",
+        "scenario.json": "ba64f271671ecd12118997234bbae8f966c1a9f63f70cd3a28739335f3cda400",
+        "summary.json": "8511df936ce7e992f3b2a02d1d3c6e96e3b682251ec77f7432ca5e742b51d4a1",
+        "sweep.csv": "ce3a14299e9f3136e60c5790070dda586251f0e3b4ae825a61af0c6257764ffa",
+        "trace.jsonl": "f3597ee066dd20b5fc4a62957b5c8d179de69253c2ad1ba2963398e7cca0fc7e",
+    },
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_cli_outputs_match_golden_digests(tmp_path, mode):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CONFIG, scoring_mode=mode)))
+    profile, out, sweep = tmp_path / "profile.csv", tmp_path / "out", tmp_path / "sweep.csv"
+    common = ["--config", str(config)]
+    assert main(["train", *common, "--out", str(profile)]) == 0
+    assert main(["run", *common, "--profile", str(profile), "--out", str(out)]) == 0
+    assert main(["sweep", *common, "--profile", str(profile), "--out", str(sweep)]) == 0
+    files = {"profile.csv": profile, "sweep.csv": sweep}
+    for name in ("trace.jsonl", "bursts.json", "policies.jsonl", "summary.json", "scenario.json"):
+        files[name] = out / name
+    assert {name: sha256(path) for name, path in files.items()} == GOLDEN[mode]

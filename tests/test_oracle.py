@@ -25,7 +25,7 @@ from stormsim import (
     run,
 )
 
-from conftest import interval_end_replay, make_profile, replay, replay_metrics
+from conftest import interval_end_replay, make_profile, replay, replay_metrics, trace_of
 
 # std values straddle every sigma_floor below, so both sides of the floor occur
 MEANS = (0.0, 0.5, 1.0, 2.5)
@@ -97,7 +97,7 @@ def scenarios(draw):
     ]
     floor = draw(st.sampled_from(FLOORS))
     gammas = draw(st.lists(st.one_of(st.sampled_from(GAMMAS), st.floats(-2.0, 8.0)), min_size=1, max_size=3))
-    return events, bursts, profile, horizon_days, floor, gammas
+    return trace_of(events), bursts, profile, horizon_days, floor, gammas
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -119,8 +119,8 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
         metrics = oracle_metrics(verdicts, policies)
 
         per_rsr = run(trace, profile, config, horizon, ScoringMode.PER_RSR)
-        assert np.array_equal(np.array([v.anomaly for v in per_rsr.verdicts], dtype=float), replay_scores)
-        assert per_rsr.verdicts == verdicts
+        assert np.array_equal(per_rsr.verdicts.anomaly, replay_scores)
+        assert list(per_rsr.verdicts) == verdicts
         assert per_rsr.policies == policies
         assert per_rsr.flagged == {(p.day, p.slot_of_day, p.ta) for p in policies}
         assert compute_metrics(per_rsr, bursts) == metrics
@@ -134,7 +134,7 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
 
         end_verdicts, end_policies = interval_end_replay(trace, profile, config)
         interval_end = run(trace, profile, config, horizon, ScoringMode.INTERVAL_END)
-        assert interval_end.verdicts == end_verdicts
+        assert list(interval_end.verdicts) == end_verdicts
         assert interval_end.policies == end_policies
         assert interval_end.flagged == per_rsr.flagged
         assert compute_metrics(interval_end, bursts) == oracle_metrics(end_verdicts, end_policies)
@@ -145,9 +145,9 @@ def _legit(time_s, ta):
 
 
 BAD_TRACES = {
-    "unsorted": ([_legit(400.0, 1), _legit(5.0, 1)], "sorted"),
-    "past horizon": ([_legit(86400.5, 1)], "horizon"),
-    "TA above max_ta": ([_legit(5.0, 1), _legit(6.0, 11)], r"event TA 11 outside profile range 0\.\.10"),
+    "unsorted": (trace_of([_legit(400.0, 1), _legit(5.0, 1)]), "sorted"),
+    "past horizon": (trace_of([_legit(86400.5, 1)]), "horizon"),
+    "TA above max_ta": (trace_of([_legit(5.0, 1), _legit(6.0, 11)]), r"event TA 11 outside profile range 0\.\.10"),
 }
 
 

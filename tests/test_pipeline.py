@@ -18,7 +18,7 @@ from stormsim import (
     write_summary,
 )
 
-from conftest import make_profile
+from conftest import make_profile, trace_of
 
 
 def burst_events(ta, start, burst_id, n=100, spacing=0.02, device=50):
@@ -56,7 +56,7 @@ class TestSingleBurstRun:
         # says the 7th event crosses and 94 of 100 get rejected
         events, burst = burst_events(ta=5, start=10.0, burst_id=0)
         profile = make_profile()
-        report = run(events, profile, DetectorConfig(gamma=6.5), horizon_days=1)
+        report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
         rejected = sum(1 for v in report.verdicts if v.decision is Decision.REJECT)
         assert rejected == simulate_flag_oracle(100, 0.0, 1.0, 6.5) == 94
         assert report.flagged == {(0, 0, 5)}
@@ -69,8 +69,8 @@ class TestSingleBurstRun:
 
     def test_empty_trace(self):
         profile = make_profile()
-        report = run([], profile, DetectorConfig(gamma=1.0), horizon_days=1)
-        assert report.events == [] and report.verdicts == [] and report.flagged == set()
+        report = run(trace_of([]), profile, DetectorConfig(gamma=1.0), horizon_days=1)
+        assert len(report.trace) == 0 and len(report.verdicts) == 0 and report.flagged == set()
         metrics = compute_metrics(report, [])
         assert metrics.p_detection is None
         assert metrics.p_false_alarm == 0.0
@@ -78,7 +78,7 @@ class TestSingleBurstRun:
     def test_infinite_gamma(self):
         events, burst = burst_events(ta=5, start=10.0, burst_id=0)
         profile = make_profile()
-        report = run(events, profile, DetectorConfig(gamma=float("inf")), horizon_days=1)
+        report = run(trace_of(events), profile, DetectorConfig(gamma=float("inf")), horizon_days=1)
         assert all(v.decision is Decision.ACCEPT for v in report.verdicts)
         assert report.flagged == set()
         metrics = compute_metrics(report, [burst])
@@ -95,7 +95,7 @@ class TestMetrics:
         events_a, burst_a = burst_events(ta=1, start=10.0, burst_id=0, n=20)
         events_b, burst_b = burst_events(ta=2, start=400.0, burst_id=1, n=20, device=51)
         events_c, burst_c = burst_events(ta=3, start=700.0, burst_id=2, n=20, device=52)
-        trace = sorted(events_a + events_b + events_c, key=lambda e: e.time_s)
+        trace = trace_of(sorted(events_a + events_b + events_c, key=lambda e: e.time_s))
         report = run(trace, profile, DetectorConfig(gamma=6.5), horizon_days=1)
         metrics = compute_metrics(report, [burst_a, burst_b, burst_c])
         assert metrics.p_detection == pytest.approx(2 / 3)
@@ -110,7 +110,7 @@ class TestMetrics:
             RsrEvent(time_s=1.0 + 0.1 * i, device_id=0, ta=7, label=Label.LEGIT) for i in range(20)
         ]
         attack_list, burst = burst_events(ta=5, start=3.0, burst_id=0, n=20)
-        trace = sorted(legit_events + attack_list, key=lambda e: (e.time_s, e.device_id))
+        trace = trace_of(sorted(legit_events + attack_list, key=lambda e: (e.time_s, e.device_id)))
         report = run(trace, profile, DetectorConfig(gamma=6.5), horizon_days=1)
         assert report.flagged == {(0, 0, 5), (0, 0, 7)}
         metrics = compute_metrics(report, [burst])
@@ -126,7 +126,7 @@ class TestMetrics:
         report = run(trace, profile, DetectorConfig(gamma=2.0), horizon_days=2)
         totals = {Label.LEGIT: 0, Label.ATTACK: 0}
         rejected = {Label.LEGIT: 0, Label.ATTACK: 0}
-        for event, verdict in zip(report.events, report.verdicts):
+        for event, verdict in zip(report.trace, report.verdicts):
             totals[event.label] += 1
             if verdict.decision is Decision.REJECT:
                 rejected[event.label] += 1
@@ -142,7 +142,7 @@ class TestMetrics:
             small_config, seed=small_config.seed_eval, days=2, include_attacks=True
         )
         report = run(trace, profile, DetectorConfig(gamma=3.0), horizon_days=2)
-        for event, verdict in zip(report.events, report.verdicts):
+        for event, verdict in zip(report.trace, report.verdicts):
             if verdict.decision is Decision.REJECT:
                 day = int(event.time_s // 86400)
                 slot = int((event.time_s % 86400) // 300)
@@ -203,7 +203,7 @@ class TestScoringModes:
     def test_interval_end_anomaly_is_cell_score(self):
         events, _burst = burst_events(ta=5, start=10.0, burst_id=0, n=10)
         profile = make_profile()
-        report = run(events, profile, DetectorConfig(gamma=4.0), 1, ScoringMode.INTERVAL_END)
+        report = run(trace_of(events), profile, DetectorConfig(gamma=4.0), 1, ScoringMode.INTERVAL_END)
         assert all(v.anomaly == 10.0 for v in report.verdicts)
         assert all(v.decision is Decision.REJECT for v in report.verdicts)
 
@@ -216,20 +216,20 @@ class TestRunValidation:
             RsrEvent(time_s=5.0, device_id=0, ta=1, label=Label.LEGIT),
         ]
         with pytest.raises(ValueError):
-            run(events, profile, DetectorConfig(gamma=1.0), horizon_days=1)
+            run(trace_of(events), profile, DetectorConfig(gamma=1.0), horizon_days=1)
 
     def test_trace_past_horizon_rejected(self):
         profile = make_profile()
         events = [RsrEvent(time_s=86400.5, device_id=0, ta=1, label=Label.LEGIT)]
         with pytest.raises(ValueError, match="horizon"):
-            run(events, profile, DetectorConfig(gamma=1.0), horizon_days=1)
+            run(trace_of(events), profile, DetectorConfig(gamma=1.0), horizon_days=1)
 
 
 class TestArtifacts:
     def test_policy_log_schema(self, tmp_path):
         events, _burst = burst_events(ta=5, start=10.0, burst_id=0, n=20)
         profile = make_profile()
-        report = run(events, profile, DetectorConfig(gamma=6.5), horizon_days=1)
+        report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
         path = tmp_path / "policies.jsonl"
         write_policy_log(path, report.policies)
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -241,7 +241,7 @@ class TestArtifacts:
     def test_summary_schema(self, tmp_path):
         events, burst = burst_events(ta=5, start=10.0, burst_id=0, n=20)
         profile = make_profile()
-        report = run(events, profile, DetectorConfig(gamma=6.5), horizon_days=1)
+        report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
         metrics = compute_metrics(report, [burst])
         path = tmp_path / "summary.json"
         write_summary(path, 6.5, metrics)
@@ -259,7 +259,7 @@ class TestArtifacts:
 
     def test_summary_null_p_detection(self, tmp_path):
         profile = make_profile()
-        report = run([], profile, DetectorConfig(gamma=1.0), horizon_days=1)
+        report = run(trace_of([]), profile, DetectorConfig(gamma=1.0), horizon_days=1)
         metrics = compute_metrics(report, [])
         path = tmp_path / "summary.json"
         write_summary(path, 1.0, metrics)

@@ -18,6 +18,8 @@ from stormsim import (
 )
 from stormsim.profiler import KpiProfile
 
+from conftest import trace_of
+
 
 def legit(t, ta, device=0):
     return RsrEvent(time_s=t, device_id=device, ta=ta, label=Label.LEGIT)
@@ -35,12 +37,12 @@ def two_pass_moments(values):
 
 class TestCounting:
     def test_empty_trace(self):
-        table = count_per_interval([], 300, 5, 2)
+        table = count_per_interval(trace_of([]), 300, 5, 2)
         assert table.shape == (2, 288, 6)
         assert table.sum() == 0
 
     def test_boundary_arithmetic(self):
-        trace = [legit(10.0, 7), legit(200.0, 7), legit(310.0, 7)]
+        trace = trace_of([legit(10.0, 7), legit(200.0, 7), legit(310.0, 7)])
         table = count_per_interval(trace, 300, 10, 1)
         assert table.dtype == np.int64
         assert table[0, 0, 7] == 2
@@ -54,11 +56,11 @@ class TestCounting:
 
     def test_ta_overflow_rejected(self):
         with pytest.raises(ValueError, match="max_ta"):
-            count_per_interval([legit(1.0, 11)], 300, 10, 1)
+            count_per_interval(trace_of([legit(1.0, 11)]), 300, 10, 1)
 
     def test_out_of_horizon_rejected(self):
         with pytest.raises(ValueError, match="within"):
-            count_per_interval([legit(86400.0, 0)], 300, 10, 1)
+            count_per_interval(trace_of([legit(86400.0, 0)]), 300, 10, 1)
 
 
 class TestTraining:

@@ -76,7 +76,7 @@ class TestCacheVsReplay:
             assert row.p_false_alarm == metrics.p_false_alarm
             assert row.p_false_alarm_per_cell == metrics.p_false_alarm_per_cell
             report = run(trace, profile, config, horizon_days=2)
-            assert report.verdicts == verdicts
+            assert list(report.verdicts) == verdicts
             assert report.policies == policies
             assert compute_metrics(report, bursts) == metrics
 
