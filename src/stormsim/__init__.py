@@ -28,7 +28,6 @@ from .core import (
     read_trace,
     slot_of,
     slots_per_day,
-    time_of_day,
     write_trace,
 )
 from .detector import DetectorConfig, DetectorState, Policy, anomaly_score, interval_rollover, on_rsr
@@ -109,7 +108,6 @@ __all__ = [
     "slot_of",
     "slots_per_day",
     "ta_index",
-    "time_of_day",
     "train",
     "train_profile_for",
     "write_policy_log",

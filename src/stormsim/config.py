@@ -14,8 +14,10 @@ from enum import Enum
 from typing import Any, Mapping
 
 from .core import slots_per_day
+from .geometry import TaQuantizer, max_ta_index
 
 MAX_SEED = 2**64 - 1
+MAX_TABLE_BYTES = 2**30  # cap on one dense int64 (days, slots, TA) count table
 
 
 class ConfigError(ValueError):
@@ -71,8 +73,8 @@ class ScenarioConfig:
     scoring_mode: ScoringMode = ScoringMode.PER_RSR
 
     def __post_init__(self) -> None:
-        if self.cell_radius_m <= 0:
-            raise ConfigError("cell_radius_m must be positive")
+        if not 0 < self.cell_radius_m < math.inf:  # also rejects nan
+            raise ConfigError("cell_radius_m must be positive and finite")
         if self.numerology_mu not in (0, 1, 2, 3):
             raise ConfigError("numerology_mu must be one of 0, 1, 2, 3")
         try:
@@ -97,6 +99,16 @@ class ScenarioConfig:
             raise ConfigError("training_days must be at least 1")
         if self.eval_days < 1:
             raise ConfigError("eval_days must be at least 1")
+        days = max(self.training_days, self.eval_days)
+        n_slots = slots_per_day(self.interval_seconds)
+        n_ta = max_ta_index(self.cell_radius_m, TaQuantizer(self.numerology_mu)) + 1
+        table_bytes = 8 * days * n_slots * n_ta
+        if table_bytes > MAX_TABLE_BYTES:
+            raise ConfigError(
+                f"a {days}-day count table of {n_slots} slots x {n_ta} TA bins takes "
+                f"{table_bytes / 2**30:.1f} GiB, over the {MAX_TABLE_BYTES / 2**30:g} GiB cap; "
+                "use fewer days, a longer interval_seconds, a smaller cell or a lower numerology_mu"
+            )
         if self.sigma_floor <= 0:
             raise ConfigError("sigma_floor must be positive")
         if math.isnan(self.gamma):

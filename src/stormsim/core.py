@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -38,13 +40,6 @@ class SlotIndex(NamedTuple):
 
     day: int
     slot_of_day: int
-
-
-def time_of_day(seconds: float) -> float:
-    """Seconds since the most recent midnight."""
-    if seconds < 0:
-        raise ValueError(f"simulation time must be non-negative, got {seconds!r}")
-    return seconds % SECONDS_PER_DAY
 
 
 def slots_per_day(interval_seconds: int) -> int:
@@ -203,8 +198,77 @@ def read_trace(path) -> tuple[Trace, Optional[Verdicts]]:
     """Read a JSONL trace back; verdicts are returned when the file carries them.
 
     Every record is checked, and a bad one raises ``ValueError`` naming its
-    ``path:line``.
+    ``path:line``. The file is parsed in one pass and checked by column; when
+    any check fails, the line loop of :func:`_read_rows` reads it again and
+    raises the first bad line's error.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # raised by the line loop where iteration meets it
+        return _read_rows(path)
+    return _parse_columns(text.split("\n")) or _read_rows(path)
+
+
+def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Optional[Verdicts]]]:
+    """The trace held in ``lines``, the file's text split on newlines as file
+    iteration splits it, or None when any check fails.
+
+    The kept lines are joined and parsed with one ``json.loads``, and the
+    columns are held to the rules of :func:`_parse_record` and the all-or-none
+    verdict rule. Each kept line starts with ``{``, the text holds one ``{``
+    per line and every value is a scalar, so each line is exactly one record:
+    none spans two lines and no two share one. A line that starts with
+    whitespace is left to the line loop.
+    """
+    kept = list(filter(str.strip, lines))
+    text = "[" + ",".join(kept) + "]"
+    if text.count("{") != len(kept) or not set(map(itemgetter(0), kept)) <= {"{"}:
+        return None
+    try:
+        records = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    n = len(records)
+    if n != len(kept) or not set(map(type, records)) <= {dict}:
+        return None
+    has_verdict = n > 0 and "verdict" in records[0]
+    keys = ("time_s", "device_id", "ta", "label") + ("verdict", "anomaly") * has_verdict
+    try:
+        time_s, device_id, ta, label, *verdict = (list(map(itemgetter(key), records)) for key in keys)
+    except KeyError:
+        return None
+    burst_id = list(map(dict.get, records, repeat("burst_id"), repeat(-1)))
+    n_attack = label.count("attack")
+    # Each record holds the keys above; attack ones (burst_id >= 0, checked
+    # below) also hold burst_id. Equal totals leave no room for another key.
+    if sum(map(len, records)) != n * len(keys) + n_attack or label.count("legit") + n_attack != n:
+        return None
+    if not (_numbers(time_s) and set(map(type, device_id + ta + burst_id)) <= {int}):
+        return None
+    try:  # int64 overflow, and Trace's checks: finite non-negative times, ids >= 0
+        trace = Trace(np.array(time_s, np.float64), *(np.array(c, np.int64) for c in (device_id, ta, burst_id)))
+    except (OverflowError, ValueError):
+        return None
+    if not np.array_equal(trace.attack, np.fromiter(map("attack".__eq__, label), bool, n)):
+        return None
+    if not has_verdict:
+        return trace, None
+    decision, anomaly = verdict
+    if decision.count("accept") + decision.count("reject") != n or not _numbers(anomaly):
+        return None
+    return trace, Verdicts(np.fromiter(map("reject".__eq__, decision), bool, n), np.array(anomaly, np.float64))
+
+
+def _numbers(column: list) -> bool:
+    """Every entry is a float, or an int that a float can hold."""
+    types = set(map(type, column))
+    return types <= {int, float} and (int not in types or all(abs(v) <= sys.float_info.max for v in column if type(v) is int))
+
+
+def _read_rows(path) -> tuple[Trace, Optional[Verdicts]]:
+    """Read a trace line by line with :func:`_parse_record`, raising the first
+    bad line's error with its ``path:line``."""
     rows: list[tuple[float, int, int, int]] = []
     verdict_rows: list[tuple[bool, float]] = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -15,6 +15,8 @@ import numpy as np
 
 from .core import SECONDS_PER_DAY, Trace, cell_keys, slots_per_day
 
+_ROWS_PER_WRITE = 4096
+
 
 def count_per_interval(
     trace: Trace,
@@ -137,17 +139,18 @@ def train(day_counts: np.ndarray) -> KpiProfile:
 
 def save_profile(profile: KpiProfile, path) -> None:
     """Write a profile as CSV: metadata comment, header, non-zero cells only."""
-    lines = [
-        f"#interval_seconds={profile.interval_seconds},"
-        f"max_ta={profile.max_ta},training_days={profile.training_days}",
-        "slot,ta,mean,std",
-    ]
-    nonzero = np.argwhere((profile.mean != 0.0) | (profile.std != 0.0))
-    for slot, ta in nonzero:
-        mean = float(profile.mean[slot, ta])
-        std = float(profile.std[slot, ta])
-        lines.append(f"{int(slot)},{int(ta)},{mean!r},{std!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    slots, tas = np.nonzero((profile.mean != 0.0) | (profile.std != 0.0))
+    columns = (slots, tas, profile.mean[slots, tas], profile.std[slots, tas])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"#interval_seconds={profile.interval_seconds},"
+            f"max_ta={profile.max_ta},training_days={profile.training_days}\n"
+            "slot,ta,mean,std\n"
+        )
+        # a block of rows at a time, so the rows never exist as Python objects all at once
+        for start in range(0, slots.size, _ROWS_PER_WRITE):
+            rows = zip(*(column[start : start + _ROWS_PER_WRITE].tolist() for column in columns))
+            fh.write("".join(f"{slot},{ta},{mean!r},{std!r}\n" for slot, ta, mean, std in rows))
 
 
 def load_profile(path) -> KpiProfile:

@@ -14,10 +14,12 @@ from stormsim import (
     ScenarioConfig,
     Trace,
     Verdict,
+    Verdicts,
     on_rsr,
     slot_of,
     slots_per_day,
 )
+from stormsim.core import _parse_record
 
 
 @pytest.fixture
@@ -130,3 +132,24 @@ def replay_metrics(trace, verdicts, policies, bursts, interval_seconds, max_ta, 
             "attack_events": attack_events,
         },
     )
+
+
+def read_trace_rows(path):
+    """Reference reader: one ``_parse_record`` per line, as ``read_trace`` read
+    before it parsed the whole file at once, with the same ``path:line`` errors."""
+    rows, verdict_rows = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = _parse_record(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            rows.append((float(record["time_s"]), record["device_id"], record["ta"], record.get("burst_id", -1)))
+            if "verdict" in record:
+                verdict_rows.append((record["verdict"] == "reject", float(record["anomaly"])))
+            if len(verdict_rows) not in (0, len(rows)):
+                raise ValueError(f"{path}:{lineno}: verdict columns must be all-or-none")
+    trace = Trace(*zip(*rows)) if rows else Trace([], [], [], [])
+    return trace, (Verdicts(*zip(*verdict_rows)) if verdict_rows else None)

@@ -87,3 +87,22 @@ class TestValidation:
     def test_interval_end_mode_accepted(self, tmp_path):
         config = parse_config(write_config(tmp_path, {"scoring_mode": "interval_end"}))
         assert config.scoring_mode is ScoringMode.INTERVAL_END
+
+
+class TestTableCap:
+    """The dense int64 (days, slots, TA) count table is bounded up front."""
+
+    @pytest.mark.parametrize("days", [{"training_days": 30, "eval_days": 1}, {"training_days": 1, "eval_days": 30}])
+    def test_oversized_table_rejected(self, days):
+        # mu=3 at 2 km gives 205 TA bins: 30 days x 86400 slots x 205 x 8 B is about 4 GiB
+        with pytest.raises(ConfigError, match="4.0 GiB, over the 1 GiB cap"):
+            ScenarioConfig(numerology_mu=3, interval_seconds=1, **days)
+
+    def test_table_under_cap_accepted(self):
+        # the fine-profile scale: 40 days x 2880 slots x 205 bins x 8 B is 180 MiB
+        ScenarioConfig(numerology_mu=3, interval_seconds=30, training_days=40, eval_days=2)
+
+    @pytest.mark.parametrize("radius", [float("inf"), float("nan")])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ConfigError, match="cell_radius_m"):
+            ScenarioConfig(cell_radius_m=radius)

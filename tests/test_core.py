@@ -1,11 +1,14 @@
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import read_trace_rows
 from stormsim import (
     Decision,
     Label,
@@ -17,9 +20,9 @@ from stormsim import (
     read_trace,
     slot_of,
     slots_per_day,
-    time_of_day,
     write_trace,
 )
+from stormsim.core import _parse_columns
 
 sim_times = st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False)
 
@@ -46,8 +49,6 @@ class TestSlotArithmetic:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             slot_of(-1.0, 300)
-        with pytest.raises(ValueError):
-            time_of_day(-0.5)
 
     def test_surjective_over_a_day(self):
         seen = {slot_of(s * 300 + 0.5, 300) for s in range(288)}
@@ -58,11 +59,6 @@ class TestSlotArithmetic:
         times.sort()
         slots = [slot_of(t, 300) for t in times]
         assert slots == sorted(slots)
-
-    @given(sim_times)
-    def test_time_of_day_in_range(self, t):
-        tod = time_of_day(t)
-        assert 0.0 <= tod < 86400.0
 
     @given(sim_times, st.sampled_from([60, 300, 900, 3600, 86400]))
     def test_slot_consistent_with_time_of_day(self, t, interval):
@@ -171,18 +167,23 @@ row_strategy = st.tuples(
 )
 
 
+def columns_of(rows, with_verdicts: bool) -> tuple[Trace, Verdicts | None]:
+    """The trace of ``row_strategy`` rows in time order, with verdicts or not."""
+    rows = sorted(rows, key=lambda row: row[0])
+    time_s, device_id, ta, burst_id, rejected, anomaly = zip(*rows) if rows else ([],) * 6
+    trace = Trace(
+        np.array(time_s, float), np.array(device_id, np.int64), np.array(ta, np.int64), np.array(burst_id, np.int64)
+    )
+    return trace, Verdicts(np.array(rejected, bool), np.array(anomaly, float)) if with_verdicts else None
+
+
 class TestTraceSerialization:
     @given(rows=st.lists(row_strategy, max_size=30), with_verdicts=st.booleans())
     def test_round_trip_events(self, rows, with_verdicts):
         import pathlib
         import tempfile
 
-        rows = sorted(rows, key=lambda row: row[0])
-        time_s, device_id, ta, burst_id, rejected, anomaly = zip(*rows) if rows else ([],) * 6
-        trace = Trace(
-            np.array(time_s, float), np.array(device_id, np.int64), np.array(ta, np.int64), np.array(burst_id, np.int64)
-        )
-        verdicts = Verdicts(np.array(rejected, bool), np.array(anomaly, float)) if with_verdicts else None
+        trace, verdicts = columns_of(rows, with_verdicts)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "trace.jsonl"
             write_trace(path, trace, verdicts)
@@ -244,6 +245,9 @@ class TestTraceSerialization:
             '"time_s":NaN,"device_id":0,"ta":0,"label":"legit"',
             '"time_s":Infinity,"device_id":0,"ta":0,"label":"legit"',
             '"time_s":' + "9" * 400 + ',"device_id":0,"ta":0,"label":"legit"',
+            '"time_s":true,"device_id":0,"ta":0,"label":"legit"',
+            # one past the largest float: converting it would round down to a valid time
+            '"time_s":' + str(int(sys.float_info.max) + 1) + ',"device_id":0,"ta":0,"label":"legit"',
             '"time_s":1.0,"device_id":9223372036854775808,"ta":0,"label":"legit"',
             '"time_s":1.0,"device_id":0,"ta":' + "9" * 30 + ',"label":"legit"',
             '"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":9223372036854775808',
@@ -253,6 +257,9 @@ class TestTraceSerialization:
             '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"maybe","anomaly":0.0',
             '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":"x"',
             '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":' + "9" * 400,
+            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":false',
+            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":-'
+            + str(int(sys.float_info.max) + 1),
             '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept"',
         ],
     )
@@ -270,3 +277,118 @@ class TestTraceSerialization:
         )
         with pytest.raises(ValueError):
             read_trace(path)
+
+
+# Corruptions of a written trace. Character edits delete the k-th
+# occurrence of a character or insert a string just after it; inserting after
+# a quote puts a raw U+2028 or U+001C inside a string, which str.splitlines
+# would break on. Field edits replace the k-th value or key, or drop the pair;
+# dropping the k-th verdict pair leaves a line without verdict columns.
+EDIT_TARGETS = '\n,{}": .'
+EDIT_INSERTS = ["\n", ",", "{", "}", " ", "\t", "\n\n", " \n", "\r", "\u2028", "\x1c"]
+EDIT_VALUES = [
+    "-1", "0", "7", "2.5", "true", "null", '"x"', '"legit"', '"attack"', '"reject"', "{}", "[1]",
+    "NaN", "Infinity", "1e400", "9223372036854775808", str(int(sys.float_info.max) + 1),
+]  # fmt: skip
+EDIT_KEYS = ["time_s", "burst_id", "verdict", "anomaly", "oops"]
+FIELD = re.compile(r'"(\w+)":([^,}]*)')
+VERDICT = re.compile(r',"verdict":[^,}]*,"anomaly":[^,}]*')
+positions = st.integers(min_value=0, max_value=2**16)
+edit_strategy = st.one_of(
+    st.tuples(st.sampled_from(["delete", "insert"]), st.sampled_from(EDIT_TARGETS), positions, st.sampled_from(EDIT_INSERTS)),
+    st.tuples(st.just("value"), st.just(2), positions, st.sampled_from(EDIT_VALUES)),
+    st.tuples(st.just("key"), st.just(1), positions, st.sampled_from(EDIT_KEYS)),
+    st.tuples(st.sampled_from(["drop", "unverdict"]), st.just(0), positions, st.just("")),
+)
+
+
+def apply_edit(text: str, edit) -> str:
+    kind, target, k, new = edit
+    if kind in ("delete", "insert"):
+        places = [i for i, char in enumerate(text) if char == target]
+        start = end = places[k % len(places)] + 1 if places else 0
+        start -= kind == "delete"
+    else:  # target is the regex group the edit replaces
+        fields = list((VERDICT if kind == "unverdict" else FIELD).finditer(text))
+        if not fields:
+            return text
+        field = fields[k % len(fields)]
+        start, end = field.span(target)
+        if kind == "drop":  # the pair and the comma before it, or after it if first
+            start, end = (start - 1, end) if text[start - 1] == "," else (start, end + 1)
+    return text[:start] + new + text[end:]
+
+
+def outcome(reader, path):
+    """Bit-level columns of a successful read, or the error message."""
+    try:
+        return bits(*reader(path))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReadTraceOracle:
+    """``read_trace`` parses the whole file at once; the per-line loop in
+    ``conftest.read_trace_rows`` is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(row_strategy, max_size=6),
+        with_verdicts=st.booleans(),
+        edits=st.lists(edit_strategy, max_size=3),
+        crlf=st.booleans(),
+    )
+    def test_matches_line_loop(self, rows, with_verdicts, edits, crlf):
+        import pathlib
+        import tempfile
+
+        trace, verdicts = columns_of(rows, with_verdicts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "trace.jsonl"
+            write_trace(path, trace, verdicts)
+            text = path.read_text(encoding="utf-8")
+            for edit in edits:
+                text = apply_edit(text, edit)
+            path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode("utf-8"))
+            expected = outcome(read_trace_rows, path)
+            assert outcome(read_trace, path) == expected
+            # The one-pass parse takes every good file whose lines start with
+            # "{", so the line loop only reports errors for such files.
+            lines = path.read_text(encoding="utf-8").split("\n")
+            if not isinstance(expected, str) and all(line[0] == "{" for line in lines if line.strip()):
+                assert _parse_columns(lines) is not None
+
+    def test_split_record_and_shared_line_rejected(self, tmp_path):
+        # Three records on three lines, so the joined text parses to three
+        # objects: the first record spans two lines, two records share one.
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"time_s":1.0\n'
+            '"device_id":0,"ta":0,"label":"legit"}\n'
+            '{"time_s":2.0,"device_id":0,"ta":0,"label":"legit"},{"time_s":3.0,"device_id":0,"ta":0,"label":"legit"}\n'
+        )
+        with pytest.raises(ValueError, match=f"{path}:1: invalid JSON"):
+            read_trace(path)
+
+    def test_deep_nesting_after_bad_line(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on deep nesting;
+        # the bad label on the line before it is still the error reported.
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"time_s":1.0,"device_id":0,"ta":0,"label":"weird"}\n{"time_s":' + "[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match=f"{path}:1: bad label"):
+            read_trace(path)
+
+    def test_indented_line_read_by_line_loop(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(' {"time_s":1.0,"device_id":0,"ta":0,"label":"legit"}\n\n')
+        assert bits(*read_trace(path)) == bits(Trace([1.0], [0], [0], [-1]))
+
+    @pytest.mark.parametrize("padding, match", [(0, "can't decode"), (20_000, ":1: bad label")])
+    def test_bad_utf8_raised_as_line_loop_does(self, tmp_path, padding, match):
+        # File iteration decodes in chunks, so a bad byte past the first
+        # chunk is met after the bad record on line 1.
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"time_s":1.0,"device_id":0,"ta":0,"label":"weird"}\n' + b"\n" * padding + b"\xff\n")
+        with pytest.raises(ValueError, match=match):
+            read_trace(path)
+        assert outcome(read_trace, path) == outcome(read_trace_rows, path)

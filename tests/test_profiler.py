@@ -207,6 +207,18 @@ class TestPersistence:
         assert lines[1] == "slot,ta,mean,std"
         assert lines[2:] == ["12,77,3.5,1.25"]
 
+    def test_rows_match_per_cell_format(self, tmp_path):
+        # About 22k populated cells, several write blocks; some have only a std.
+        rng = np.random.default_rng(4)
+        mean = rng.random((288, 103)) * (rng.random((288, 103)) < 0.5)
+        std = rng.random((288, 103)) * (rng.random((288, 103)) < 0.5)
+        profile = KpiProfile(interval_seconds=300, max_ta=102, training_days=30, mean=mean, std=std)
+        path = tmp_path / "profile.csv"
+        save_profile(profile, path)
+        cells = np.argwhere((mean != 0.0) | (std != 0.0))
+        expected = [f"{slot},{ta},{float(mean[slot, ta])!r},{float(std[slot, ta])!r}" for slot, ta in cells]
+        assert path.read_text().split("\n")[2:] == expected + [""]
+
     def test_missing_metadata_rejected(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("slot,ta,mean,std\n")
