@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -103,14 +104,17 @@ class Verdict:
 
 
 def _columns(obj, dtypes: dict) -> None:
-    """Convert each named column of a frozen dataclass to a 1-D array of its
-    dtype, refusing casts across kinds (float to int, say), and require
-    equal lengths."""
+    """Replace each named column of a frozen dataclass by a read-only 1-D
+    copy of its dtype, refusing casts across kinds (float to int, say), and
+    require equal lengths. The copy keeps the caller's array from changing
+    a column after it was checked."""
     for name, dtype in dtypes.items():
         column = np.asarray(getattr(obj, name))
         if column.ndim != 1 or (column.size and not np.can_cast(column.dtype, dtype, "same_kind")):
             raise ValueError(f"{name} must be a 1-D {np.dtype(dtype)} column, got {column.dtype} {column.shape}")
-        object.__setattr__(obj, name, column.astype(dtype, copy=False))
+        column = column.astype(dtype)
+        column.setflags(write=False)
+        object.__setattr__(obj, name, column)
     if len({getattr(obj, name).size for name in dtypes}) > 1:
         raise ValueError(f"columns {list(dtypes)} must have equal lengths")
 
@@ -171,41 +175,60 @@ class Verdicts:
 _REQUIRED_KEYS = {"time_s", "device_id", "ta", "label"}
 _ALL_KEYS = _REQUIRED_KEYS | {"burst_id", "verdict", "anomaly"}
 _INT64_MAX = 2**63 - 1
+ROWS_PER_WRITE = 4096  # rows formatted and written at a time
+_VERDICT_TEXTS = np.array([',"verdict":"accept"', ',"verdict":"reject"'], object)  # indexed by rejected
+# the characters errors="surrogateescape" decodes undecodable bytes to
+_SURROGATE_ESCAPES = re.compile("[\udc80-\udcff]")
 
 
 def write_trace(path, trace: Trace, verdicts: Optional[Verdicts] = None) -> None:
-    """Write a trace as JSON Lines; verdict columns are included when supplied."""
+    """Write a trace as JSON Lines; verdict columns are included when supplied.
+
+    Columns are formatted in C by ``json.dumps``, the id, TA and anomaly
+    columns once per distinct value, and the rows are joined and written
+    ``ROWS_PER_WRITE`` at a time.
+    """
     if verdicts is not None and len(verdicts) != len(trace):
         raise ValueError("verdicts must align one-to-one with events")
-    columns = [trace.time_s.tolist(), trace.device_id.tolist(), trace.ta.tolist(), trace.burst_id.tolist()]
+    labels, burst_of = _distinct_texts(trace.burst_id, ',"label":"attack","burst_id":')
+    labels[labels == ',"label":"attack","burst_id":-1'] = ',"label":"legit"'  # burst_id -1 marks a legit request
+    fields = [_distinct_texts(trace.device_id, ',"device_id":'), _distinct_texts(trace.ta, ',"ta":'), (labels, burst_of)]
     if verdicts is not None:
-        columns += [verdicts.rejected.tolist(), map(_json_float, verdicts.anomaly.tolist())]
+        fields += [(_VERDICT_TEXTS, verdicts.rejected.view(np.uint8)), _distinct_texts(verdicts.anomaly, ',"anomaly":')]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for time_s, device_id, ta, burst_id, *verdict in zip(*columns):
-            label = '"legit"' if burst_id < 0 else f'"attack","burst_id":{burst_id}'
-            line = f'{{"time_s":{time_s!r},"device_id":{device_id},"ta":{ta},"label":{label}'
-            if verdict:
-                line += f',"verdict":"{"reject" if verdict[0] else "accept"}","anomaly":{verdict[1]}'
-            fh.write(line + "}\n")
+        for start in range(0, len(trace), ROWS_PER_WRITE):
+            block = slice(start, start + ROWS_PER_WRITE)
+            texts = (field_texts[index[block]].tolist() for field_texts, index in fields)
+            parts = (repeat('{"time_s":'), _json_texts(trace.time_s[block]), *texts, repeat("}\n"))
+            fh.write("".join(chain.from_iterable(zip(*parts))))
 
 
-def _json_float(value: float) -> str:
-    """``value`` as ``json.dumps`` writes it: ``repr``, or Infinity and NaN."""
-    return repr(value) if math.isfinite(value) else json.dumps(value)
+def _json_texts(values: np.ndarray) -> list[str]:
+    """Each value as ``json.dumps`` writes it: ``repr``, or Infinity and NaN."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
+def _distinct_texts(column: np.ndarray, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """``prefix`` plus the text of each of a column's distinct values, as an
+    object array, and each entry's index into it. Values are told apart by
+    their bits, so ``-0.0`` and ``0.0`` keep their own texts."""
+    values, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array([prefix + text for text in _json_texts(values.view(column.dtype))], object), inverse
 
 
 def read_trace(path) -> tuple[Trace, Optional[Verdicts]]:
     """Read a JSONL trace back; verdicts are returned when the file carries them.
 
     Every record is checked, and a bad one raises ``ValueError`` naming its
-    ``path:line``. The file is parsed in one pass and checked by column; when
-    any check fails, the line loop of :func:`_read_rows` reads it again and
-    raises the first bad line's error.
+    ``path:line``, a line that is not valid UTF-8 included. The file is
+    parsed in one pass and checked by column; when any check fails, or the
+    file is not valid UTF-8, the line loop of :func:`_read_rows` reads it
+    again and raises the first bad line's error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except UnicodeDecodeError:  # raised by the line loop where iteration meets it
+    except UnicodeDecodeError:
         return _read_rows(path)
     return _parse_columns(text.split("\n")) or _read_rows(path)
 
@@ -271,7 +294,7 @@ def _read_rows(path) -> tuple[Trace, Optional[Verdicts]]:
     bad line's error with its ``path:line``."""
     rows: list[tuple[float, int, int, int]] = []
     verdict_rows: list[tuple[bool, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -290,9 +313,11 @@ def _read_rows(path) -> tuple[Trace, Optional[Verdicts]]:
 
 def _parse_record(line: str) -> dict:
     """One trace line as a dict; ``ValueError`` unless it is well-formed."""
+    if _SURROGATE_ESCAPES.search(line):
+        raise ValueError("not valid UTF-8")
     try:
         record = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # json.loads raises RecursionError on deep nesting
         raise ValueError(f"invalid JSON ({exc})") from exc
     if type(record) is not dict:
         raise ValueError("a record must be a JSON object")

@@ -13,9 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SECONDS_PER_DAY, Trace, cell_keys, slots_per_day
-
-_ROWS_PER_WRITE = 4096
+from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Trace, cell_keys, slots_per_day
 
 
 def count_per_interval(
@@ -92,6 +90,11 @@ class KpiProfile:
     std: np.ndarray
 
     def __post_init__(self) -> None:
+        # read-only copies, so the caller's arrays cannot change the checked tables
+        for name in ("mean", "std"):
+            table = np.array(getattr(self, name))
+            table.setflags(write=False)
+            setattr(self, name, table)
         shape = (self.n_slots, self.max_ta + 1)
         if self.mean.shape != shape or self.std.shape != shape:
             raise ValueError(
@@ -148,8 +151,8 @@ def save_profile(profile: KpiProfile, path) -> None:
             "slot,ta,mean,std\n"
         )
         # a block of rows at a time, so the rows never exist as Python objects all at once
-        for start in range(0, slots.size, _ROWS_PER_WRITE):
-            rows = zip(*(column[start : start + _ROWS_PER_WRITE].tolist() for column in columns))
+        for start in range(0, slots.size, ROWS_PER_WRITE):
+            rows = zip(*(column[start : start + ROWS_PER_WRITE].tolist() for column in columns))
             fh.write("".join(f"{slot},{ta},{mean!r},{std!r}\n" for slot, ta, mean, std in rows))
 
 
@@ -203,6 +206,7 @@ def load_profile(path) -> KpiProfile:
         seen.add((slot, ta))
         mean[slot, ta] = cell_mean
         std[slot, ta] = cell_std
+    del text, lines, seen  # freed before KpiProfile copies the tables, which lowers the peak
     return KpiProfile(
         interval_seconds=interval_seconds,
         max_ta=max_ta,

@@ -199,18 +199,17 @@ def build_trace(
 
     sizes = [times.size for times in time_blocks]
     time_s = np.concatenate([np.empty(0), *time_blocks])
+    del time_blocks  # copied into time_s; freed before the columns below are built
     device_id = np.repeat(np.array([dev.device_id for dev in owners], dtype=np.int64), sizes)
+    ta = np.repeat(np.array([dev.ta for dev in owners], dtype=np.int64), sizes)
     burst_id = np.repeat(np.array(block_bursts, dtype=np.int64), sizes)
     # A device's sequence runs in time order, and in burst id order among
     # equal times, so rows tied on (time, device_id, burst_id) are identical.
     order = np.lexsort((burst_id, device_id, time_s))
-    trace = Trace(
-        time_s=time_s[order],
-        device_id=device_id[order],
-        ta=np.repeat(np.array([dev.ta for dev in owners], dtype=np.int64), sizes)[order],
-        burst_id=burst_id[order],
-    )
-    return trace, bursts, layout
+    columns = (time_s, device_id, ta, burst_id)
+    for column in columns:  # in place, so Trace's copies are the only second set
+        column[:] = column[order]
+    return Trace(*columns), bursts, layout
 
 
 def write_bursts_json(path, bursts: list[Burst]) -> None:

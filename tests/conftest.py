@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -138,7 +141,7 @@ def read_trace_rows(path):
     """Reference reader: one ``_parse_record`` per line, as ``read_trace`` read
     before it parsed the whole file at once, with the same ``path:line`` errors."""
     rows, verdict_rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -153,3 +156,25 @@ def read_trace_rows(path):
                 raise ValueError(f"{path}:{lineno}: verdict columns must be all-or-none")
     trace = Trace(*zip(*rows)) if rows else Trace([], [], [], [])
     return trace, (Verdicts(*zip(*verdict_rows)) if verdict_rows else None)
+
+
+def write_trace_rows(path, trace, verdicts=None):
+    """Reference writer: one f-string per row, as ``write_trace`` wrote before
+    it formatted whole columns."""
+    if verdicts is not None and len(verdicts) != len(trace):
+        raise ValueError("verdicts must align one-to-one with events")
+    columns = [trace.time_s.tolist(), trace.device_id.tolist(), trace.ta.tolist(), trace.burst_id.tolist()]
+    if verdicts is not None:
+        columns += [verdicts.rejected.tolist(), map(_json_float, verdicts.anomaly.tolist())]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for time_s, device_id, ta, burst_id, *verdict in zip(*columns):
+            label = '"legit"' if burst_id < 0 else f'"attack","burst_id":{burst_id}'
+            line = f'{{"time_s":{time_s!r},"device_id":{device_id},"ta":{ta},"label":{label}'
+            if verdict:
+                line += f',"verdict":"{"reject" if verdict[0] else "accept"}","anomaly":{verdict[1]}'
+            fh.write(line + "}\n")
+
+
+def _json_float(value: float) -> str:
+    """``value`` as ``json.dumps`` writes it: ``repr``, or Infinity and NaN."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)

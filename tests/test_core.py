@@ -5,10 +5,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_trace_rows
+from conftest import read_trace_rows, write_trace_rows
 from stormsim import (
     Decision,
     Label,
@@ -22,7 +22,7 @@ from stormsim import (
     slots_per_day,
     write_trace,
 )
-from stormsim.core import _parse_columns
+from stormsim.core import ROWS_PER_WRITE, _parse_columns
 
 sim_times = st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False)
 
@@ -117,6 +117,17 @@ class TestColumns:
     def test_empty(self):
         assert len(Trace([], [], [], [])) == 0
         assert list(Verdicts([], [])) == []
+
+    def test_columns_are_read_only_copies(self):
+        time_s, rejected = np.array([5.0, 6.0]), np.array([False, True])
+        trace = Trace(time_s, [0, 0], [1, 1], [-1, -1])
+        verdicts = Verdicts(rejected, [0.0, 1.0])
+        time_s[0], rejected[0] = -300.0, True
+        assert trace.time_s.tolist() == [5.0, 6.0] and verdicts.rejected.tolist() == [False, True]
+        with pytest.raises(ValueError, match="read-only"):
+            trace.time_s[0] = -300.0
+        with pytest.raises(ValueError, match="read-only"):
+            verdicts.anomaly[0] = 1.0
 
     @pytest.mark.parametrize(
         "columns, match",
@@ -378,17 +389,86 @@ class TestReadTraceOracle:
         with pytest.raises(ValueError, match=f"{path}:1: bad label"):
             read_trace(path)
 
+    def test_deep_nesting_gets_a_line_number(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"time_s":' + "[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match=f"{path}:1: invalid JSON"):
+            read_trace(path)
+        assert outcome(read_trace, path) == outcome(read_trace_rows, path)
+
     def test_indented_line_read_by_line_loop(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(' {"time_s":1.0,"device_id":0,"ta":0,"label":"legit"}\n\n')
         assert bits(*read_trace(path)) == bits(Trace([1.0], [0], [0], [-1]))
 
-    @pytest.mark.parametrize("padding, match", [(0, "can't decode"), (20_000, ":1: bad label")])
-    def test_bad_utf8_raised_as_line_loop_does(self, tmp_path, padding, match):
-        # File iteration decodes in chunks, so a bad byte past the first
-        # chunk is met after the bad record on line 1.
+    @pytest.mark.parametrize(
+        "first, padding, match",
+        [
+            (b'"label":"weird"', 0, ":1: bad label"),
+            (b'"label":"weird"', 20_000, ":1: bad label"),
+            (b'"label":"legit"', 0, ":2: not valid UTF-8"),
+            (b'"label":"legit"', 20_000, ":20002: not valid UTF-8"),
+        ],
+    )
+    def test_bad_utf8_raised_as_line_loop_does(self, tmp_path, first, padding, match):
+        # The first bad line in file order is reported, whether it holds a
+        # bad record or a byte that is not UTF-8, wherever the decoder's
+        # chunks fall.
         path = tmp_path / "t.jsonl"
-        path.write_bytes(b'{"time_s":1.0,"device_id":0,"ta":0,"label":"weird"}\n' + b"\n" * padding + b"\xff\n")
+        path.write_bytes(b'{"time_s":1.0,"device_id":0,"ta":0,' + first + b"}\n" + b"\n" * padding + b"\xff\n")
         with pytest.raises(ValueError, match=match):
             read_trace(path)
         assert outcome(read_trace, path) == outcome(read_trace_rows, path)
+
+
+written_rows = st.tuples(
+    st.one_of(st.just(0.0), st.just(1e300), st.floats(min_value=0.0, max_value=1e300)),
+    int64s,
+    int64s,
+    st.one_of(st.just(-1), int64s),
+    st.booleans(),
+    st.one_of(st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]), st.floats()),
+)
+EDGE_ROWS = [
+    (0.0, 0, 2**63 - 1, -1, False, -0.0),
+    (1e300, 2**63 - 1, 0, 2**63 - 1, True, 0.0),
+    (5e-324, 1, 7, 0, True, math.inf),
+    (86399.99999999999, 2, 7, 3, False, -math.inf),
+    (0.1, 3, 9, -1, True, math.nan),
+]
+
+
+class TestWriteTraceOracle:
+    """``write_trace`` formats whole columns; the per-row writer in
+    ``conftest.write_trace_rows`` is its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(written_rows, min_size=1, max_size=8),
+        length=st.one_of(
+            st.sampled_from([0, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1]), st.integers(0, 40)
+        ),
+        labels=st.sampled_from(["mixed", "legit", "attack"]),
+        with_verdicts=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(rows=EDGE_ROWS, length=0, labels="mixed", with_verdicts=True, seed=0)
+    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE - 1, labels="legit", with_verdicts=True, seed=0)
+    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE, labels="attack", with_verdicts=True, seed=0)
+    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE + 1, labels="mixed", with_verdicts=True, seed=0)
+    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE + 1, labels="mixed", with_verdicts=False, seed=0)
+    def test_same_bytes_as_row_writer(self, rows, length, labels, with_verdicts, seed):
+        import pathlib
+        import tempfile
+
+        index = np.random.default_rng(seed).integers(0, len(rows), length)
+        time_s, device_id, ta, burst_id, rejected, anomaly = (np.array(column)[index] for column in zip(*rows))
+        if labels != "mixed":
+            burst_id = np.full(length, -1) if labels == "legit" else np.maximum(burst_id, 0)
+        trace = Trace(time_s, device_id, ta, burst_id)
+        verdicts = Verdicts(rejected, anomaly) if with_verdicts else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = pathlib.Path(tmp) / "trace.jsonl", pathlib.Path(tmp) / "rows.jsonl"
+            write_trace(path, trace, verdicts)
+            write_trace_rows(reference, trace, verdicts)
+            assert path.read_bytes() == reference.read_bytes()

@@ -152,6 +152,14 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match=r"cell \(3, 4\): mean and std must be finite"):
             KpiProfile(interval_seconds=300, max_ta=10, training_days=2, **tables)
 
+    def test_tables_are_read_only_copies(self):
+        mean = np.zeros((288, 11))
+        profile = KpiProfile(interval_seconds=300, max_ta=10, training_days=2, mean=mean, std=np.zeros((288, 11)))
+        mean[3, 4] = -1.0
+        assert profile.mean[3, 4] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            profile.mean[3, 4] = -1.0
+
     def test_table_shape_must_match_metadata(self):
         with pytest.raises(ValueError, match="shape"):
             KpiProfile(
