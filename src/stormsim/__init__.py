@@ -43,7 +43,6 @@ from .profiler import (
 )
 from .sweep import (
     SweepResult,
-    SweepRow,
     build_score_cache,
     metrics_at,
     run_experiment,
@@ -79,7 +78,6 @@ __all__ = [
     "SECONDS_PER_DAY",
     "SlotIndex",
     "SweepResult",
-    "SweepRow",
     "TaQuantizer",
     "Trace",
     "Verdict",

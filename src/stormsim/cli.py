@@ -77,7 +77,7 @@ def cmd_run(config: ScenarioConfig, profile_path: str, out_dir: str) -> int:
     write_trace(out / "trace.jsonl", report.trace, report.verdicts)
     write_bursts_json(out / "bursts.json", bursts)
     write_policy_log(out / "policies.jsonl", report.policies)
-    write_summary(out / "summary.json", config.gamma, metrics)
+    write_summary(out / "summary.json", metrics)
     scenario = {"config": config_to_dict(config), "layout": layout_to_dict(layout)}
     with open(out / "scenario.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(scenario, fh, indent=2)

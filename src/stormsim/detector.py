@@ -12,6 +12,7 @@ at once, and ``on_rsr`` replayed event by event is its oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +30,8 @@ class DetectorConfig:
     sigma_floor: float = 1.0
 
     def __post_init__(self) -> None:
+        if math.isnan(self.gamma):
+            raise ValueError("gamma must not be NaN")
         if not self.sigma_floor > 0:
             raise ValueError(f"sigma_floor must be positive, got {self.sigma_floor!r}")
 

@@ -75,12 +75,22 @@ class CountAccumulator:
         return np.sqrt(self.m2 / (self.days_seen - 1))
 
 
-@dataclass(eq=False)
+def _check_metadata(interval_seconds: int, max_ta: int, training_days: int) -> int:
+    """The number of slots per day of a profile with this metadata; ValueError if it is invalid."""
+    if max_ta < 0:
+        raise ValueError(f"max_ta must be non-negative, got {max_ta!r}")
+    if training_days < 1:
+        raise ValueError(f"training_days must be at least 1, got {training_days!r}")
+    return slots_per_day(interval_seconds)
+
+
+@dataclass(frozen=True, eq=False)
 class KpiProfile:
     """Long-term per-(slot-of-day, TA) count statistics from clean traffic.
 
     Both tables are shaped (slots_per_day, max_ta + 1) and hold finite,
-    non-negative values.
+    non-negative values; ``max_ta`` is at least 0 and ``training_days`` at
+    least 1.
     """
 
     interval_seconds: int
@@ -94,8 +104,8 @@ class KpiProfile:
         for name in ("mean", "std"):
             table = np.array(getattr(self, name))
             table.setflags(write=False)
-            setattr(self, name, table)
-        shape = (self.n_slots, self.max_ta + 1)
+            object.__setattr__(self, name, table)
+        shape = (_check_metadata(self.interval_seconds, self.max_ta, self.training_days), self.max_ta + 1)
         if self.mean.shape != shape or self.std.shape != shape:
             raise ValueError(
                 f"profile tables must have shape {shape}, got {self.mean.shape} and {self.std.shape}"
@@ -177,9 +187,11 @@ def load_profile(path) -> KpiProfile:
     if len(lines) < 2 or lines[1] != "slot,ta,mean,std":
         raise ValueError(f"{path}: missing or bad header line")
 
-    interval_seconds = meta["interval_seconds"]
-    max_ta = meta["max_ta"]
-    n_slots = slots_per_day(interval_seconds)
+    interval_seconds, max_ta = meta["interval_seconds"], meta["max_ta"]
+    try:
+        n_slots = _check_metadata(interval_seconds, max_ta, meta["training_days"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     mean = np.zeros((n_slots, max_ta + 1), dtype=float)
     std = np.zeros((n_slots, max_ta + 1), dtype=float)
     seen: set[tuple[int, int]] = set()

@@ -100,8 +100,14 @@ def interval_end_replay(trace, profile, config):
     return verdicts, policies
 
 
-def replay_metrics(trace, verdicts, policies, bursts, interval_seconds, max_ta, horizon_days):
-    """Loop reference for compute_metrics: the same definitions, one event at a time."""
+def flagged_cells(policies):
+    """The (day, slot_of_day, ta) cells the policies flag."""
+    return {(p.day, p.slot_of_day, p.ta) for p in policies}
+
+
+def replay_metrics(trace, verdicts, policies, bursts, gamma, interval_seconds, max_ta, horizon_days):
+    """Loop reference for ``metrics_at``: the same definitions, one event at a time,
+    over the verdicts and policies of a run at ``gamma``."""
     attack_cells, detected = set(), set()
     attack_events = rejected_attack_events = 0
     for event, verdict in zip(trace, verdicts):
@@ -113,12 +119,13 @@ def replay_metrics(trace, verdicts, policies, bursts, interval_seconds, max_ta, 
         if verdict.decision is Decision.REJECT:
             rejected_attack_events += 1
             detected.add(event.burst_id)
-    false_cells = {(p.day, p.slot_of_day, p.ta) for p in policies} - attack_cells
+    false_cells = flagged_cells(policies) - attack_cells
     fa_intervals = {(day, slot) for day, slot, _ta in false_cells}
     bursts_with_events = sum(1 for b in bursts if b.count > 0)
     intervals = horizon_days * slots_per_day(interval_seconds)
     cells = intervals * (max_ta + 1)
     return Metrics(
+        gamma=float(gamma),
         p_detection=len(detected) / bursts_with_events if bursts_with_events else None,
         p_false_alarm=len(fa_intervals) / intervals,
         p_false_alarm_per_cell=len(false_cells) / cells,

@@ -275,14 +275,9 @@ def test_criterion_8_cached_scores_equal_replay(default_config, eval_artifacts):
         verdicts_equal = bool(np.array_equal(replay_rejects, cache.scores > gamma))
         scores_equal = bool(np.array_equal(replay_scores, cache.scores))
         metrics = replay_metrics(
-            events, verdicts, policies, bursts, profile.interval_seconds, profile.max_ta, horizon
+            events, verdicts, policies, bursts, gamma, profile.interval_seconds, profile.max_ta, horizon
         )
-        row = ss.metrics_at(cache, gamma)
-        metrics_equal = (
-            metrics.p_detection == row.p_detection
-            and metrics.p_false_alarm == row.p_false_alarm
-            and metrics.p_false_alarm_per_cell == row.p_false_alarm_per_cell
-        )
+        metrics_equal = ss.metrics_at(cache, gamma) == metrics
         batch = ss.run(trace, profile, detector, horizon)
         run_equal = (
             list(batch.verdicts) == verdicts

@@ -101,6 +101,17 @@ def test_run_rejects_mismatched_profile(config_path, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_profile_with_bad_metadata_exits_2(config_path, tmp_path, capsys, command):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("#interval_seconds=300,max_ta=102,training_days=0\nslot,ta,mean,std\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", config_path, "--profile", str(profile), "--out", str(out)])
+    assert code == 2
+    assert f"{profile}: training_days must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_with_and_without_profile(config_path, tmp_path):
     profile = tmp_path / "profile.csv"
     assert main(["train", "--config", config_path, "--out", str(profile)]) == 0

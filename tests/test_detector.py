@@ -206,3 +206,7 @@ class TestDetectorConfig:
     def test_sigma_floor_must_be_positive(self):
         with pytest.raises(ValueError):
             DetectorConfig(gamma=1.0, sigma_floor=0.0)
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gamma must not be NaN"):
+            DetectorConfig(gamma=float("nan"))

@@ -1,8 +1,9 @@
 """Batch scoring against the on_rsr replay on random small traces.
 
-``pipeline.run`` in both scoring modes and ``build_score_cache`` +
-``metrics_at`` must reproduce the streaming detector exactly: scores bit for
-bit, then verdicts, policies, flagged cells and every metric.
+``pipeline.run`` in both scoring modes, ``compute_metrics`` and
+``build_score_cache`` + ``metrics_at`` must reproduce the streaming detector
+exactly: scores bit for bit, then verdicts, policies, flagged cells and
+every metric.
 """
 
 import math
@@ -25,7 +26,7 @@ from stormsim import (
     run,
 )
 
-from conftest import interval_end_replay, make_profile, replay, replay_metrics, trace_of
+from conftest import flagged_cells, interval_end_replay, make_profile, replay, replay_metrics, trace_of
 
 # std values straddle every sigma_floor below, so both sides of the floor occur
 MEANS = (0.0, 0.5, 1.0, 2.5)
@@ -106,9 +107,9 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
     trace, bursts, profile, horizon, floor, gammas = scenario
     cache = build_score_cache(trace, bursts, profile, floor, horizon)
 
-    def oracle_metrics(verdicts, policies):
+    def oracle_metrics(verdicts, policies, gamma):
         return replay_metrics(
-            trace, verdicts, policies, bursts, profile.interval_seconds, profile.max_ta, horizon
+            trace, verdicts, policies, bursts, gamma, profile.interval_seconds, profile.max_ta, horizon
         )
 
     for gamma in gammas:
@@ -116,28 +117,22 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
         verdicts, policies = replay(trace, profile, config)
         replay_scores = np.array([v.anomaly for v in verdicts], dtype=float)
         assert np.array_equal(cache.scores, replay_scores)
-        metrics = oracle_metrics(verdicts, policies)
+        metrics = oracle_metrics(verdicts, policies, gamma)
 
         per_rsr = run(trace, profile, config, horizon, ScoringMode.PER_RSR)
         assert np.array_equal(per_rsr.verdicts.anomaly, replay_scores)
         assert list(per_rsr.verdicts) == verdicts
         assert per_rsr.policies == policies
-        assert per_rsr.flagged == {(p.day, p.slot_of_day, p.ta) for p in policies}
+        assert flagged_cells(per_rsr.policies) == flagged_cells(policies)
         assert compute_metrics(per_rsr, bursts) == metrics
-
-        row = metrics_at(cache, gamma)
-        assert row.p_detection == metrics.p_detection
-        assert row.p_false_alarm == metrics.p_false_alarm
-        assert row.p_false_alarm_per_cell == metrics.p_false_alarm_per_cell
-        assert row.bursts_total == metrics.denominators["bursts"]
-        assert row.intervals_total == metrics.denominators["intervals"]
+        assert metrics_at(cache, gamma) == metrics
 
         end_verdicts, end_policies = interval_end_replay(trace, profile, config)
         interval_end = run(trace, profile, config, horizon, ScoringMode.INTERVAL_END)
         assert list(interval_end.verdicts) == end_verdicts
         assert interval_end.policies == end_policies
-        assert interval_end.flagged == per_rsr.flagged
-        assert compute_metrics(interval_end, bursts) == oracle_metrics(end_verdicts, end_policies)
+        assert flagged_cells(interval_end.policies) == flagged_cells(per_rsr.policies)
+        assert compute_metrics(interval_end, bursts) == oracle_metrics(end_verdicts, end_policies, gamma)
 
 
 def _legit(time_s, ta):

@@ -18,7 +18,7 @@ from stormsim import (
     write_summary,
 )
 
-from conftest import make_profile, trace_of
+from conftest import flagged_cells, make_profile, trace_of
 
 
 def burst_events(ta, start, burst_id, n=100, spacing=0.02, device=50):
@@ -59,7 +59,7 @@ class TestSingleBurstRun:
         report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
         rejected = sum(1 for v in report.verdicts if v.decision is Decision.REJECT)
         assert rejected == simulate_flag_oracle(100, 0.0, 1.0, 6.5) == 94
-        assert report.flagged == {(0, 0, 5)}
+        assert flagged_cells(report.policies) == {(0, 0, 5)}
         metrics = compute_metrics(report, [burst])
         assert metrics.p_detection == 1.0
         assert metrics.p_false_alarm == 0.0
@@ -70,7 +70,8 @@ class TestSingleBurstRun:
     def test_empty_trace(self):
         profile = make_profile()
         report = run(trace_of([]), profile, DetectorConfig(gamma=1.0), horizon_days=1)
-        assert len(report.trace) == 0 and len(report.verdicts) == 0 and report.flagged == set()
+        assert len(report.trace) == 0 and len(report.verdicts) == 0
+        assert flagged_cells(report.policies) == set()
         metrics = compute_metrics(report, [])
         assert metrics.p_detection is None
         assert metrics.p_false_alarm == 0.0
@@ -80,7 +81,7 @@ class TestSingleBurstRun:
         profile = make_profile()
         report = run(trace_of(events), profile, DetectorConfig(gamma=float("inf")), horizon_days=1)
         assert all(v.decision is Decision.ACCEPT for v in report.verdicts)
-        assert report.flagged == set()
+        assert flagged_cells(report.policies) == set()
         metrics = compute_metrics(report, [burst])
         assert metrics.p_detection == 0.0
 
@@ -112,7 +113,7 @@ class TestMetrics:
         attack_list, burst = burst_events(ta=5, start=3.0, burst_id=0, n=20)
         trace = trace_of(sorted(legit_events + attack_list, key=lambda e: (e.time_s, e.device_id)))
         report = run(trace, profile, DetectorConfig(gamma=6.5), horizon_days=1)
-        assert report.flagged == {(0, 0, 5), (0, 0, 7)}
+        assert flagged_cells(report.policies) == {(0, 0, 5), (0, 0, 7)}
         metrics = compute_metrics(report, [burst])
         assert metrics.numerators["false_alarm_intervals"] == 1
         assert metrics.p_false_alarm == 1 / 288
@@ -142,11 +143,12 @@ class TestMetrics:
             small_config, seed=small_config.seed_eval, days=2, include_attacks=True
         )
         report = run(trace, profile, DetectorConfig(gamma=3.0), horizon_days=2)
+        flagged = flagged_cells(report.policies)
         for event, verdict in zip(report.trace, report.verdicts):
             if verdict.decision is Decision.REJECT:
                 day = int(event.time_s // 86400)
                 slot = int((event.time_s % 86400) // 300)
-                assert (day, slot, event.ta) in report.flagged
+                assert (day, slot, event.ta) in flagged
 
     def test_metrics_non_increasing_in_gamma(self, small_config):
         profile = train_profile_for(small_config)
@@ -190,7 +192,7 @@ class TestScoringModes:
         config = DetectorConfig(gamma=4.0)
         per_rsr = run(trace, profile, config, 2, ScoringMode.PER_RSR)
         interval_end = run(trace, profile, config, 2, ScoringMode.INTERVAL_END)
-        assert interval_end.flagged == per_rsr.flagged
+        assert flagged_cells(interval_end.policies) == flagged_cells(per_rsr.policies)
         n_rsr = sum(1 for v in per_rsr.verdicts if v.decision is Decision.REJECT)
         n_end = sum(1 for v in interval_end.verdicts if v.decision is Decision.REJECT)
         assert n_end >= n_rsr
@@ -209,6 +211,22 @@ class TestScoringModes:
 
 
 class TestRunValidation:
+    @pytest.mark.parametrize(
+        "mode, rejected, anomalies",
+        [("per_rsr", [False, True, True], [1.0, 2.0, 3.0]), ("interval_end", [True] * 3, [3.0] * 3)],
+    )
+    def test_scoring_mode_given_by_value(self, mode, rejected, anomalies):
+        events, _burst = burst_events(ta=5, start=10.0, burst_id=0, n=3)
+        report = run(trace_of(events), make_profile(), DetectorConfig(gamma=1.5), 1, mode)
+        assert report.scoring_mode is ScoringMode(mode)
+        assert report.verdicts.rejected.tolist() == rejected
+        assert report.verdicts.anomaly.tolist() == anomalies
+
+    def test_unknown_scoring_mode_rejected(self):
+        events, _burst = burst_events(ta=5, start=10.0, burst_id=0, n=3)
+        with pytest.raises(ValueError, match="bogus"):
+            run(trace_of(events), make_profile(), DetectorConfig(gamma=1.5), 1, "bogus")
+
     def test_unsorted_trace_rejected(self):
         profile = make_profile()
         events = [
@@ -244,7 +262,7 @@ class TestArtifacts:
         report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
         metrics = compute_metrics(report, [burst])
         path = tmp_path / "summary.json"
-        write_summary(path, 6.5, metrics)
+        write_summary(path, metrics)
         summary = json.loads(path.read_text())
         assert list(summary) == [
             "gamma",
@@ -262,5 +280,5 @@ class TestArtifacts:
         report = run(trace_of([]), profile, DetectorConfig(gamma=1.0), horizon_days=1)
         metrics = compute_metrics(report, [])
         path = tmp_path / "summary.json"
-        write_summary(path, 1.0, metrics)
+        write_summary(path, metrics)
         assert json.loads(path.read_text())["p_detection"] is None

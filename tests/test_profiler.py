@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -167,6 +168,21 @@ class TestProfileValidation:
                 mean=np.zeros((288, 10)), std=np.zeros((288, 10)),
             )
 
+    @pytest.mark.parametrize("field, value", [("std", np.full((288, 11), -1.0)), ("interval_seconds", 7)])
+    def test_fields_cannot_be_assigned(self, field, value):
+        profile = KpiProfile(300, 10, 2, np.zeros((288, 11)), np.zeros((288, 11)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(profile, field, value)
+        assert profile.interval_seconds == 300 and not profile.std.any()
+
+    @pytest.mark.parametrize(
+        "max_ta, training_days, match",
+        [(-1, 2, "max_ta must be non-negative"), (0, 0, "training_days must be at least 1"), (-1, 0, "max_ta")],
+    )
+    def test_bad_metadata_rejected(self, max_ta, training_days, match):
+        with pytest.raises(ValueError, match=match):
+            KpiProfile(300, max_ta, training_days, np.zeros((288, max_ta + 1)), np.zeros((288, max_ta + 1)))
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -265,6 +281,21 @@ class TestPersistence:
             "#interval_seconds=300,max_ta=10,training_days=2\nslot,ta,mean,std\n1,11,3.0,0.5\n"
         )
         with pytest.raises(ValueError, match="bounds"):
+            load_profile(path)
+
+    @pytest.mark.parametrize(
+        "meta, match",
+        [
+            ("interval_seconds=300,max_ta=10,training_days=0", "training_days must be at least 1"),
+            ("interval_seconds=300,max_ta=-1,training_days=2", "max_ta must be non-negative"),
+            ("interval_seconds=300,max_ta=-5,training_days=2", "max_ta must be non-negative"),
+            ("interval_seconds=7,max_ta=10,training_days=2", "interval_seconds=7"),
+        ],
+    )
+    def test_bad_metadata_rejected_with_path(self, tmp_path, meta, match):
+        path = tmp_path / "profile.csv"
+        path.write_text(f"#{meta}\nslot,ta,mean,std\n")
+        with pytest.raises(ValueError, match=f"^{path}: {match}"):
             load_profile(path)
 
     def test_bad_header_rejected(self, tmp_path):

@@ -6,8 +6,8 @@ import numpy as np
 from stormsim import (
     Decision,
     DetectorConfig,
+    Metrics,
     SweepResult,
-    SweepRow,
     build_score_cache,
     build_trace,
     compute_metrics,
@@ -51,7 +51,7 @@ class TestRunExperiment:
 
     def test_intervals_total(self, small_config):
         result = run_experiment(small_config)
-        assert result.rows[0].intervals_total == small_config.eval_days * 288
+        assert result.rows[0].denominators["intervals"] == small_config.eval_days * 288
 
 
 class TestCacheVsReplay:
@@ -69,12 +69,9 @@ class TestCacheVsReplay:
             replay_rejects = np.array([v.decision is Decision.REJECT for v in verdicts])
             assert np.array_equal(replay_rejects, cache.scores > gamma)
             metrics = replay_metrics(
-                trace, verdicts, policies, bursts, profile.interval_seconds, profile.max_ta, 2
+                trace, verdicts, policies, bursts, gamma, profile.interval_seconds, profile.max_ta, 2
             )
-            row = metrics_at(cache, gamma)
-            assert row.p_detection == metrics.p_detection
-            assert row.p_false_alarm == metrics.p_false_alarm
-            assert row.p_false_alarm_per_cell == metrics.p_false_alarm_per_cell
+            assert metrics_at(cache, gamma) == metrics
             report = run(trace, profile, config, horizon_days=2)
             assert list(report.verdicts) == verdicts
             assert report.policies == policies
@@ -97,13 +94,13 @@ class TestSweepCsv:
 
     def test_round_trip_precision(self, tmp_path):
         rows = (
-            SweepRow(
+            Metrics(
                 gamma=1.5,
                 p_detection=0.9231233333712,
                 p_false_alarm=0.01518229166,
                 p_false_alarm_per_cell=0.000147,
-                bursts_total=293,
-                intervals_total=5760,
+                numerators={},
+                denominators={"bursts": 293, "intervals": 5760},
             ),
         )
         path = tmp_path / "sweep.csv"
@@ -117,13 +114,13 @@ class TestSweepCsv:
 
     def test_undefined_p_detection_written_as_nan(self, tmp_path):
         rows = (
-            SweepRow(
+            Metrics(
                 gamma=0.0,
                 p_detection=None,
                 p_false_alarm=0.25,
                 p_false_alarm_per_cell=0.01,
-                bursts_total=0,
-                intervals_total=576,
+                numerators={},
+                denominators={"bursts": 0, "intervals": 576},
             ),
         )
         path = tmp_path / "sweep.csv"
@@ -146,4 +143,4 @@ class TestNoAdversaries:
         )
         result = run_experiment(config)
         assert all(row.p_detection is None for row in result.rows)
-        assert all(row.bursts_total == 0 for row in result.rows)
+        assert all(row.denominators["bursts"] == 0 for row in result.rows)
