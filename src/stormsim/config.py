@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
@@ -73,6 +74,10 @@ class ScenarioConfig:
     scoring_mode: ScoringMode = ScoringMode.PER_RSR
 
     def __post_init__(self) -> None:
+        # stored as float, so a config built in code writes the JSON that a parsed one does
+        for name in ("cell_radius_m", "sigma_floor", "gamma"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        object.__setattr__(self, "gamma_grid", tuple(_real("gamma_grid entry", g) for g in self.gamma_grid or ()))
         if not 0 < self.cell_radius_m < math.inf:  # also rejects nan
             raise ConfigError("cell_radius_m must be positive and finite")
         if self.numerology_mu not in (0, 1, 2, 3):
@@ -120,6 +125,12 @@ class ScenarioConfig:
         for name, seed in (("seed_train", self.seed_train), ("seed_eval", self.seed_eval)):
             if not 0 <= seed <= MAX_SEED:
                 raise ConfigError(f"{name} must be a 64-bit unsigned integer")
+
+
+def _real(name: str, value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 _LEGIT_FIELDS = {"base_rate_per_hour", "diurnal_amplitude", "device_count"}

@@ -190,11 +190,11 @@ def write_trace(path, trace: Trace, verdicts: Optional[Verdicts] = None) -> None
     """
     if verdicts is not None and len(verdicts) != len(trace):
         raise ValueError("verdicts must align one-to-one with events")
-    labels, burst_of = _distinct_texts(trace.burst_id, ',"label":"attack","burst_id":')
+    labels, burst_of = distinct_texts(trace.burst_id, ',"label":"attack","burst_id":')
     labels[labels == ',"label":"attack","burst_id":-1'] = ',"label":"legit"'  # burst_id -1 marks a legit request
-    fields = [_distinct_texts(trace.device_id, ',"device_id":'), _distinct_texts(trace.ta, ',"ta":'), (labels, burst_of)]
+    fields = [distinct_texts(trace.device_id, ',"device_id":'), distinct_texts(trace.ta, ',"ta":'), (labels, burst_of)]
     if verdicts is not None:
-        fields += [(_VERDICT_TEXTS, verdicts.rejected.view(np.uint8)), _distinct_texts(verdicts.anomaly, ',"anomaly":')]
+        fields += [(_VERDICT_TEXTS, verdicts.rejected.view(np.uint8)), distinct_texts(verdicts.anomaly, ',"anomaly":')]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for start in range(0, len(trace), ROWS_PER_WRITE):
             block = slice(start, start + ROWS_PER_WRITE)
@@ -208,7 +208,7 @@ def _json_texts(values: np.ndarray) -> list[str]:
     return json.dumps(values.tolist())[1:-1].split(", ")
 
 
-def _distinct_texts(column: np.ndarray, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+def distinct_texts(column: np.ndarray, prefix: str) -> tuple[np.ndarray, np.ndarray]:
     """``prefix`` plus the text of each of a column's distinct values, as an
     object array, and each entry's index into it. Values are told apart by
     their bits, so ``-0.0`` and ``0.0`` keep their own texts."""

@@ -170,7 +170,13 @@ def score_events(
 
 def group_max(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct keys in ascending order, the largest value of each, and each element's group."""
-    groups, group_of = np.unique(keys, return_inverse=True)
+    order = np.argsort(keys)  # one sort: np.unique with return_inverse costs more
+    sorted_keys = keys[order]
+    starts = np.ones(keys.size, bool)  # True where a group begins in sorted order
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    group_of = np.empty(keys.size, np.intp)
+    group_of[order] = np.cumsum(starts) - 1
+    groups = sorted_keys[np.flatnonzero(starts)]
     maxima = np.full(groups.size, -np.inf)
     np.maximum.at(maxima, group_of, values)
     return groups, maxima, group_of

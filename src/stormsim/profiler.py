@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Trace, cell_keys, slots_per_day
+from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Trace, cell_keys, distinct_texts, slots_per_day
 
 
 def count_per_interval(
@@ -50,7 +51,7 @@ class CountAccumulator:
     squared deviations, matching a two-pass computation to rounding error.
     """
 
-    shape: tuple[int, int]
+    shape: tuple[int, ...]
     days_seen: int = 0
     mean: np.ndarray = field(init=False)
     m2: np.ndarray = field(init=False)
@@ -138,32 +139,46 @@ def train(day_counts: np.ndarray) -> KpiProfile:
         raise ValueError("training requires at least one day of counts")
     if n_slots < 1 or SECONDS_PER_DAY % n_slots != 0:
         raise ValueError(f"slot axis of length {n_slots} does not divide the day")
-    accumulator = CountAccumulator((n_slots, n_ta))
+    # Only the cells with a count on some day are folded. The fold keeps any
+    # other cell at exactly 0.0, so the zeroed tables below are bit-identical
+    # to a fold over every cell. Each day's cells are gathered on their own,
+    # which keeps a (days, cells) copy of the count table from ever existing.
+    flat = day_counts.reshape(days, -1)
+    cells = np.flatnonzero(flat.any(axis=0))
+    accumulator = CountAccumulator((cells.size,))
     for d in range(days):
-        accumulator.add_day(day_counts[d])
+        accumulator.add_day(flat[d, cells])
+    mean, std = np.zeros((n_slots, n_ta)), np.zeros((n_slots, n_ta))
+    np.put(mean, cells, accumulator.mean)
+    np.put(std, cells, accumulator.std())
     return KpiProfile(
         interval_seconds=SECONDS_PER_DAY // n_slots,
         max_ta=n_ta - 1,
         training_days=days,
-        mean=accumulator.mean,
-        std=accumulator.std(),
+        mean=mean,
+        std=std,
     )
 
 
 def save_profile(profile: KpiProfile, path) -> None:
-    """Write a profile as CSV: metadata comment, header, non-zero cells only."""
+    """Write a profile as CSV: metadata comment, header, non-zero cells only.
+
+    Each column's distinct values are formatted once, and the rows are
+    joined and written ``ROWS_PER_WRITE`` at a time.
+    """
     slots, tas = np.nonzero((profile.mean != 0.0) | (profile.std != 0.0))
     columns = (slots, tas, profile.mean[slots, tas], profile.std[slots, tas])
+    fields = [distinct_texts(column, prefix) for column, prefix in zip(columns, ("", ",", ",", ","))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"#interval_seconds={profile.interval_seconds},"
             f"max_ta={profile.max_ta},training_days={profile.training_days}\n"
             "slot,ta,mean,std\n"
         )
-        # a block of rows at a time, so the rows never exist as Python objects all at once
         for start in range(0, slots.size, ROWS_PER_WRITE):
-            rows = zip(*(column[start : start + ROWS_PER_WRITE].tolist() for column in columns))
-            fh.write("".join(f"{slot},{ta},{mean!r},{std!r}\n" for slot, ta, mean, std in rows))
+            block = slice(start, start + ROWS_PER_WRITE)
+            texts = (field_texts[index[block]].tolist() for field_texts, index in fields)
+            fh.write("".join(chain.from_iterable(zip(*texts, repeat("\n")))))
 
 
 def load_profile(path) -> KpiProfile:
@@ -194,6 +209,61 @@ def load_profile(path) -> KpiProfile:
         raise ValueError(f"{path}: {exc}") from exc
     mean = np.zeros((n_slots, max_ta + 1), dtype=float)
     std = np.zeros((n_slots, max_ta + 1), dtype=float)
+    if not _read_columns(lines[2:], mean, std):
+        _read_rows(path, lines, mean, std)
+    del text, lines  # freed before KpiProfile copies the tables, which lowers the peak
+    return KpiProfile(
+        interval_seconds=interval_seconds,
+        max_ta=max_ta,
+        training_days=meta["training_days"],
+        mean=mean,
+        std=std,
+    )
+
+
+def _read_columns(lines: list[str], mean: np.ndarray, std: np.ndarray) -> bool:
+    """Fill ``mean`` and ``std`` from the rows of ``lines`` by column and
+    return True; return False, filling nothing, when a row would fail a
+    check of :func:`_read_rows` or the rows are not in ascending cell order.
+
+    The non-blank lines are joined and split on commas ``ROWS_PER_WRITE``
+    at a time. Each holds exactly three commas, so its fields are the
+    substrings ``line.split(",")`` gives, and ``int`` and ``float`` read
+    them as the line loop does, each distinct text once. Strictly ascending
+    cells rule out duplicates.
+    """
+    kept = list(filter(str.strip, lines))
+    n = len(kept)
+    columns = (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n), np.empty(n))
+    for start in range(0, n, ROWS_PER_WRITE):
+        block = kept[start : start + ROWS_PER_WRITE]
+        if list(map(str.count, block, repeat(","))).count(3) != len(block):
+            return False
+        fields = ",".join(block).split(",")
+        for i, (column, parse) in enumerate(zip(columns, (int, int, float, float))):
+            texts = fields[i::4]
+            try:
+                values = {text: parse(text) for text in set(texts)}
+                column[start : start + len(block)] = list(map(values.__getitem__, texts))
+            except (ValueError, OverflowError):
+                return False
+    slots, tas, means, stds = columns
+    n_slots, n_ta = mean.shape
+    if not (np.all((0 <= slots) & (slots < n_slots)) and np.all((0 <= tas) & (tas < n_ta))):
+        return False
+    cells = slots * n_ta + tas
+    valid = np.isfinite(means) & np.isfinite(stds) & (means >= 0.0) & (stds >= 0.0)
+    if not (np.all(np.diff(cells) > 0) and valid.all()):
+        return False
+    np.put(mean, cells, means)
+    np.put(std, cells, stds)
+    return True
+
+
+def _read_rows(path, lines: list[str], mean: np.ndarray, std: np.ndarray) -> None:
+    """Fill ``mean`` and ``std`` from the rows of ``lines`` one line at a
+    time, raising the first bad row's error with its ``path:line``."""
+    n_slots, n_ta = mean.shape
     seen: set[tuple[int, int]] = set()
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
@@ -206,7 +276,7 @@ def load_profile(path) -> KpiProfile:
             cell_mean, cell_std = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-        if not (0 <= slot < n_slots and 0 <= ta <= max_ta):
+        if not (0 <= slot < n_slots and 0 <= ta < n_ta):
             raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
         if (slot, ta) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
@@ -218,11 +288,3 @@ def load_profile(path) -> KpiProfile:
         seen.add((slot, ta))
         mean[slot, ta] = cell_mean
         std[slot, ta] = cell_std
-    del text, lines, seen  # freed before KpiProfile copies the tables, which lowers the peak
-    return KpiProfile(
-        interval_seconds=interval_seconds,
-        max_ta=max_ta,
-        training_days=meta["training_days"],
-        mean=mean,
-        std=std,
-    )

@@ -48,6 +48,21 @@ class TestParsing:
         config = ScenarioConfig(seed_train=9, seed_eval=10, gamma=3.0)
         assert config_from_dict(config_to_dict(config)) == config
 
+    def test_float_fields_built_in_code_are_floats(self):
+        # scenario.json writes config_to_dict and summary.json Metrics.gamma; both must say 4.0
+        config = ScenarioConfig(gamma=4, gamma_grid=[0, 2], sigma_floor=1, cell_radius_m=2000)
+        assert type(config.gamma) is float
+        assert config_to_dict(config)["gamma"] == 4.0
+        assert json.dumps(config_to_dict(config)["gamma"]) == "4.0"
+        assert config.gamma_grid == (0.0, 2.0) and all(type(g) is float for g in config.gamma_grid)
+        assert type(config.sigma_floor) is float and type(config.cell_radius_m) is float
+        assert config == config_from_dict(config_to_dict(config))
+
+    @pytest.mark.parametrize("field, value", [("gamma", "4"), ("sigma_floor", True), ("gamma_grid", (1.0, None))])
+    def test_non_numeric_float_field_rejected_in_code(self, field, value):
+        with pytest.raises(ConfigError, match="must be a number"):
+            ScenarioConfig(**{field: value})
+
 
 class TestValidation:
     def test_interval_must_divide_day(self, tmp_path):

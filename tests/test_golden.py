@@ -1,5 +1,7 @@
 """Golden outputs: ``stormsim train``, ``run`` and ``sweep --profile`` on a small
-fixed config must write byte for byte what the recorded digests say.
+fixed config must write byte for byte what the recorded digests say, and so
+must ``train`` and ``run`` on a config whose profile spans several write and
+parse blocks.
 
 A refactor that keeps behaviour leaves every digest alone. A change that
 alters an output on purpose updates the digest here and says so in
@@ -12,6 +14,7 @@ import json
 import pytest
 
 from stormsim.cli import main
+from stormsim.profiler import load_profile, save_profile
 
 CONFIG = {
     "legit": {"device_count": 12},
@@ -45,6 +48,23 @@ GOLDEN = {
     },
 }
 
+# mu=3 and 30 s intervals: about 13k profile rows, four ROWS_PER_WRITE blocks
+MULTI_BLOCK_CONFIG = {
+    "numerology_mu": 3,
+    "interval_seconds": 30,
+    "legit": {"device_count": 40},
+    "training_days": 3,
+    "eval_days": 1,
+    "seed_train": 41,
+    "seed_eval": 42,
+}
+
+MULTI_BLOCK_GOLDEN = {
+    "profile.csv": "2f086bdc706b99f732a7bdf6c207a2c9e5f01f5cf128f6eea01a8380863b1b91",
+    "policies.jsonl": "62188fc6cbabb2ec52e664dff002dd1f8327f9ac6e36c33939b2563b2b1eb14d",
+    "trace.jsonl": "373cc44e6a67144408893c9c0255fd184b3b25880fd93b12d7f767d42d290f24",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -63,3 +83,16 @@ def test_cli_outputs_match_golden_digests(tmp_path, mode):
     for name in ("trace.jsonl", "bursts.json", "policies.jsonl", "summary.json", "scenario.json"):
         files[name] = out / name
     assert {name: sha256(path) for name, path in files.items()} == GOLDEN[mode]
+
+
+def test_multi_block_profile_matches_golden_digests(tmp_path):
+    # trace.jsonl carries every anomaly, so it also pins the profile as load_profile read it back
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(MULTI_BLOCK_CONFIG))
+    profile, out, resaved = tmp_path / "profile.csv", tmp_path / "out", tmp_path / "resaved.csv"
+    assert main(["train", "--config", str(config), "--out", str(profile)]) == 0
+    assert main(["run", "--config", str(config), "--profile", str(profile), "--out", str(out)]) == 0
+    save_profile(load_profile(profile), resaved)
+    files = {"profile.csv": profile, "policies.jsonl": out / "policies.jsonl", "trace.jsonl": out / "trace.jsonl"}
+    assert {name: sha256(path) for name, path in files.items()} == MULTI_BLOCK_GOLDEN
+    assert resaved.read_bytes() == profile.read_bytes()

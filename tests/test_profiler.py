@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormsim import (
     CountAccumulator,
@@ -17,6 +20,8 @@ from stormsim import (
     save_profile,
     train,
 )
+from stormsim import profiler
+from stormsim.core import ROWS_PER_WRITE, SECONDS_PER_DAY
 from stormsim.profiler import KpiProfile
 
 from conftest import trace_of
@@ -34,6 +39,20 @@ def two_pass_moments(values):
         return mean, 0.0
     m2 = sum((v - mean) ** 2 for v in values)
     return mean, math.sqrt(m2 / (k - 1))
+
+
+def full_fold(day_counts):
+    """Oracle: the CountAccumulator fold over every cell of the table."""
+    accumulator = CountAccumulator(day_counts.shape[1:])
+    for day in day_counts:
+        accumulator.add_day(day)
+    return accumulator.mean, accumulator.std()
+
+
+def assert_bit_identical(profile, tables):
+    mean, std = tables
+    assert np.array_equal(profile.mean.view(np.int64), mean.view(np.int64))
+    assert np.array_equal(profile.std.view(np.int64), std.view(np.int64))
 
 
 class TestCounting:
@@ -121,6 +140,20 @@ class TestTraining:
         table = np.stack([day] * 5)
         profile = train(table)
         assert np.all(profile.std == 0.0)
+
+    @pytest.mark.parametrize("days", [1, 2, 7])
+    def test_populated_cell_fold_is_bit_identical_to_full_fold(self, days):
+        rng = np.random.default_rng(days)
+        touched = rng.random((24, 9)) < 0.3  # most cells never see a request
+        table = rng.poisson(1.5, size=(days, 24, 9)) * touched
+        assert (~table.any(axis=0)).any()
+        assert_bit_identical(train(table), full_fold(table))
+
+    def test_populated_cell_fold_of_float_table_is_bit_identical(self):
+        rng = np.random.default_rng(3)
+        table = rng.random((5, 6, 7)) * (rng.random((6, 7)) < 0.5)
+        table[:, 0, 0] = -0.0  # a cell with no counts, only negative zeros
+        assert_bit_identical(train(table), full_fold(table))
 
     def test_accumulator_shape_guard(self):
         acc = CountAccumulator((2, 3))
@@ -243,6 +276,21 @@ class TestPersistence:
         expected = [f"{slot},{ta},{float(mean[slot, ta])!r},{float(std[slot, ta])!r}" for slot, ta in cells]
         assert path.read_text().split("\n")[2:] == expected + [""]
 
+    def test_bytes_match_per_row_format_with_few_distinct_values(self, tmp_path):
+        rng = np.random.default_rng(8)
+        mean = rng.choice([0.0, 0.5, 1 / 3, 2.0], size=(288, 40))
+        std = rng.choice([0.0, 0.25, math.sqrt(2)], size=(288, 40))
+        mean[3, 4], std[3, 4] = -0.0, 1.5  # a negative-zero mean keeps its sign
+        profile = KpiProfile(interval_seconds=300, max_ta=39, training_days=30, mean=mean, std=std)
+        path = tmp_path / "profile.csv"
+        save_profile(profile, path)
+        cells = np.argwhere((mean != 0.0) | (std != 0.0))
+        assert len(cells) > 2 * ROWS_PER_WRITE
+        rows = "".join(f"{slot},{ta},{float(mean[slot, ta])!r},{float(std[slot, ta])!r}\n" for slot, ta in cells)
+        expected = "#interval_seconds=300,max_ta=39,training_days=30\nslot,ta,mean,std\n" + rows
+        assert path.read_bytes() == expected.encode()
+        assert "\n3,4,-0.0,1.5\n" in expected
+
     def test_missing_metadata_rejected(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("slot,ta,mean,std\n")
@@ -303,3 +351,161 @@ class TestPersistence:
         path.write_text("#interval_seconds=300,max_ta=10,training_days=2\nslot;ta;mean;std\n")
         with pytest.raises(ValueError, match="header"):
             load_profile(path)
+
+
+def load_by_lines(path):
+    """Oracle: ``load_profile`` with its columnar parse switched off, so the line loop reads every row."""
+    with mock.patch.object(profiler, "_read_columns", return_value=False):
+        return load_profile(path)
+
+
+def int_texts(value):
+    """Texts ``int`` reads as ``value``: plain, padded, signed, and with an underscore."""
+    texts = [str(value), f" {value}", f"+{value} ", f"\t{value}"]
+    if value >= 10:
+        texts.append(f"{str(value)[0]}_{str(value)[1:]}")
+    return st.sampled_from(texts)
+
+
+def float_texts(value):
+    """Texts ``float`` reads as ``value``: repr, exponent forms, padding and a sign."""
+    texts = [repr(value), f" {value!r}", f"{value:.17e}", f"{value!r}\t"]
+    if math.copysign(1.0, value) > 0:
+        texts.append(f"+{value!r}")
+    if value.is_integer():
+        texts += [f"{int(value)}", f"{int(value)}e0"]
+    return st.sampled_from(texts)
+
+
+@st.composite
+def profile_files(draw):
+    """A valid profile file: rows in any order, blank and whitespace-only lines, LF or CRLF ends."""
+    interval_seconds = draw(st.sampled_from([3600, 7200, 43200]))
+    max_ta = draw(st.integers(0, 12))
+    n_cells = SECONDS_PER_DAY // interval_seconds * (max_ta + 1)
+    cells = draw(st.lists(st.integers(0, n_cells - 1), unique=True, max_size=60))
+    if draw(st.booleans()):
+        cells.sort()
+    moments = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 12.0]), st.floats(0.0, 1e6))
+    lines = []
+    for cell in cells:
+        slot, ta = divmod(cell, max_ta + 1)
+        fields = [draw(int_texts(slot)), draw(int_texts(ta)), draw(float_texts(draw(moments))), draw(float_texts(draw(moments)))]
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  \t "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    head = [f"#interval_seconds={interval_seconds},max_ta={max_ta},training_days=3", "slot,ta,mean,std"]
+    return end.join(head + lines) + end * draw(st.booleans()), cells == sorted(cells)
+
+
+# (bad row, start of the message the line loop raises for it), formatted with
+# the free cell the row is placed at, so the row keeps the file's cells ascending
+BAD_ROWS = [
+    ("{slot},{ta},3.0", "expected 4 fields, got 3"),
+    ("{slot},{ta},3.0,0.5,7", "expected 4 fields, got 5"),
+    ("{slot},{ta},three,0.5", "malformed row '{slot},{ta},three,0.5'"),
+    ("{slot}.0,{ta},3.0,0.5", "malformed row"),
+    ("{slot},{ta},3.0,", "malformed row"),
+    ("{slot},103,3.0,0.5", r"cell \({slot}, 103\) outside table bounds"),
+    ("288,{ta},3.0,0.5", r"cell \(288, {ta}\) outside table bounds"),
+    ("-1,{ta},3.0,0.5", r"cell \(-1, {ta}\) outside table bounds"),
+    ("99999999999999999999,{ta},3.0,0.5", r"cell \(99999999999999999999, {ta}\) outside table bounds"),
+    ("{slot},{ta},nan,0.5", "mean and std must be finite and non-negative"),
+    ("{slot},{ta},inf,0.5", "mean and std must be finite and non-negative"),
+    ("{slot},{ta},0.5,nan", "mean and std must be finite and non-negative"),
+    ("{slot},{ta},3.0,inf", "mean and std must be finite and non-negative"),
+    ("{slot},{ta},-1.0,0.5", "mean and std must be finite and non-negative"),
+    ("{slot},{ta},3.0,-0.5", "mean and std must be finite and non-negative"),
+]
+# the second place puts the bad row in the second ROWS_PER_WRITE block
+PLACES = [2, ROWS_PER_WRITE + 904]
+
+
+class TestLoadProfileOracle:
+    """``load_profile``'s columnar parse against its line loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile_files())
+    def test_columnar_parse_matches_line_loop(self, tmp_path_factory, drawn):
+        text, ascending = drawn
+        path = tmp_path_factory.mktemp("profile") / "profile.csv"
+        path.write_bytes(text.encode())
+        fast, slow = load_profile(path), load_by_lines(path)
+        assert np.array_equal(fast.mean.view(np.int64), slow.mean.view(np.int64))
+        assert np.array_equal(fast.std.view(np.int64), slow.std.view(np.int64))
+        # ascending rows are read by the columnar parse itself, not by its fallback
+        mean, std = np.zeros(fast.mean.shape), np.zeros(fast.std.shape)
+        assert profiler._read_columns(text.splitlines()[2:], mean, std) == ascending
+        assert ascending or not (mean.any() or std.any())  # a refused file fills nothing
+
+    @staticmethod
+    def write_rows(path, rows_at):
+        """A 288 x 103 profile of 5,000 rows at cells 1, 5, 9, ..., with each
+        ``{place: row}`` of ``rows_at`` before row ``place``, formatted with
+        the free cell ``4 * place - 1``."""
+        rows = [f"{cell // 103},{cell % 103},{cell % 7 * 0.5},{cell % 3 * 0.25}" for cell in range(1, 20_000, 4)]
+        for place in sorted(rows_at, reverse=True):
+            slot, ta = divmod(4 * place - 1, 103)
+            rows.insert(place, rows_at[place].format(slot=slot, ta=ta))
+        path.write_text("#interval_seconds=300,max_ta=102,training_days=3\nslot,ta,mean,std\n" + "\n".join(rows) + "\n")
+
+    @staticmethod
+    def assert_line_loop_error(path, lineno, message):
+        with pytest.raises(ValueError, match=f"^{path}:{lineno}: {message}") as fast:
+            load_profile(path)
+        with pytest.raises(ValueError) as slow:
+            load_by_lines(path)
+        assert str(fast.value) == str(slow.value)
+
+    @staticmethod
+    def assert_same_tables(path):
+        fast, slow = load_profile(path), load_by_lines(path)
+        assert np.array_equal(fast.mean.view(np.int64), slow.mean.view(np.int64))
+        assert np.array_equal(fast.std.view(np.int64), slow.std.view(np.int64))
+        return fast
+
+    @pytest.mark.parametrize("at", PLACES)
+    @pytest.mark.parametrize("bad_row, message", BAD_ROWS)
+    def test_bad_row_raises_line_loop_error(self, tmp_path, bad_row, message, at):
+        path = tmp_path / "profile.csv"
+        self.write_rows(path, {at: bad_row})
+        slot, ta = divmod(4 * at - 1, 103)
+        self.assert_line_loop_error(path, at + 3, message.format(slot=slot, ta=ta))
+
+    @pytest.mark.parametrize("at", PLACES)
+    def test_duplicate_row_raises_line_loop_error(self, tmp_path, at):
+        path = tmp_path / "profile.csv"
+        slot, ta = divmod(4 * at - 3, 103)  # the cell of the row just before
+        self.write_rows(path, {at: f"{slot},{ta},9.0,1.0"})
+        self.assert_line_loop_error(path, at + 3, rf"duplicate cell \({slot}, {ta}\)")
+
+    @pytest.mark.parametrize("at", PLACES)
+    def test_field_counts_that_even_out_raise_line_loop_error(self, tmp_path, at):
+        # 5 fields then 3: joined and split, they would read as two good rows
+        path = tmp_path / "profile.csv"
+        slot, ta = divmod(4 * at - 2, 103)
+        self.write_rows(path, {at: f"{slot},{ta},2.0,3.0,{{slot}}\n{{ta}},6.0,7.0"})
+        self.assert_line_loop_error(path, at + 3, "expected 4 fields, got 5")
+
+    @pytest.mark.parametrize("cell", ["-1,102", "0,-1"])
+    def test_negative_cell_in_first_row_raises_line_loop_error(self, tmp_path, cell):
+        # the first row's flat cell is below every later one, so only the bounds check stops it
+        path = tmp_path / "profile.csv"
+        path.write_text(f"#interval_seconds=300,max_ta=102,training_days=3\nslot,ta,mean,std\n{cell},3.0,0.5\n0,1,1.0,0.5\n")
+        self.assert_line_loop_error(path, 3, rf"cell \({cell.replace(',', ', ')}\) outside table bounds")
+
+    def test_unsorted_rows_load_as_line_loop_reads_them(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        self.write_rows(path, {PLACES[1]: "0,0,4.0,2.0"})
+        profile = self.assert_same_tables(path)
+        assert profile.mean[0, 0] == 4.0 and profile.std[0, 0] == 2.0
+
+    def test_ascending_multi_block_file_is_read_by_columnar_parse(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        self.write_rows(path, {at: "{slot},{ta},4.0,2.0" for at in PLACES})
+        profile = self.assert_same_tables(path)
+        mean, std = np.zeros(profile.mean.shape), np.zeros(profile.std.shape)
+        assert profiler._read_columns(path.read_text().splitlines()[2:], mean, std)
+        assert np.array_equal(mean, profile.mean) and np.array_equal(std, profile.std)
+        assert np.count_nonzero(profile.mean == 4.0) == len(PLACES)
