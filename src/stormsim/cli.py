@@ -17,24 +17,18 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig, config_to_dict, parse_config
 from .core import write_trace
 from .detector import DetectorConfig
-from .geometry import TaQuantizer, max_ta_index
 from .pipeline import compute_metrics, run, write_policy_log, write_summary
 from .profiler import count_per_interval, load_profile, save_profile, train
 from .sweep import run_experiment, write_sweep_csv
 from .traffic import build_trace, layout_to_dict, write_bursts_json
 
 
-def _expected_max_ta(config: ScenarioConfig) -> int:
-    return max_ta_index(config.cell_radius_m, TaQuantizer(config.numerology_mu))
-
-
 def _check_profile_matches(profile, config: ScenarioConfig) -> None:
-    expected = _expected_max_ta(config)
-    if profile.interval_seconds != config.interval_seconds or profile.max_ta != expected:
+    if profile.interval_seconds != config.interval_seconds or profile.max_ta != config.max_ta:
         raise ConfigError(
             f"profile/config mismatch: profile has interval_seconds="
             f"{profile.interval_seconds}, max_ta={profile.max_ta}; config expects "
-            f"interval_seconds={config.interval_seconds}, max_ta={expected}"
+            f"interval_seconds={config.interval_seconds}, max_ta={config.max_ta}"
         )
 
 
@@ -43,9 +37,7 @@ def cmd_train(config: ScenarioConfig, out_path: str) -> int:
     trace, _bursts, _layout = build_trace(
         config, seed=config.seed_train, days=config.training_days, include_attacks=False
     )
-    counts = count_per_interval(
-        trace, config.interval_seconds, _expected_max_ta(config), config.training_days
-    )
+    counts = count_per_interval(trace, config.interval_seconds, config.max_ta, config.training_days)
     profile = train(counts)
     save_profile(profile, out_path)
     populated = int(np.count_nonzero((profile.mean != 0.0) | (profile.std != 0.0)))

@@ -184,7 +184,9 @@ def save_profile(profile: KpiProfile, path) -> None:
 def load_profile(path) -> KpiProfile:
     """Read a profile CSV back into dense tables; absent cells are zero."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    # read_text turns "\r\n" and "\r" into "\n"; str.splitlines would also break at
+    # U+2028, U+0085 and the like and so misnumber every row after one
+    lines = text.split("\n")
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing metadata line")
     meta: dict[str, int] = {}

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .config import ScenarioConfig
 from .core import Trace
 from .detector import score_events
-from .geometry import TaQuantizer, max_ta_index
 from .pipeline import Metrics, ScoreCache, metrics_at, score_cache
 from .profiler import KpiProfile, count_per_interval, train
 from .traffic import Burst, build_trace
@@ -35,8 +34,7 @@ def train_profile_for(config: ScenarioConfig) -> KpiProfile:
     trace, _bursts, _layout = build_trace(
         config, seed=config.seed_train, days=config.training_days, include_attacks=False
     )
-    max_ta = max_ta_index(config.cell_radius_m, TaQuantizer(config.numerology_mu))
-    counts = count_per_interval(trace, config.interval_seconds, max_ta, config.training_days)
+    counts = count_per_interval(trace, config.interval_seconds, config.max_ta, config.training_days)
     return train(counts)
 
 
@@ -55,8 +53,6 @@ def build_score_cache(
 def run_experiment(config: ScenarioConfig, profile: Optional[KpiProfile] = None) -> SweepResult:
     """Train (unless a profile is supplied), generate the evaluation trace once,
     then sweep the whole gamma grid over it."""
-    if not config.gamma_grid:
-        raise ValueError("gamma_grid must not be empty")
     if profile is None:
         profile = train_profile_for(config)
     trace, bursts, _layout = build_trace(

@@ -323,6 +323,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{path}:4: mean and std must be finite and non-negative"):
             load_profile(path)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85"])
+    def test_bad_row_after_unicode_line_separator_keeps_its_line_number(self, tmp_path, separator):
+        # only "\n" ends a line; str.splitlines would also break here and report :5
+        path = tmp_path / "profile.csv"
+        path.write_text(
+            f"#interval_seconds=300,max_ta=10,training_days=2\nslot,ta,mean,std\n1,2,3.0,0.5{separator}\n1,3,x,1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=f"{path}:4: malformed row '1,3,x,1'"):
+            load_profile(path)
+
     def test_out_of_bounds_cell_rejected(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text(
