@@ -21,7 +21,7 @@ from .core import slots_per_day
 from .geometry import TaQuantizer, max_ta_index
 
 MAX_SEED = 2**64 - 1
-MAX_TABLE_BYTES = 2**30  # cap on one dense int64 (days, slots, TA) count table
+MAX_TABLE_BYTES = 2**30  # cap on one dense (days, slots, TA) count table at 8 bytes a cell, its widest dtype
 
 
 class ConfigError(ValueError):
@@ -70,8 +70,8 @@ class LegitTrafficSpec:
 
     def __post_init__(self) -> None:
         _check_types(self, "legit.")
-        if self.base_rate_per_hour <= 0:
-            raise ConfigError("legit.base_rate_per_hour must be positive")
+        if not 0 < self.base_rate_per_hour < math.inf:  # also rejects nan
+            raise ConfigError("legit.base_rate_per_hour must be positive and finite")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ConfigError("legit.diurnal_amplitude must lie in [0, 1)")
         if self.device_count < 0:
@@ -91,12 +91,12 @@ class AttackSpec:
         _check_types(self, "attack.")
         if self.adversary_count < 0:
             raise ConfigError("attack.adversary_count must be non-negative")
-        if self.bursts_per_day <= 0:
-            raise ConfigError("attack.bursts_per_day must be positive")
+        if not 0 < self.bursts_per_day < math.inf:  # also rejects nan
+            raise ConfigError("attack.bursts_per_day must be positive and finite")
         if self.rsrs_per_burst < 1:
             raise ConfigError("attack.rsrs_per_burst must be at least 1")
-        if self.burst_window_s <= 0:
-            raise ConfigError("attack.burst_window_s must be positive")
+        if not 0 < self.burst_window_s < math.inf:  # also rejects nan
+            raise ConfigError("attack.burst_window_s must be positive and finite")
 
 
 def default_gamma_grid() -> tuple[float, ...]:
@@ -155,8 +155,8 @@ class ScenarioConfig:
                 f"{table_bytes / 2**30:.1f} GiB, over the {MAX_TABLE_BYTES / 2**30:g} GiB cap; "
                 "use fewer days, a longer interval_seconds, a smaller cell or a lower numerology_mu"
             )
-        if self.sigma_floor <= 0:
-            raise ConfigError("sigma_floor must be positive")
+        if not 0 < self.sigma_floor < math.inf:  # also rejects nan
+            raise ConfigError("sigma_floor must be positive and finite")
         if math.isnan(self.gamma):
             raise ConfigError("gamma must not be NaN")
         if any(math.isnan(g) for g in self.gamma_grid):

@@ -11,7 +11,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
@@ -103,16 +103,18 @@ class Verdict:
     anomaly: float
 
 
-def _columns(obj, dtypes: dict) -> None:
+def _columns(obj, dtypes: dict, adopt: bool = False) -> None:
     """Replace each named column of a frozen dataclass by a read-only 1-D
     copy of its dtype, refusing casts across kinds (float to int, say), and
     require equal lengths. The copy keeps the caller's array from changing
-    a column after it was checked."""
+    a column after it was checked. With ``adopt``, a column already of its
+    dtype is kept and made read-only instead of copied, for arrays that no
+    other code holds."""
     for name, dtype in dtypes.items():
         column = np.asarray(getattr(obj, name))
         if column.ndim != 1 or (column.size and not np.can_cast(column.dtype, dtype, "same_kind")):
             raise ValueError(f"{name} must be a 1-D {np.dtype(dtype)} column, got {column.dtype} {column.shape}")
-        column = column.astype(dtype)
+        column = column.astype(dtype, copy=not adopt)
         column.setflags(write=False)
         object.__setattr__(obj, name, column)
     if len({getattr(obj, name).size for name in dtypes}) > 1:
@@ -133,12 +135,23 @@ class Trace:
     ta: np.ndarray
     burst_id: np.ndarray
 
-    def __post_init__(self) -> None:
-        _columns(self, {"time_s": np.float64, "device_id": np.int64, "ta": np.int64, "burst_id": np.int64})
+    def __post_init__(self, adopt: bool = False) -> None:
+        _columns(self, {"time_s": np.float64, "device_id": np.int64, "ta": np.int64, "burst_id": np.int64}, adopt)
         if not np.all((self.time_s >= 0) & (self.time_s < math.inf)):  # also rejects nan
             raise ValueError("event times must be finite and non-negative")
         if np.any(self.device_id < 0) or np.any(self.ta < 0) or np.any(self.burst_id < -1):
             raise ValueError("device_id and ta must be non-negative, burst_id -1 or more")
+
+    @classmethod
+    def _adopt(cls, *columns: np.ndarray) -> Trace:
+        """The trace of freshly built columns, in field order, that no other
+        code holds: each one of its dtype is kept, made read-only, rather
+        than copied, and all meet the checks of the constructor."""
+        trace = object.__new__(cls)
+        for f, column in zip(fields(cls), columns, strict=True):
+            object.__setattr__(trace, f.name, column)
+        trace.__post_init__(adopt=True)
+        return trace
 
     @property
     def attack(self) -> np.ndarray:
@@ -270,7 +283,7 @@ def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Optional[Verdicts]
     if not (_numbers(time_s) and set(map(type, device_id + ta + burst_id)) <= {int}):
         return None
     try:  # int64 overflow, and Trace's checks: finite non-negative times, ids >= 0
-        trace = Trace(np.array(time_s, np.float64), *(np.array(c, np.int64) for c in (device_id, ta, burst_id)))
+        trace = Trace._adopt(np.array(time_s, np.float64), *(np.array(c, np.int64) for c in (device_id, ta, burst_id)))
     except (OverflowError, ValueError):
         return None
     if not np.array_equal(trace.attack, np.fromiter(map("attack".__eq__, label), bool, n)):

@@ -25,8 +25,10 @@ def count_per_interval(
 ) -> np.ndarray:
     """Exact histogram of request counts per (day, slot-of-day, TA).
 
-    Returns an int64 array of shape (days, slots_per_day, max_ta + 1); the
-    sum over the whole table equals the trace length.
+    Returns an array of shape (days, slots_per_day, max_ta + 1) in the
+    smallest signed integer dtype that holds its largest count (int8 for up
+    to 127 requests a cell), so the difference of two counts never wraps;
+    the sum over the whole table equals the trace length.
     """
     n_slots = slots_per_day(interval_seconds)
     if days < 1:
@@ -40,7 +42,11 @@ def count_per_interval(
     if np.any(trace.time_s >= days * SECONDS_PER_DAY):
         raise ValueError(f"events must lie within [0, {days * SECONDS_PER_DAY}) seconds")
     keys = cell_keys(trace.time_s, trace.ta, interval_seconds, max_ta)
-    return np.bincount(keys, minlength=days * n_slots * (max_ta + 1)).reshape(shape)
+    cells, counts = np.unique(keys, return_counts=True)
+    # the smallest signed dtype that holds -max - 1 also holds max
+    table = np.zeros(math.prod(shape), np.min_scalar_type(-int(counts.max(initial=0)) - 1))
+    table[cells] = counts
+    return table.reshape(shape)
 
 
 @dataclass

@@ -207,9 +207,9 @@ def build_trace(
     # equal times, so rows tied on (time, device_id, burst_id) are identical.
     order = np.lexsort((burst_id, device_id, time_s))
     columns = (time_s, device_id, ta, burst_id)
-    for column in columns:  # in place, so Trace's copies are the only second set
+    for column in columns:  # in place, so no second set of columns outlives the sort
         column[:] = column[order]
-    return Trace(*columns), bursts, layout
+    return Trace._adopt(*columns), bursts, layout
 
 
 def write_bursts_json(path, bursts: list[Burst]) -> None:

@@ -163,6 +163,17 @@ def test_non_numeric_gamma_grid_exits_nonzero(tmp_path, capsys):
     assert "gamma_grid" in capsys.readouterr().err
 
 
+def test_nan_burst_window_exits_2(tmp_path, capsys):
+    # json.dumps writes the NaN token, which json.load reads back as a float nan
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps(dict(SMALL_CONFIG, attack={"burst_window_s": float("nan")})))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--profile", str(tmp_path / "p.csv"), "--out", str(out)])
+    assert code == 2
+    assert "error: attack.burst_window_s must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["explode"])

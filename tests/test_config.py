@@ -143,6 +143,14 @@ class TestValidation:
             {"attack": {"rsrs_per_burst": 1.5}},
             {"gamma_grid": 5},
             {"gamma_grid": None},
+            {"legit": {"base_rate_per_hour": float("nan")}},
+            {"legit": {"base_rate_per_hour": float("inf")}},
+            {"attack": {"bursts_per_day": float("nan")}},
+            {"attack": {"bursts_per_day": float("inf")}},
+            {"attack": {"burst_window_s": float("nan")}},
+            {"attack": {"burst_window_s": float("inf")}},
+            {"sigma_floor": float("nan")},
+            {"sigma_floor": float("inf")},
         ],
     )
     def test_rejected_documents(self, tmp_path, doc):
@@ -158,7 +166,7 @@ class TestValidation:
 
 
 class TestTableCap:
-    """The dense int64 (days, slots, TA) count table is bounded up front."""
+    """The dense (days, slots, TA) count table is bounded up front, at 8 bytes a cell, its widest dtype."""
 
     @pytest.mark.parametrize("days", [{"training_days": 30, "eval_days": 1}, {"training_days": 1, "eval_days": 30}])
     def test_oversized_table_rejected(self, days):

@@ -144,9 +144,19 @@ class TestColumns:
             (([0.0], [0], [0], [[-1]]), "burst_id must be a 1-D int64 column"),
         ],
     )
-    def test_bad_trace_rejected(self, columns, match):
+    @pytest.mark.parametrize("make", [Trace, Trace._adopt])
+    def test_bad_trace_rejected(self, columns, match, make):
         with pytest.raises(ValueError, match=match):
-            Trace(*columns)
+            make(*columns)
+
+    def test_adopted_columns_are_kept_read_only(self):
+        columns = (np.array([5.0, 6.0]), np.array([0, 0]), np.array([1, 1], np.int32), np.array([-1, 3]))
+        trace = Trace._adopt(*columns)
+        kept = (trace.time_s, trace.device_id, trace.burst_id)
+        assert all(a is b for a, b in zip(kept, (columns[0], columns[1], columns[3])))
+        assert trace.ta.dtype == np.int64 and not np.shares_memory(trace.ta, columns[2])  # cast, so copied
+        assert not any(c.flags.writeable for c in (*kept, trace.ta))
+        assert bits(trace) == bits(Trace(*columns))
 
     @pytest.mark.parametrize(
         "columns, match",

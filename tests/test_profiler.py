@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from stormsim import (
     train,
 )
 from stormsim import profiler
-from stormsim.core import ROWS_PER_WRITE, SECONDS_PER_DAY
+from stormsim.core import ROWS_PER_WRITE, SECONDS_PER_DAY, slot_of
 from stormsim.profiler import KpiProfile
 
 from conftest import trace_of
@@ -29,6 +30,39 @@ from conftest import trace_of
 
 def legit(t, ta, device=0):
     return RsrEvent(time_s=t, device_id=device, ta=ta, label=Label.LEGIT)
+
+
+@st.composite
+def counting_cases(draw):
+    """A small trace with its interval, max TA and days: events start an
+    interval, end one (the last float before the next) or fall inside, and
+    one of them may repeat past int8's largest count."""
+    interval = draw(st.sampled_from((300, 3600, 21600, 86400)))
+    max_ta = draw(st.integers(0, 3))
+    days = draw(st.integers(1, 3))
+    last_interval = days * (SECONDS_PER_DAY // interval) - 1
+    placements = st.one_of(st.just("start"), st.just("last"), st.floats(0.0, 1.0, exclude_max=True))
+    raw = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0), st.just(last_interval), st.integers(0, last_interval)),
+                placements,
+                st.integers(0, max_ta),
+                st.one_of(st.just(1), st.integers(1, 300)),
+            ),
+            max_size=30,
+        )
+    )
+    events = []
+    for index, placement, ta, copies in raw:
+        start, end = index * interval, (index + 1) * interval
+        if placement == "start":
+            time_s = float(start)
+        else:
+            fraction = 1.0 if placement == "last" else placement
+            time_s = min(start + fraction * interval, math.nextafter(end, 0.0))
+        events += [legit(time_s, ta)] * copies
+    return trace_of(events), interval, max_ta, days
 
 
 def two_pass_moments(values):
@@ -64,7 +98,7 @@ class TestCounting:
     def test_boundary_arithmetic(self):
         trace = trace_of([legit(10.0, 7), legit(200.0, 7), legit(310.0, 7)])
         table = count_per_interval(trace, 300, 10, 1)
-        assert table.dtype == np.int64
+        assert table.dtype == np.int8  # the smallest signed dtype that holds the largest count, 2
         assert table[0, 0, 7] == 2
         assert table[0, 1, 7] == 1
         assert table.sum() == 3
@@ -81,6 +115,30 @@ class TestCounting:
     def test_out_of_horizon_rejected(self):
         with pytest.raises(ValueError, match="within"):
             count_per_interval(trace_of([legit(86400.0, 0)]), 300, 10, 1)
+
+    @pytest.mark.parametrize("events, dtype", [(0, np.int8), (127, np.int8), (128, np.int16)])
+    def test_dtype_holds_the_largest_count(self, events, dtype):
+        table = count_per_interval(trace_of([legit(299.5, 3)] * events + [legit(300.0, 3)]), 300, 5, 1)
+        assert table.dtype == dtype
+        assert table[0, 0, 3] == events and table[0, 1, 3] == 1
+        assert table[0, 1, 3] - table[0, 0, 3] == 1 - events  # signed, so a difference never wraps
+
+    @settings(max_examples=150, deadline=None)
+    @given(counting_cases())
+    def test_matches_bincount_oracle(self, case):
+        trace, interval, max_ta, days = case
+        n_slots = SECONDS_PER_DAY // interval
+        # the keys from the scalar slot arithmetic, counted the wide way
+        keys = [
+            (slot.day * n_slots + slot.slot_of_day) * (max_ta + 1) + ta
+            for slot, ta in zip(map(slot_of, trace.time_s.tolist(), repeat(interval)), trace.ta.tolist())
+        ]
+        expected = np.bincount(np.array(keys, np.int64), minlength=days * n_slots * (max_ta + 1))
+        table = count_per_interval(trace, interval, max_ta, days)
+        assert table.shape == (days, n_slots, max_ta + 1)
+        assert np.array_equal(table.ravel(), expected)
+        assert int(table.sum(dtype=np.int64)) == len(trace)
+        assert table.dtype == next(t for t in (np.int8, np.int16) if expected.max(initial=0) <= np.iinfo(t).max)
 
 
 class TestTraining:
@@ -154,6 +212,16 @@ class TestTraining:
         table = rng.random((5, 6, 7)) * (rng.random((6, 7)) < 0.5)
         table[:, 0, 0] = -0.0  # a cell with no counts, only negative zeros
         assert_bit_identical(train(table), full_fold(table))
+
+    @pytest.mark.parametrize("crowded", [False, True])
+    def test_narrow_table_trains_bit_identical_to_int64(self, small_config, crowded):
+        trace, _, _ = build_trace(small_config, seed=3, days=2)
+        if crowded:  # 200 more requests in one cell make the table int16
+            trace = trace_of([*trace, *[legit(100_000.0, 4)] * 200])
+        table = count_per_interval(trace, 300, 102, 2)
+        assert table.dtype == (np.int16 if crowded else np.int8)
+        wide = train(table.astype(np.int64))
+        assert_bit_identical(train(table), (wide.mean, wide.std))
 
     def test_accumulator_shape_guard(self):
         acc = CountAccumulator((2, 3))
