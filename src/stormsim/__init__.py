@@ -32,7 +32,15 @@ from .core import (
 )
 from .detector import DetectorConfig, DetectorState, Policy, anomaly_score, interval_rollover, on_rsr
 from .geometry import TaQuantizer, max_ta_index, place_devices, ta_index
-from .pipeline import Metrics, compute_metrics, run, write_policy_log, write_summary
+from .pipeline import (
+    Metrics,
+    build_score_cache,
+    compute_metrics,
+    metrics_at,
+    run,
+    write_policy_log,
+    write_summary,
+)
 from .profiler import (
     CountAccumulator,
     KpiProfile,
@@ -41,14 +49,7 @@ from .profiler import (
     save_profile,
     train,
 )
-from .sweep import (
-    SweepResult,
-    build_score_cache,
-    metrics_at,
-    run_experiment,
-    train_profile_for,
-    write_sweep_csv,
-)
+from .sweep import SweepResult, run_experiment, train_profile_for, write_sweep_csv
 from .traffic import (
     Burst,
     build_trace,

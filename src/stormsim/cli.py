@@ -62,7 +62,7 @@ def cmd_run(config: ScenarioConfig, profile_path: str, out_dir: str) -> int:
         config.eval_days,
         config.scoring_mode,
     )
-    metrics = compute_metrics(report, bursts)
+    metrics = compute_metrics(report)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import ScoringMode
 from .core import SECONDS_PER_DAY, Decision, RsrEvent, SlotIndex, Verdict, cell_keys, slot_of
 from .profiler import KpiProfile
 
@@ -133,16 +134,20 @@ def score_events(
     profile: KpiProfile,
     sigma_floor: float,
     horizon_days: int,
+    scoring_mode: ScoringMode = ScoringMode.PER_RSR,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score a whole time-sorted trace, given as ``time_s`` and ``ta`` arrays.
 
-    Returns each event's flat cell key (``core.cell_keys``) and the score
-    ``on_rsr`` gives it. An event's running count is its rank within its
-    cell under a stable argsort of the keys. Within a cell scores never
-    decrease, so a cell is flagged at the first event whose own score
-    exceeds gamma, and the cell's highest score is its score on the full
-    interval count.
+    Returns each event's flat cell key (``core.cell_keys``) and its score.
+    ``per_rsr`` gives the score ``on_rsr`` gives it: an event's running
+    count is its rank within its cell under a stable argsort of the keys.
+    Within a cell scores never decrease, so a cell is flagged at the first
+    event whose own score exceeds gamma, and the cell's highest score is its
+    score on the full interval count. ``interval_end`` gives every event
+    that full-count score of its cell. ``scoring_mode`` may also be given by
+    its value; any other value raises ``ValueError``.
     """
+    scoring_mode = ScoringMode(scoring_mode)
     if horizon_days < 1:
         raise ValueError(f"horizon_days must be at least 1, got {horizon_days!r}")
     if not sigma_floor > 0:
@@ -165,7 +170,12 @@ def score_events(
     del order, sorted_cells  # peak memory grows with the trace-length arrays alive at once
     table = cells % profile.mean.size  # the cell's (slot, TA) position in the profile
     denom = np.maximum(profile.std, sigma_floor).ravel()[table]
-    return cells, (counts - profile.mean.ravel()[table]) / denom
+    scores = (counts - profile.mean.ravel()[table]) / denom
+    if scoring_mode is ScoringMode.INTERVAL_END:
+        del counts, table, denom  # group_max's sort arrays come on top of whatever is still alive
+        _cells, cell_final, cell_of = group_max(cells, scores)
+        scores = cell_final[cell_of]
+    return cells, scores
 
 
 def group_max(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,25 +19,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ScoringMode
-from .core import Trace, Verdicts, cell_keys, slots_per_day
+from .core import Trace, Verdicts
 from .detector import DetectorConfig, Policy, group_max, score_events
 from .profiler import KpiProfile
-from .traffic import Burst
 
 
 @dataclass
 class RunReport:
-    """Everything one run produced: the scored trace, its verdicts and its policies."""
+    """Everything one run produced: the scored trace, its verdicts, its policies and its metrics."""
 
-    gamma: float
-    sigma_floor: float
     scoring_mode: ScoringMode
-    interval_seconds: int
-    max_ta: int
-    horizon_days: int
     trace: Trace
     verdicts: Verdicts
     policies: list[Policy]
+    metrics: Metrics
 
 
 @dataclass(frozen=True)
@@ -63,6 +58,8 @@ class ScoreCache:
     a cell's flag state at threshold gamma is just "last score > gamma" and an
     event's verdict is "own score > gamma". Interval-end scores, where every
     event carries its cell's last score, reduce to the same cache.
+    ``burst_max`` holds one entry per distinct burst id among the attack
+    events, so its size is the number of bursts with an event in the trace.
     """
 
     scores: np.ndarray
@@ -70,7 +67,6 @@ class ScoreCache:
     burst_max: np.ndarray
     interval_clean_max: np.ndarray
     clean_cell_last: np.ndarray
-    bursts_total: int
     intervals_total: int
     cells_total: int
 
@@ -82,7 +78,7 @@ def run(
     horizon_days: int,
     scoring_mode: ScoringMode = ScoringMode.PER_RSR,
 ) -> RunReport:
-    """Score every event and derive verdicts and policies; fully deterministic.
+    """Score every event and derive verdicts, policies and metrics; fully deterministic.
 
     ``per_rsr`` rejects an event when its own score exceeds gamma and issues
     a policy at each cell's first crossing, in trace order. ``interval_end``
@@ -92,42 +88,25 @@ def run(
     by its value (``"per_rsr"``); any other value raises ``ValueError``.
     """
     scoring_mode = ScoringMode(scoring_mode)
-    cells, anomalies = score_events(trace.time_s, trace.ta, profile, config.sigma_floor, horizon_days)
+    cells, anomalies = score_events(trace.time_s, trace.ta, profile, config.sigma_floor, horizon_days, scoring_mode)
+    verdicts = Verdicts(anomalies > config.gamma, anomalies)
+    del anomalies  # one trace-length score array at a time: the verdicts' copy
+    crossings = np.flatnonzero(verdicts.rejected)
+    policy_cells, first = np.unique(cells[crossings], return_index=True)
     n_ta = profile.max_ta + 1
     if scoring_mode is ScoringMode.PER_RSR:
-        crossings = np.flatnonzero(anomalies > config.gamma)
-        _cells, first = np.unique(cells[crossings], return_index=True)
         issued = np.sort(crossings[first])
         policy_cells, issued_at_s = cells[issued], trace.time_s[issued].tolist()
     else:
-        cell_set, cell_final, cell_of = group_max(cells, anomalies)
-        anomalies = cell_final[cell_of]
-        policy_cells = cell_set[cell_final > config.gamma]
         issued_at_s = ((policy_cells // n_ta + 1) * profile.interval_seconds).astype(float).tolist()
     day_slot, policy_tas = np.divmod(policy_cells, n_ta)
     days, slots = np.divmod(day_slot, profile.n_slots)
     policies = list(map(Policy, policy_tas.tolist(), days.tolist(), slots.tolist(), issued_at_s))
-    return RunReport(
-        gamma=config.gamma,
-        sigma_floor=config.sigma_floor,
-        scoring_mode=scoring_mode,
-        interval_seconds=profile.interval_seconds,
-        max_ta=profile.max_ta,
-        horizon_days=horizon_days,
-        trace=trace,
-        verdicts=Verdicts(anomalies > config.gamma, anomalies),
-        policies=policies,
-    )
+    cache = score_cache(trace, cells, verdicts.anomaly, n_ta, horizon_days * profile.n_slots)
+    return RunReport(scoring_mode, trace, verdicts, policies, metrics_at(cache, config.gamma))
 
 
-def score_cache(
-    trace: Trace,
-    bursts: Sequence[Burst],
-    cells: np.ndarray,
-    scores: np.ndarray,
-    n_ta: int,
-    intervals_total: int,
-) -> ScoreCache:
+def score_cache(trace: Trace, cells: np.ndarray, scores: np.ndarray, n_ta: int, intervals_total: int) -> ScoreCache:
     """Aggregate each event's score, keyed by its flat cell, per burst, per clean cell and per interval."""
     attack = trace.attack
     clean = ~np.isin(cells, cells[attack])
@@ -141,10 +120,21 @@ def score_cache(
         burst_max=burst_max,
         interval_clean_max=interval_clean_max,
         clean_cell_last=clean_last,
-        bursts_total=sum(1 for b in bursts if b.count > 0),
         intervals_total=intervals_total,
         cells_total=intervals_total * n_ta,
     )
+
+
+def build_score_cache(
+    trace: Trace,
+    profile: KpiProfile,
+    sigma_floor: float,
+    horizon_days: int,
+    scoring_mode: ScoringMode = ScoringMode.PER_RSR,
+) -> ScoreCache:
+    """Score every event once, as ``run`` does in that mode, and aggregate per burst, per cell and per interval."""
+    cells, scores = score_events(trace.time_s, trace.ta, profile, sigma_floor, horizon_days, scoring_mode)
+    return score_cache(trace, cells, scores, profile.max_ta + 1, horizon_days * profile.n_slots)
 
 
 def metrics_at(cache: ScoreCache, gamma: float) -> Metrics:
@@ -158,12 +148,13 @@ def metrics_at(cache: ScoreCache, gamma: float) -> Metrics:
     including empty ones. The per-cell rate is co-reported with
     (intervals x TA bins) as denominator.
     """
+    bursts_total = cache.burst_max.size
     detected = int(np.count_nonzero(cache.burst_max > gamma))
     fa_intervals = int(np.count_nonzero(cache.interval_clean_max > gamma))
     fa_cells = int(np.count_nonzero(cache.clean_cell_last > gamma))
     return Metrics(
         gamma=float(gamma),
-        p_detection=detected / cache.bursts_total if cache.bursts_total else None,
+        p_detection=detected / bursts_total if bursts_total else None,
         p_false_alarm=fa_intervals / cache.intervals_total,
         p_false_alarm_per_cell=fa_cells / cache.cells_total,
         numerators={
@@ -173,7 +164,7 @@ def metrics_at(cache: ScoreCache, gamma: float) -> Metrics:
             "rejected_attack_events": int(np.count_nonzero(cache.attack_scores > gamma)),
         },
         denominators={
-            "bursts": cache.bursts_total,
+            "bursts": bursts_total,
             "intervals": cache.intervals_total,
             "cells": cache.cells_total,
             "attack_events": cache.attack_scores.size,
@@ -181,15 +172,12 @@ def metrics_at(cache: ScoreCache, gamma: float) -> Metrics:
     )
 
 
-def compute_metrics(report: RunReport, bursts: Sequence[Burst]) -> Metrics:
-    """``metrics_at`` the run's gamma over its anomalies: in both scoring modes an
-    event is rejected when its anomaly exceeds gamma, and an interval-end
-    anomaly is its cell's full-count score."""
-    trace = report.trace
-    cells = cell_keys(trace.time_s, trace.ta, report.interval_seconds, report.max_ta)
-    intervals_total = report.horizon_days * slots_per_day(report.interval_seconds)
-    cache = score_cache(trace, bursts, cells, report.verdicts.anomaly, report.max_ta + 1, intervals_total)
-    return metrics_at(cache, report.gamma)
+def compute_metrics(report: RunReport) -> Metrics:
+    """The metrics ``run`` computed: ``metrics_at`` its gamma over its own anomalies.
+
+    ``stormsim run`` reads them through this name, which the benchmark harness times.
+    """
+    return report.metrics
 
 
 def write_policy_log(path, policies: Sequence[Policy]) -> None:

@@ -2,24 +2,23 @@
 
 The same trace is reused for every gamma (paired comparison), so both curves
 are exactly monotone in the threshold rather than statistically so. Scores do
-not depend on gamma, so they are computed once by ``detector.score_events``
-and thresholded per grid point by ``pipeline.metrics_at``, the same
-definition ``stormsim run`` uses; replaying the trace through
-``detector.on_rsr`` one event at a time is the oracle for that shortcut.
+not depend on gamma, so ``pipeline.build_score_cache`` computes them once, in
+the config's scoring mode, through the same ``detector.score_events`` call
+``stormsim run`` makes, and ``pipeline.metrics_at`` thresholds them per grid
+point; replaying the trace through ``detector.on_rsr`` one event at a time
+is the oracle for that shortcut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .config import ScenarioConfig
-from .core import Trace
-from .detector import score_events
-from .pipeline import Metrics, ScoreCache, metrics_at, score_cache
+from .pipeline import Metrics, build_score_cache, metrics_at
 from .profiler import KpiProfile, count_per_interval, train
-from .traffic import Burst, build_trace
+from .traffic import build_trace
 
 
 @dataclass(frozen=True)
@@ -38,27 +37,15 @@ def train_profile_for(config: ScenarioConfig) -> KpiProfile:
     return train(counts)
 
 
-def build_score_cache(
-    trace: Trace,
-    bursts: Sequence[Burst],
-    profile: KpiProfile,
-    sigma_floor: float,
-    horizon_days: int,
-) -> ScoreCache:
-    """Score every event once and aggregate per burst, per cell and per interval."""
-    cells, scores = score_events(trace.time_s, trace.ta, profile, sigma_floor, horizon_days)
-    return score_cache(trace, bursts, cells, scores, profile.max_ta + 1, horizon_days * profile.n_slots)
-
-
 def run_experiment(config: ScenarioConfig, profile: Optional[KpiProfile] = None) -> SweepResult:
     """Train (unless a profile is supplied), generate the evaluation trace once,
-    then sweep the whole gamma grid over it."""
+    then sweep the whole gamma grid over it in the config's scoring mode."""
     if profile is None:
         profile = train_profile_for(config)
-    trace, bursts, _layout = build_trace(
+    trace, _bursts, _layout = build_trace(
         config, seed=config.seed_eval, days=config.eval_days, include_attacks=True
     )
-    cache = build_score_cache(trace, bursts, profile, config.sigma_floor, config.eval_days)
+    cache = build_score_cache(trace, profile, config.sigma_floor, config.eval_days, config.scoring_mode)
     rows = tuple(metrics_at(cache, gamma) for gamma in sorted(config.gamma_grid))
     return SweepResult(rows=rows)
 

@@ -48,9 +48,7 @@ def eval_artifacts(default_config, timed_experiment):
         days=default_config.eval_days,
         include_attacks=True,
     )
-    cache = build_score_cache(
-        trace, bursts, profile, default_config.sigma_floor, default_config.eval_days
-    )
+    cache = build_score_cache(trace, profile, default_config.sigma_floor, default_config.eval_days)
     return profile, trace, bursts, cache
 
 
@@ -90,10 +88,10 @@ def test_criterion_3_operating_point(default_config, timed_experiment):
     fa_values, pd_values, rejected_fractions = [], [], []
     for i in range(5):
         config = replace(default_config, seed_eval=default_config.seed_eval + i)
-        trace, bursts, _layout = ss.build_trace(
+        trace, _bursts, _layout = ss.build_trace(
             config, seed=config.seed_eval, days=config.eval_days, include_attacks=True
         )
-        cache = build_score_cache(trace, bursts, profile, config.sigma_floor, config.eval_days)
+        cache = build_score_cache(trace, profile, config.sigma_floor, config.eval_days)
         row = ss.metrics_at(cache, 6.5)
         fa_values.append(row.p_false_alarm)
         pd_values.append(row.p_detection)
@@ -282,7 +280,7 @@ def test_criterion_8_cached_scores_equal_replay(default_config, eval_artifacts):
         run_equal = (
             list(batch.verdicts) == verdicts
             and batch.policies == policies
-            and ss.compute_metrics(batch, bursts) == metrics
+            and ss.compute_metrics(batch) == metrics
         )
         all_ok = all_ok and verdicts_equal and scores_equal and metrics_equal and run_equal
         details.append(

@@ -1,7 +1,10 @@
+import functools
 import json
 
 import pytest
 
+import stormsim.cli
+import stormsim.sweep
 from stormsim.cli import main
 
 SMALL_CONFIG = {
@@ -16,6 +19,23 @@ SMALL_CONFIG = {
 }
 
 RUN_FILES = ["trace.jsonl", "bursts.json", "policies.jsonl", "summary.json", "scenario.json"]
+
+# The names perfbench/step.py wraps to time each layer: the commands must call
+# each of them through the module attribute, or the traced benchmark loses it.
+WRAPPED_NAMES = {
+    stormsim.cli: (
+        "build_trace",
+        "count_per_interval",
+        "train",
+        "save_profile",
+        "load_profile",
+        "run",
+        "compute_metrics",
+        "write_policy_log",
+        "write_trace",
+    ),
+    stormsim.sweep: ("build_trace", "build_score_cache", "metrics_at"),
+}
 
 
 @pytest.fixture
@@ -204,3 +224,26 @@ def test_end_to_end_determinism(config_path, tmp_path):
             "sweep": sweep_csv.read_bytes(),
         }
     assert files["first"] == files["second"]
+
+
+def test_commands_call_the_benchmark_wrapped_names(config_path, tmp_path, monkeypatch):
+    calls = {}
+
+    def counting(key, original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, names in WRAPPED_NAMES.items():
+        for name in names:
+            key = f"{module.__name__}.{name}"
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    profile = str(tmp_path / "profile.csv")
+    assert main(["train", "--config", config_path, "--out", profile]) == 0
+    assert main(["run", "--config", config_path, "--profile", profile, "--out", str(tmp_path / "out")]) == 0
+    assert main(["sweep", "--config", config_path, "--profile", profile, "--out", str(tmp_path / "s.csv")]) == 0
+    expected = {f"{module.__name__}.{name}" for module, names in WRAPPED_NAMES.items() for name in names}
+    assert expected - set(calls) == set()

@@ -1,9 +1,9 @@
 """Batch scoring against the on_rsr replay on random small traces.
 
 ``pipeline.run`` in both scoring modes, ``compute_metrics`` and
-``build_score_cache`` + ``metrics_at`` must reproduce the streaming detector
-exactly: scores bit for bit, then verdicts, policies, flagged cells and
-every metric.
+``build_score_cache`` + ``metrics_at`` in both scoring modes must reproduce
+the streaming detector exactly: scores bit for bit, then verdicts, policies,
+flagged cells and every metric.
 """
 
 import math
@@ -105,7 +105,8 @@ def scenarios(draw):
 @given(scenarios())
 def test_batch_paths_equal_on_rsr_replay(scenario):
     trace, bursts, profile, horizon, floor, gammas = scenario
-    cache = build_score_cache(trace, bursts, profile, floor, horizon)
+    cache = build_score_cache(trace, profile, floor, horizon)
+    end_cache = build_score_cache(trace, profile, floor, horizon, ScoringMode.INTERVAL_END)
 
     def oracle_metrics(verdicts, policies, gamma):
         return replay_metrics(
@@ -124,7 +125,7 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
         assert list(per_rsr.verdicts) == verdicts
         assert per_rsr.policies == policies
         assert flagged_cells(per_rsr.policies) == flagged_cells(policies)
-        assert compute_metrics(per_rsr, bursts) == metrics
+        assert compute_metrics(per_rsr) == metrics
         assert metrics_at(cache, gamma) == metrics
 
         end_verdicts, end_policies = interval_end_replay(trace, profile, config)
@@ -132,7 +133,9 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
         assert list(interval_end.verdicts) == end_verdicts
         assert interval_end.policies == end_policies
         assert flagged_cells(interval_end.policies) == flagged_cells(per_rsr.policies)
-        assert compute_metrics(interval_end, bursts) == oracle_metrics(end_verdicts, end_policies, gamma)
+        end_metrics = oracle_metrics(end_verdicts, end_policies, gamma)
+        assert compute_metrics(interval_end) == end_metrics
+        assert metrics_at(end_cache, gamma) == end_metrics
 
 
 def _legit(time_s, ta):
@@ -152,9 +155,10 @@ BAD_TRACES = {
     [
         lambda trace, profile: run(trace, profile, DetectorConfig(gamma=1.0), 1),
         lambda trace, profile: run(trace, profile, DetectorConfig(gamma=1.0), 1, ScoringMode.INTERVAL_END),
-        lambda trace, profile: build_score_cache(trace, [], profile, 1.0, 1),
+        lambda trace, profile: build_score_cache(trace, profile, 1.0, 1),
+        lambda trace, profile: build_score_cache(trace, profile, 1.0, 1, ScoringMode.INTERVAL_END),
     ],
-    ids=["per_rsr", "interval_end", "score_cache"],
+    ids=["per_rsr", "interval_end", "score_cache", "score_cache_interval_end"],
 )
 def test_batch_paths_check_inputs_alike(entry, bad):
     trace, match = BAD_TRACES[bad]

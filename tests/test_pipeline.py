@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stormsim import (
-    Burst,
     Decision,
     DetectorConfig,
     Label,
@@ -22,19 +21,10 @@ from conftest import flagged_cells, make_profile, trace_of
 
 
 def burst_events(ta, start, burst_id, n=100, spacing=0.02, device=50):
-    times = [start + i * spacing for i in range(n)]
-    events = [
-        RsrEvent(time_s=t, device_id=device, ta=ta, label=Label.ATTACK, burst_id=burst_id)
-        for t in times
+    return [
+        RsrEvent(time_s=start + i * spacing, device_id=device, ta=ta, label=Label.ATTACK, burst_id=burst_id)
+        for i in range(n)
     ]
-    burst = Burst(
-        burst_id=burst_id,
-        adversary_id=device,
-        start_s=start,
-        window_s=5.0,
-        event_times=tuple(times),
-    )
-    return events, burst
 
 
 def simulate_flag_oracle(n_events, mean, denom, gamma):
@@ -54,13 +44,13 @@ class TestSingleBurstRun:
     def test_burst_detected_and_rejected_tail(self):
         # silent TA, mu=0 sigma=0 floor 1, gamma=6.5: the brute-force oracle
         # says the 7th event crosses and 94 of 100 get rejected
-        events, burst = burst_events(ta=5, start=10.0, burst_id=0)
+        events = burst_events(ta=5, start=10.0, burst_id=0)
         profile = make_profile()
         report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
         rejected = sum(1 for v in report.verdicts if v.decision is Decision.REJECT)
         assert rejected == simulate_flag_oracle(100, 0.0, 1.0, 6.5) == 94
         assert flagged_cells(report.policies) == {(0, 0, 5)}
-        metrics = compute_metrics(report, [burst])
+        metrics = compute_metrics(report)
         assert metrics.p_detection == 1.0
         assert metrics.p_false_alarm == 0.0
         assert metrics.p_false_alarm_per_cell == 0.0
@@ -72,17 +62,17 @@ class TestSingleBurstRun:
         report = run(trace_of([]), profile, DetectorConfig(gamma=1.0), horizon_days=1)
         assert len(report.trace) == 0 and len(report.verdicts) == 0
         assert flagged_cells(report.policies) == set()
-        metrics = compute_metrics(report, [])
+        metrics = compute_metrics(report)
         assert metrics.p_detection is None
         assert metrics.p_false_alarm == 0.0
 
     def test_infinite_gamma(self):
-        events, burst = burst_events(ta=5, start=10.0, burst_id=0)
+        events = burst_events(ta=5, start=10.0, burst_id=0)
         profile = make_profile()
         report = run(trace_of(events), profile, DetectorConfig(gamma=float("inf")), horizon_days=1)
         assert all(v.decision is Decision.ACCEPT for v in report.verdicts)
         assert flagged_cells(report.policies) == set()
-        metrics = compute_metrics(report, [burst])
+        metrics = compute_metrics(report)
         assert metrics.p_detection == 0.0
 
 
@@ -93,12 +83,12 @@ class TestMetrics:
         mean = np.zeros((288, 11))
         mean[:, 3] = 1000.0
         profile = make_profile(mean=mean)
-        events_a, burst_a = burst_events(ta=1, start=10.0, burst_id=0, n=20)
-        events_b, burst_b = burst_events(ta=2, start=400.0, burst_id=1, n=20, device=51)
-        events_c, burst_c = burst_events(ta=3, start=700.0, burst_id=2, n=20, device=52)
+        events_a = burst_events(ta=1, start=10.0, burst_id=0, n=20)
+        events_b = burst_events(ta=2, start=400.0, burst_id=1, n=20, device=51)
+        events_c = burst_events(ta=3, start=700.0, burst_id=2, n=20, device=52)
         trace = trace_of(sorted(events_a + events_b + events_c, key=lambda e: e.time_s))
         report = run(trace, profile, DetectorConfig(gamma=6.5), horizon_days=1)
-        metrics = compute_metrics(report, [burst_a, burst_b, burst_c])
+        metrics = compute_metrics(report)
         assert metrics.p_detection == pytest.approx(2 / 3)
         assert metrics.numerators["detected_bursts"] == 2
         assert metrics.denominators["bursts"] == 3
@@ -110,11 +100,11 @@ class TestMetrics:
         legit_events = [
             RsrEvent(time_s=1.0 + 0.1 * i, device_id=0, ta=7, label=Label.LEGIT) for i in range(20)
         ]
-        attack_list, burst = burst_events(ta=5, start=3.0, burst_id=0, n=20)
+        attack_list = burst_events(ta=5, start=3.0, burst_id=0, n=20)
         trace = trace_of(sorted(legit_events + attack_list, key=lambda e: (e.time_s, e.device_id)))
         report = run(trace, profile, DetectorConfig(gamma=6.5), horizon_days=1)
         assert flagged_cells(report.policies) == {(0, 0, 5), (0, 0, 7)}
-        metrics = compute_metrics(report, [burst])
+        metrics = compute_metrics(report)
         assert metrics.numerators["false_alarm_intervals"] == 1
         assert metrics.p_false_alarm == 1 / 288
         assert metrics.p_false_alarm_per_cell == 1 / (288 * 11)
@@ -133,7 +123,7 @@ class TestMetrics:
                 rejected[event.label] += 1
         assert totals[Label.ATTACK] == sum(b.count for b in bursts)
         assert sum(totals.values()) == len(trace)
-        metrics = compute_metrics(report, bursts)
+        metrics = compute_metrics(report)
         assert metrics.numerators["rejected_attack_events"] == rejected[Label.ATTACK]
         assert metrics.denominators["attack_events"] == totals[Label.ATTACK]
 
@@ -152,14 +142,14 @@ class TestMetrics:
 
     def test_metrics_non_increasing_in_gamma(self, small_config):
         profile = train_profile_for(small_config)
-        trace, bursts, _ = build_trace(
+        trace, _bursts, _ = build_trace(
             small_config, seed=small_config.seed_eval, days=2, include_attacks=True
         )
         previous = None
         reject_sets = []
         for gamma in (0.0, 1.0, 3.0, 6.5, 12.0):
             report = run(trace, profile, DetectorConfig(gamma=gamma), horizon_days=2)
-            metrics = compute_metrics(report, bursts)
+            metrics = compute_metrics(report)
             rejects = {
                 i for i, v in enumerate(report.verdicts) if v.decision is Decision.REJECT
             }
@@ -174,11 +164,11 @@ class TestMetrics:
 
     def test_no_adversaries_p_detection_undefined(self, small_config):
         profile = train_profile_for(small_config)
-        trace, bursts, _ = build_trace(
+        trace, _bursts, _ = build_trace(
             small_config, seed=small_config.seed_eval, days=2, include_attacks=False
         )
         report = run(trace, profile, DetectorConfig(gamma=float("inf")), horizon_days=2)
-        metrics = compute_metrics(report, bursts)
+        metrics = compute_metrics(report)
         assert metrics.p_detection is None
         assert metrics.p_false_alarm == 0.0
 
@@ -186,7 +176,7 @@ class TestMetrics:
 class TestScoringModes:
     def test_interval_end_matches_flags_and_metrics(self, small_config):
         profile = train_profile_for(small_config)
-        trace, bursts, _ = build_trace(
+        trace, _bursts, _ = build_trace(
             small_config, seed=small_config.seed_eval, days=2, include_attacks=True
         )
         config = DetectorConfig(gamma=4.0)
@@ -196,14 +186,14 @@ class TestScoringModes:
         n_rsr = sum(1 for v in per_rsr.verdicts if v.decision is Decision.REJECT)
         n_end = sum(1 for v in interval_end.verdicts if v.decision is Decision.REJECT)
         assert n_end >= n_rsr
-        m_rsr = compute_metrics(per_rsr, bursts)
-        m_end = compute_metrics(interval_end, bursts)
+        m_rsr = compute_metrics(per_rsr)
+        m_end = compute_metrics(interval_end)
         assert m_rsr.p_detection == m_end.p_detection
         assert m_rsr.p_false_alarm == m_end.p_false_alarm
         assert m_rsr.p_false_alarm_per_cell == m_end.p_false_alarm_per_cell
 
     def test_interval_end_anomaly_is_cell_score(self):
-        events, _burst = burst_events(ta=5, start=10.0, burst_id=0, n=10)
+        events = burst_events(ta=5, start=10.0, burst_id=0, n=10)
         profile = make_profile()
         report = run(trace_of(events), profile, DetectorConfig(gamma=4.0), 1, ScoringMode.INTERVAL_END)
         assert all(v.anomaly == 10.0 for v in report.verdicts)
@@ -216,14 +206,14 @@ class TestRunValidation:
         [("per_rsr", [False, True, True], [1.0, 2.0, 3.0]), ("interval_end", [True] * 3, [3.0] * 3)],
     )
     def test_scoring_mode_given_by_value(self, mode, rejected, anomalies):
-        events, _burst = burst_events(ta=5, start=10.0, burst_id=0, n=3)
+        events = burst_events(ta=5, start=10.0, burst_id=0, n=3)
         report = run(trace_of(events), make_profile(), DetectorConfig(gamma=1.5), 1, mode)
         assert report.scoring_mode is ScoringMode(mode)
         assert report.verdicts.rejected.tolist() == rejected
         assert report.verdicts.anomaly.tolist() == anomalies
 
     def test_unknown_scoring_mode_rejected(self):
-        events, _burst = burst_events(ta=5, start=10.0, burst_id=0, n=3)
+        events = burst_events(ta=5, start=10.0, burst_id=0, n=3)
         with pytest.raises(ValueError, match="bogus"):
             run(trace_of(events), make_profile(), DetectorConfig(gamma=1.5), 1, "bogus")
 
@@ -245,7 +235,7 @@ class TestRunValidation:
 
 class TestArtifacts:
     def test_policy_log_schema(self, tmp_path):
-        events, _burst = burst_events(ta=5, start=10.0, burst_id=0, n=20)
+        events = burst_events(ta=5, start=10.0, burst_id=0, n=20)
         profile = make_profile()
         report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
         path = tmp_path / "policies.jsonl"
@@ -257,10 +247,10 @@ class TestArtifacts:
         assert records[0]["ta"] == 5
 
     def test_summary_schema(self, tmp_path):
-        events, burst = burst_events(ta=5, start=10.0, burst_id=0, n=20)
+        events = burst_events(ta=5, start=10.0, burst_id=0, n=20)
         profile = make_profile()
         report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
-        metrics = compute_metrics(report, [burst])
+        metrics = compute_metrics(report)
         path = tmp_path / "summary.json"
         write_summary(path, metrics)
         summary = json.loads(path.read_text())
@@ -278,7 +268,7 @@ class TestArtifacts:
     def test_summary_null_p_detection(self, tmp_path):
         profile = make_profile()
         report = run(trace_of([]), profile, DetectorConfig(gamma=1.0), horizon_days=1)
-        metrics = compute_metrics(report, [])
+        metrics = compute_metrics(report)
         path = tmp_path / "summary.json"
         write_summary(path, metrics)
         assert json.loads(path.read_text())["p_detection"] is None

@@ -60,7 +60,7 @@ class TestCacheVsReplay:
         trace, bursts, _ = build_trace(
             small_config, seed=small_config.seed_eval, days=2, include_attacks=True
         )
-        cache = build_score_cache(trace, bursts, profile, small_config.sigma_floor, 2)
+        cache = build_score_cache(trace, profile, small_config.sigma_floor, 2)
         for gamma in (0.0, 2.0, 6.5):
             config = DetectorConfig(gamma=gamma)
             verdicts, policies = replay(trace, profile, config)
@@ -75,7 +75,17 @@ class TestCacheVsReplay:
             report = run(trace, profile, config, horizon_days=2)
             assert list(report.verdicts) == verdicts
             assert report.policies == policies
-            assert compute_metrics(report, bursts) == metrics
+            assert compute_metrics(report) == metrics
+
+    def test_interval_end_rows_equal_run(self, small_config):
+        config = replace(small_config, scoring_mode="interval_end")
+        profile = train_profile_for(config)
+        trace, _bursts, _ = build_trace(config, seed=config.seed_eval, days=2, include_attacks=True)
+        result = run_experiment(config, profile=profile)
+        assert [row.gamma for row in result.rows] == sorted(config.gamma_grid)
+        for row in result.rows:
+            report = run(trace, profile, DetectorConfig(gamma=row.gamma), 2, "interval_end")
+            assert row == compute_metrics(report)
 
 
 class TestSweepCsv:
