@@ -66,7 +66,7 @@ def cmd_run(config: ScenarioConfig, profile_path: str, out_dir: str) -> int:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trace(out / "trace.jsonl", report.trace, report.verdicts)
+    write_trace(out / "trace.jsonl", trace, report.verdicts)
     write_bursts_json(out / "bursts.json", bursts)
     write_policy_log(out / "policies.jsonl", report.policies)
     write_summary(out / "summary.json", metrics)

@@ -26,10 +26,8 @@ from .profiler import KpiProfile
 
 @dataclass
 class RunReport:
-    """Everything one run produced: the scored trace, its verdicts, its policies and its metrics."""
+    """Everything one run produced: the trace's verdicts, its policies and its metrics."""
 
-    scoring_mode: ScoringMode
-    trace: Trace
     verdicts: Verdicts
     policies: list[Policy]
     metrics: Metrics
@@ -103,7 +101,7 @@ def run(
     days, slots = np.divmod(day_slot, profile.n_slots)
     policies = list(map(Policy, policy_tas.tolist(), days.tolist(), slots.tolist(), issued_at_s))
     cache = score_cache(trace, cells, verdicts.anomaly, n_ta, horizon_days * profile.n_slots)
-    return RunReport(scoring_mode, trace, verdicts, policies, metrics_at(cache, config.gamma))
+    return RunReport(verdicts, policies, metrics_at(cache, config.gamma))
 
 
 def score_cache(trace: Trace, cells: np.ndarray, scores: np.ndarray, n_ta: int, intervals_total: int) -> ScoreCache:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -36,19 +37,15 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 class Burst:
     """One attack: a fixed-size volley of requests inside a short window.
 
-    ``event_times`` holds the in-horizon arrival times, sorted ascending; a
-    burst whose window crosses the horizon keeps only the times before it.
+    ``count`` is the number of its requests in the trace: a burst whose
+    window crosses the horizon keeps only the ones before it.
     """
 
     burst_id: int
     adversary_id: int
     start_s: float
     window_s: float
-    event_times: tuple[float, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.event_times)
+    count: int
 
 
 @dataclass(frozen=True)
@@ -104,41 +101,25 @@ def gen_legit_events(spec: LegitTrafficSpec, horizon_s: float, rng: np.random.Ge
 
 
 def gen_attack_bursts(
-    adversary_id: int,
-    spec: AttackSpec,
-    horizon_s: float,
-    rng: np.random.Generator,
-) -> list[Burst]:
+    spec: AttackSpec, horizon_s: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """One adversary's bursts: onsets form a Poisson process of bursts_per_day.
 
-    Each burst carries ``rsrs_per_burst`` i.i.d.-uniform times inside its
-    window, sorted; bursts starting before the horizon are kept, with any
-    event past the horizon truncated. Burst ids are per-adversary ordinals
-    and get relabeled globally when traces are assembled.
+    Returns the ascending onsets and an (onsets x rsrs_per_burst) matrix
+    whose row k holds burst k's i.i.d.-uniform times inside its window,
+    sorted. Times at or past the horizon are left in; ``build_trace`` cuts
+    them.
     """
     if horizon_s < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon_s!r}")
-    if horizon_s == 0:
-        return []
     onset_rate_per_s = spec.bursts_per_day / SECONDS_PER_DAY
     n_bursts = int(rng.poisson(onset_rate_per_s * horizon_s))
     starts = rng.uniform(0.0, horizon_s, n_bursts)
     starts.sort()
-    bursts = []
-    for k, start in enumerate(starts):
-        offsets = rng.uniform(0.0, spec.burst_window_s, spec.rsrs_per_burst)
-        offsets.sort()
-        times = tuple(float(start + o) for o in offsets if start + o < horizon_s)
-        bursts.append(
-            Burst(
-                burst_id=k,
-                adversary_id=adversary_id,
-                start_s=float(start),
-                window_s=spec.burst_window_s,
-                event_times=times,
-            )
-        )
-    return bursts
+    # one (n, k) draw is the same stream as n draws of k
+    offsets = rng.uniform(0.0, spec.burst_window_s, (n_bursts, spec.rsrs_per_burst))
+    offsets.sort(axis=1)
+    return starts, starts[:, None] + offsets
 
 
 def derive_layout(config: ScenarioConfig, seed: int, include_attacks: bool = True) -> CellLayout:
@@ -176,33 +157,48 @@ def build_trace(
     horizon_s = float(days) * SECONDS_PER_DAY
     layout = derive_layout(config, seed, include_attacks)
 
-    # One block of times per legit device and one per burst, each with its device and burst id.
-    owners = list(layout.legit)
+    devices = layout.legit + layout.adversaries
+    device_ids = np.array([dev.device_id for dev in devices], dtype=np.int64)
+    device_tas = np.array([dev.ta for dev in devices], dtype=np.int64)
+
+    # time_s runs in one stretch per legit device, then one per burst: sizes,
+    # owner (index in devices) and owner_burst (-1 for legit) describe them.
     time_blocks = [
         gen_legit_events(config.legit, horizon_s, substream(seed, _STREAM_LEGIT_TRAFFIC, dev.device_id))
         for dev in layout.legit
     ]
-    block_bursts = [-1] * len(time_blocks)
+    sizes = np.array([times.size for times in time_blocks], dtype=np.int64)
+    owner = np.arange(len(layout.legit))
+    owner_burst = np.full(len(layout.legit), -1, dtype=np.int64)
 
     bursts: list[Burst] = []
-    if include_attacks:
-        raw: list[Burst] = []
-        for j, dev in enumerate(layout.adversaries):
-            rng = substream(seed, _STREAM_ATTACK_TRAFFIC, j)
-            raw.extend(gen_attack_bursts(dev.device_id, config.attack, horizon_s, rng))
-        raw.sort(key=lambda b: (b.start_s, b.adversary_id))
-        bursts = [replace(b, burst_id=i) for i, b in enumerate(raw)]
-        adversary = {dev.device_id: dev for dev in layout.adversaries}
-        owners += [adversary[b.adversary_id] for b in bursts]
-        time_blocks += [np.array(b.event_times, dtype=float) for b in bursts]
-        block_bursts += [b.burst_id for b in bursts]
+    if layout.adversaries:
+        starts, times = zip(
+            *(
+                gen_attack_bursts(config.attack, horizon_s, substream(seed, _STREAM_ATTACK_TRAFFIC, j))
+                for j in range(len(layout.adversaries))
+            )
+        )
+        adversary = len(layout.legit) + np.repeat(np.arange(len(starts)), [s.size for s in starts])
+        starts, times = np.concatenate(starts), np.concatenate(times)
+        order = np.lexsort((adversary, starts))  # burst ids by (start time, adversary)
+        adversary, starts, times = adversary[order], starts[order], times[order]
+        in_horizon = times < horizon_s
+        counts = np.count_nonzero(in_horizon, axis=1)
+        time_blocks.append(times[in_horizon])  # row-major: burst by burst, each ascending
+        sizes = np.concatenate([sizes, counts])
+        owner = np.concatenate([owner, adversary])
+        owner_burst = np.concatenate([owner_burst, np.arange(starts.size)])
+        window = repeat(config.attack.burst_window_s)
+        bursts = list(
+            map(Burst, range(starts.size), device_ids[adversary].tolist(), starts.tolist(), window, counts.tolist())
+        )
 
-    sizes = [times.size for times in time_blocks]
     time_s = np.concatenate([np.empty(0), *time_blocks])
     del time_blocks  # copied into time_s; freed before the columns below are built
-    device_id = np.repeat(np.array([dev.device_id for dev in owners], dtype=np.int64), sizes)
-    ta = np.repeat(np.array([dev.ta for dev in owners], dtype=np.int64), sizes)
-    burst_id = np.repeat(np.array(block_bursts, dtype=np.int64), sizes)
+    device_id = np.repeat(device_ids[owner], sizes)
+    ta = np.repeat(device_tas[owner], sizes)
+    burst_id = np.repeat(owner_burst, sizes)
     # A device's sequence runs in time order, and in burst id order among
     # equal times, so rows tied on (time, device_id, burst_id) are identical.
     order = np.lexsort((burst_id, device_id, time_s))

@@ -65,6 +65,24 @@ MULTI_BLOCK_GOLDEN = {
     "trace.jsonl": "373cc44e6a67144408893c9c0255fd184b3b25880fd93b12d7f767d42d290f24",
 }
 
+# Hour-long windows at 48 bursts a day over one eval day: 10 of the 145 bursts
+# start late enough for the horizon to cut them, some down to a single RSR
+TRUNCATING_CONFIG = {
+    "legit": {"device_count": 12},
+    "attack": {"adversary_count": 3, "bursts_per_day": 48, "rsrs_per_burst": 20, "burst_window_s": 3600},
+    "training_days": 1,
+    "eval_days": 1,
+    "seed_train": 41,
+    "seed_eval": 42,
+}
+
+TRUNCATING_GOLDEN = {
+    "bursts.json": "3878bd4742a83f44edc34814ee1896309c32b4afc5702bb92a42e2a8e6bf7c88",
+    "scenario.json": "129f6eb7371f0ef7a08b0b7fbbb68c57a9e863c99586ab79122fab78282868dd",
+    "summary.json": "19b8bfd4e3a02cd70756ba93edc4e34e69242c8761ec268f4f26e96f815b831f",
+    "trace.jsonl": "ba1eb6ebc9f849b6b5cd4e75b75cf5618eeef4e22ce82820d9bee3f3a3095893",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -96,3 +114,14 @@ def test_multi_block_profile_matches_golden_digests(tmp_path):
     files = {"profile.csv": profile, "policies.jsonl": out / "policies.jsonl", "trace.jsonl": out / "trace.jsonl"}
     assert {name: sha256(path) for name, path in files.items()} == MULTI_BLOCK_GOLDEN
     assert resaved.read_bytes() == profile.read_bytes()
+
+
+def test_horizon_truncated_bursts_match_golden_digests(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TRUNCATING_CONFIG))
+    profile, out = tmp_path / "profile.csv", tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(profile)]) == 0
+    assert main(["run", "--config", str(config), "--profile", str(profile), "--out", str(out)]) == 0
+    assert {name: sha256(out / name) for name in TRUNCATING_GOLDEN} == TRUNCATING_GOLDEN
+    counts = [b["count"] for b in json.loads((out / "bursts.json").read_text())]
+    assert min(counts) < TRUNCATING_CONFIG["attack"]["rsrs_per_burst"]

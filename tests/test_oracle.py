@@ -92,7 +92,7 @@ def scenarios(draw):
             adversary_id=0,
             start_s=0.0,
             window_s=5.0,
-            event_times=tuple(e.time_s for e in events if e.burst_id == b),
+            count=sum(1 for e in events if e.burst_id == b),
         )
         for b in range(4)  # burst 3 never has events and must not count
     ]

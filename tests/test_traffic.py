@@ -81,34 +81,30 @@ class TestLegitGeneration:
 
 class TestAttackGeneration:
     def test_zero_horizon(self):
-        assert gen_attack_bursts(0, AttackSpec(), 0.0, np.random.default_rng(0)) == []
+        starts, times = gen_attack_bursts(AttackSpec(), 0.0, np.random.default_rng(0))
+        assert starts.size == 0 and times.shape == (0, 100)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gen_attack_bursts(AttackSpec(), -1.0, np.random.default_rng(0))
 
     def test_burst_count_within_4_sigma(self):
         # 3 per day over 20 days: Poisson mean 60, sigma ~ 7.75
-        bursts = gen_attack_bursts(0, AttackSpec(), 20 * DAY, np.random.default_rng(8))
-        assert abs(len(bursts) - 60) <= 4 * math.sqrt(60)
+        starts, _times = gen_attack_bursts(AttackSpec(), 20 * DAY, np.random.default_rng(8))
+        assert abs(starts.size - 60) <= 4 * math.sqrt(60)
 
-    def test_full_bursts_have_exact_size_and_span(self):
-        bursts = gen_attack_bursts(0, AttackSpec(), 20 * DAY, np.random.default_rng(9))
-        inside = [b for b in bursts if b.start_s + b.window_s <= 20 * DAY]
-        assert inside
-        for burst in inside:
-            assert burst.count == 100
-            assert all(burst.start_s <= t <= burst.start_s + 5.0 for t in burst.event_times)
-            assert burst.event_times[-1] - burst.event_times[0] <= 5.0
-            assert list(burst.event_times) == sorted(burst.event_times)
+    def test_rows_are_sorted_full_width_and_inside_their_window(self):
+        starts, times = gen_attack_bursts(AttackSpec(), 20 * DAY, np.random.default_rng(9))
+        assert starts.size and times.shape == (starts.size, 100)
+        assert np.all(np.diff(starts) >= 0.0) and np.all(np.diff(times, axis=1) >= 0.0)
+        assert np.all((starts[:, None] <= times) & (times <= starts[:, None] + 5.0))
 
-    def test_truncation_at_horizon(self):
-        # dense onsets in a tiny horizon force windows across the edge
+    def test_rows_crossing_the_horizon_keep_full_width(self):
+        # dense onsets in a tiny horizon force windows across the edge; build_trace cuts them
         spec = AttackSpec(bursts_per_day=86400.0, rsrs_per_burst=50, burst_window_s=5.0)
-        bursts = gen_attack_bursts(0, spec, 10.0, np.random.default_rng(4))
-        assert bursts
-        truncated = [b for b in bursts if b.start_s + b.window_s > 10.0]
-        assert truncated
-        for burst in bursts:
-            assert burst.start_s < 10.0
-            assert all(t < 10.0 for t in burst.event_times)
-            assert burst.count <= 50
+        starts, times = gen_attack_bursts(spec, 10.0, np.random.default_rng(4))
+        assert np.all(starts < 10.0) and times.shape == (starts.size, 50)
+        assert np.any(times >= 10.0)
 
 
 class TestBuildTrace:
@@ -153,6 +149,19 @@ class TestBuildTrace:
         n_attack = sum(1 for e in events if e.label is Label.ATTACK)
         assert n_attack == sum(b.count for b in bursts)
         assert [b.burst_id for b in bursts] == list(range(len(bursts)))
+
+    def test_truncation_at_horizon(self):
+        # hour-long windows at 48 bursts a day: the bursts of the last hour cross the horizon
+        config = ScenarioConfig(
+            legit=LegitTrafficSpec(device_count=2),
+            attack=AttackSpec(adversary_count=3, bursts_per_day=48.0, rsrs_per_burst=20, burst_window_s=3600.0),
+        )
+        trace, bursts, _ = build_trace(config, seed=42, days=1)
+        assert any(b.count < 20 for b in bursts)
+        for burst in bursts:
+            times = trace.time_s[trace.burst_id == burst.burst_id]
+            assert np.all((burst.start_s <= times) & (times < min(burst.start_s + burst.window_s, DAY)))
+            assert times.size == burst.count
 
     def test_adversary_ids_follow_legit_ids(self, small_config):
         _events, _bursts, layout = build_trace(small_config, seed=5, days=2)
