@@ -28,6 +28,7 @@ from .core import (
     read_trace,
     slot_of,
     slots_per_day,
+    write_json,
     write_trace,
 )
 from .detector import DetectorConfig, DetectorState, Policy, anomaly_score, interval_rollover, on_rsr
@@ -39,7 +40,6 @@ from .pipeline import (
     metrics_at,
     run,
     write_policy_log,
-    write_summary,
 )
 from .profiler import (
     CountAccumulator,
@@ -49,7 +49,7 @@ from .profiler import (
     save_profile,
     train,
 )
-from .sweep import SweepResult, run_experiment, train_profile_for, write_sweep_csv
+from .sweep import run_experiment, train_profile_for, write_sweep_csv
 from .traffic import (
     Burst,
     build_trace,
@@ -78,7 +78,6 @@ __all__ = [
     "ScoringMode",
     "SECONDS_PER_DAY",
     "SlotIndex",
-    "SweepResult",
     "TaQuantizer",
     "Trace",
     "Verdict",
@@ -109,8 +108,8 @@ __all__ = [
     "ta_index",
     "train",
     "train_profile_for",
+    "write_json",
     "write_policy_log",
-    "write_summary",
     "write_sweep_csv",
     "write_trace",
 ]

@@ -7,20 +7,19 @@ command, paths and seed overrides.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, config_to_dict, parse_config
-from .core import write_trace
+from .core import write_json, write_trace
 from .detector import DetectorConfig
-from .pipeline import compute_metrics, run, write_policy_log, write_summary
+from .pipeline import compute_metrics, run, write_policy_log
 from .profiler import count_per_interval, load_profile, save_profile, train
 from .sweep import run_experiment, write_sweep_csv
-from .traffic import build_trace, layout_to_dict, write_bursts_json
+from .traffic import build_trace
 
 
 def _check_profile_matches(profile, config: ScenarioConfig) -> None:
@@ -67,13 +66,10 @@ def cmd_run(config: ScenarioConfig, profile_path: str, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace(out / "trace.jsonl", trace, report.verdicts)
-    write_bursts_json(out / "bursts.json", bursts)
+    write_json(out / "bursts.json", list(map(asdict, bursts)))
     write_policy_log(out / "policies.jsonl", report.policies)
-    write_summary(out / "summary.json", metrics)
-    scenario = {"config": config_to_dict(config), "layout": layout_to_dict(layout)}
-    with open(out / "scenario.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(scenario, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "summary.json", asdict(metrics))
+    write_json(out / "scenario.json", {"config": config_to_dict(config), "layout": asdict(layout)})
 
     p_detection = "undefined" if metrics.p_detection is None else f"{metrics.p_detection:.6g}"
     print(
@@ -89,9 +85,9 @@ def cmd_sweep(config: ScenarioConfig, out_csv: str, profile_path: str | None = N
     if profile_path is not None:
         profile = load_profile(profile_path)
         _check_profile_matches(profile, config)
-    result = run_experiment(config, profile=profile)
-    write_sweep_csv(result, out_csv)
-    print(f"swept {len(result.rows)} thresholds -> {out_csv}")
+    rows = run_experiment(config, profile=profile)
+    write_sweep_csv(rows, out_csv)
+    print(f"swept {len(rows)} thresholds -> {out_csv}")
     return 0
 
 

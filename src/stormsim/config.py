@@ -21,7 +21,7 @@ from .core import slots_per_day
 from .geometry import TaQuantizer, max_ta_index
 
 MAX_SEED = 2**64 - 1
-MAX_TABLE_BYTES = 2**30  # cap on one dense (days, slots, TA) count table at 8 bytes a cell, its widest dtype
+MAX_TABLE_BYTES = 2**30  # cap on one dense count (days, slots, TA) or profile (slots, TA) table, 8 bytes a cell
 
 
 class ConfigError(ValueError):
@@ -199,7 +199,7 @@ def parse_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(doc)
 

@@ -194,6 +194,13 @@ _VERDICT_TEXTS = np.array([',"verdict":"accept"', ',"verdict":"reject"'], object
 _SURROGATE_ESCAPES = re.compile("[\udc80-\udcff]")
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON (UTF-8, ``\\n`` line ends) ending in a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def write_trace(path, trace: Trace, verdicts: Optional[Verdicts] = None) -> None:
     """Write a trace as JSON Lines; verdict columns are included when supplied.
 

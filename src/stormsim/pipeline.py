@@ -37,7 +37,8 @@ class RunReport:
 class Metrics:
     """Detection and false-alarm probabilities at one gamma plus the raw counts behind them.
 
-    ``p_detection`` is None when the run saw no attack bursts at all.
+    ``p_detection`` is None when the run saw no attack bursts at all. The
+    fields, in this order, are the keys of ``summary.json``.
     """
 
     gamma: float
@@ -190,18 +191,3 @@ def write_policy_log(path, policies: Sequence[Policy]) -> None:
             }
             fh.write(json.dumps(record, separators=(",", ":")))
             fh.write("\n")
-
-
-def write_summary(path, metrics: Metrics) -> None:
-    """Single-run summary JSON with both false-alarm variants and raw counts."""
-    summary = {
-        "gamma": metrics.gamma,
-        "p_detection": metrics.p_detection,
-        "p_false_alarm": metrics.p_false_alarm,
-        "p_false_alarm_per_cell": metrics.p_false_alarm_per_cell,
-        "numerators": metrics.numerators,
-        "denominators": metrics.denominators,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")

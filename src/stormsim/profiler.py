@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import MAX_TABLE_BYTES
 from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Trace, cell_keys, distinct_texts, slots_per_day
 
 
@@ -83,21 +84,24 @@ class CountAccumulator:
 
 
 def _check_metadata(interval_seconds: int, max_ta: int, training_days: int) -> int:
-    """The number of slots per day of a profile with this metadata; ValueError if it is invalid."""
+    """The number of slots per day of a profile with this metadata; ValueError if it is invalid or too large."""
     if max_ta < 0:
         raise ValueError(f"max_ta must be non-negative, got {max_ta!r}")
     if training_days < 1:
         raise ValueError(f"training_days must be at least 1, got {training_days!r}")
-    return slots_per_day(interval_seconds)
+    n_slots = slots_per_day(interval_seconds)
+    if 8 * n_slots * (max_ta + 1) > MAX_TABLE_BYTES:
+        raise ValueError(f"a {n_slots} x {max_ta + 1} float profile table passes the {MAX_TABLE_BYTES / 2**30:g} GiB cap")
+    return n_slots
 
 
 @dataclass(frozen=True, eq=False)
 class KpiProfile:
     """Long-term per-(slot-of-day, TA) count statistics from clean traffic.
 
-    Both tables are shaped (slots_per_day, max_ta + 1) and hold finite,
-    non-negative values; ``max_ta`` is at least 0 and ``training_days`` at
-    least 1.
+    Both tables are shaped (slots_per_day, max_ta + 1), fit in
+    ``MAX_TABLE_BYTES`` and hold finite, non-negative values; ``max_ta`` is
+    at least 0 and ``training_days`` at least 1.
     """
 
     interval_seconds: int
@@ -107,12 +111,12 @@ class KpiProfile:
     std: np.ndarray
 
     def __post_init__(self) -> None:
+        shape = (_check_metadata(self.interval_seconds, self.max_ta, self.training_days), self.max_ta + 1)
         # read-only copies, so the caller's arrays cannot change the checked tables
         for name in ("mean", "std"):
             table = np.array(getattr(self, name))
             table.setflags(write=False)
             object.__setattr__(self, name, table)
-        shape = (_check_metadata(self.interval_seconds, self.max_ta, self.training_days), self.max_ta + 1)
         if self.mean.shape != shape or self.std.shape != shape:
             raise ValueError(
                 f"profile tables must have shape {shape}, got {self.mean.shape} and {self.std.shape}"
@@ -189,7 +193,10 @@ def save_profile(profile: KpiProfile, path) -> None:
 
 def load_profile(path) -> KpiProfile:
     """Read a profile CSV back into dense tables; absent cells are zero."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
     # read_text turns "\r\n" and "\r" into "\n"; str.splitlines would also break at
     # U+2028, U+0085 and the like and so misnumber every row after one
     lines = text.split("\n")

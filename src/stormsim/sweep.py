@@ -11,21 +11,13 @@ is the oracle for that shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .config import ScenarioConfig
 from .pipeline import Metrics, build_score_cache, metrics_at
 from .profiler import KpiProfile, count_per_interval, train
 from .traffic import build_trace
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Rows sorted by gamma ascending; probabilities non-increasing down the rows."""
-
-    rows: tuple[Metrics, ...]
 
 
 def train_profile_for(config: ScenarioConfig) -> KpiProfile:
@@ -37,26 +29,26 @@ def train_profile_for(config: ScenarioConfig) -> KpiProfile:
     return train(counts)
 
 
-def run_experiment(config: ScenarioConfig, profile: Optional[KpiProfile] = None) -> SweepResult:
+def run_experiment(config: ScenarioConfig, profile: Optional[KpiProfile] = None) -> tuple[Metrics, ...]:
     """Train (unless a profile is supplied), generate the evaluation trace once,
-    then sweep the whole gamma grid over it in the config's scoring mode."""
+    then sweep the whole gamma grid over it in the config's scoring mode: one
+    row per gamma, ascending, so the probabilities never rise down the rows."""
     if profile is None:
         profile = train_profile_for(config)
     trace, _bursts, _layout = build_trace(
         config, seed=config.seed_eval, days=config.eval_days, include_attacks=True
     )
     cache = build_score_cache(trace, profile, config.sigma_floor, config.eval_days, config.scoring_mode)
-    rows = tuple(metrics_at(cache, gamma) for gamma in sorted(config.gamma_grid))
-    return SweepResult(rows=rows)
+    return tuple(metrics_at(cache, gamma) for gamma in sorted(config.gamma_grid))
 
 
 SWEEP_CSV_HEADER = "gamma,p_detection,p_false_alarm,p_false_alarm_per_cell,bursts_total,intervals_total"
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
+def write_sweep_csv(rows: Sequence[Metrics], path) -> None:
     """Plot-ready CSV; floats keep full round-trip precision, '.' decimal point."""
     lines = [SWEEP_CSV_HEADER]
-    for row in result.rows:
+    for row in rows:
         p_detection = float("nan") if row.p_detection is None else float(row.p_detection)
         lines.append(
             f"{float(row.gamma)!r},{p_detection!r},{float(row.p_false_alarm)!r},"

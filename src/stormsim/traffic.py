@@ -8,7 +8,6 @@ arrivals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -38,7 +37,8 @@ class Burst:
     """One attack: a fixed-size volley of requests inside a short window.
 
     ``count`` is the number of its requests in the trace: a burst whose
-    window crosses the horizon keeps only the ones before it.
+    window crosses the horizon keeps only the ones before it. The fields, in
+    this order, are the keys of each record of ``bursts.json``.
     """
 
     burst_id: int
@@ -50,6 +50,8 @@ class Burst:
 
 @dataclass(frozen=True)
 class PlacedDevice:
+    """One device and its TA bin: the fields, in this order, of a layout entry in ``scenario.json``."""
+
     device_id: int
     distance_m: float
     ta: int
@@ -57,7 +59,7 @@ class PlacedDevice:
 
 @dataclass(frozen=True)
 class CellLayout:
-    """Where every device ended up, and hence which TA bin it owns."""
+    """Where every device ended up: the fields, in this order, of ``scenario.json``'s layout."""
 
     legit: tuple[PlacedDevice, ...]
     adversaries: tuple[PlacedDevice, ...]
@@ -206,29 +208,3 @@ def build_trace(
     for column in columns:  # in place, so no second set of columns outlives the sort
         column[:] = column[order]
     return Trace._adopt(*columns), bursts, layout
-
-
-def write_bursts_json(path, bursts: list[Burst]) -> None:
-    """Ground-truth burst list as JSON: id, adversary, start, window, count."""
-    records = [
-        {
-            "burst_id": b.burst_id,
-            "adversary_id": b.adversary_id,
-            "start_s": b.start_s,
-            "window_s": b.window_s,
-            "count": b.count,
-        }
-        for b in bursts
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
-
-
-def layout_to_dict(layout: CellLayout) -> dict:
-    def rows(devices: tuple[PlacedDevice, ...]) -> list[dict]:
-        return [
-            {"device_id": d.device_id, "distance_m": d.distance_m, "ta": d.ta} for d in devices
-        ]
-
-    return {"legit": rows(layout.legit), "adversaries": rows(layout.adversaries)}

@@ -34,14 +34,14 @@ def timed_experiment(default_config):
     """Full default train + sweep, timed once and reused by several criteria."""
     start = time.perf_counter()
     profile = ss.train_profile_for(default_config)
-    result = ss.run_experiment(default_config, profile=profile)
+    rows = ss.run_experiment(default_config, profile=profile)
     elapsed = time.perf_counter() - start
-    return profile, result, elapsed
+    return profile, rows, elapsed
 
 
 @pytest.fixture(scope="module")
 def eval_artifacts(default_config, timed_experiment):
-    profile, _result, _elapsed = timed_experiment
+    profile, _rows, _elapsed = timed_experiment
     trace, bursts, _layout = ss.build_trace(
         default_config,
         seed=default_config.seed_eval,
@@ -53,8 +53,7 @@ def eval_artifacts(default_config, timed_experiment):
 
 
 def test_criterion_1_sweep_shape_and_runtime(default_config, timed_experiment):
-    _profile, result, elapsed = timed_experiment
-    rows = result.rows
+    _profile, rows, elapsed = timed_experiment
     ok_rows = len(rows) == len(default_config.gamma_grid)
     gammas = [r.gamma for r in rows]
     ok_sorted = gammas == sorted(gammas)
@@ -72,8 +71,8 @@ def test_criterion_1_sweep_shape_and_runtime(default_config, timed_experiment):
 
 
 def test_criterion_2_low_gamma_saturation(timed_experiment):
-    _profile, result, _elapsed = timed_experiment
-    row0 = result.rows[0]
+    _profile, rows, _elapsed = timed_experiment
+    row0 = rows[0]
     assert row0.gamma == 0.0
     ok = row0.p_false_alarm >= 0.9 and row0.p_detection >= 0.99
     report(
@@ -84,7 +83,7 @@ def test_criterion_2_low_gamma_saturation(timed_experiment):
 
 
 def test_criterion_3_operating_point(default_config, timed_experiment):
-    profile, _result, _elapsed = timed_experiment
+    profile, _rows, _elapsed = timed_experiment
     fa_values, pd_values, rejected_fractions = [], [], []
     for i in range(5):
         config = replace(default_config, seed_eval=default_config.seed_eval + i)

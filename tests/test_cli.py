@@ -176,6 +176,16 @@ def test_bad_config_json_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", [b"[" * 100_000 + b"]" * 100_000, b'{"scoring_mode": "pe\xff"}'], ids=["deep", "not_utf8"]
+)
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, content):
+    config_file = tmp_path / "c.json"
+    config_file.write_bytes(content)
+    assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "p.csv")]) == 2
+    assert f"error: {config_file}: " in capsys.readouterr().err
+
+
 def test_non_numeric_gamma_grid_exits_nonzero(tmp_path, capsys):
     config_file = tmp_path / "c.json"
     config_file.write_text(json.dumps(dict(SMALL_CONFIG, gamma_grid=[1.0, "x"])))

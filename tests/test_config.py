@@ -61,6 +61,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config(path)
 
+    def test_deeply_nested_json_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigError, match=f"^{path}: invalid JSON"):
+            parse_config(path)
+
+    def test_non_utf8_config_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"scoring_mode": "pe\xff"}')
+        with pytest.raises(ConfigError, match=f"^{path}: invalid JSON .*can't decode byte 0xff"):
+            parse_config(path)
+
     def test_non_numeric_grid_entry(self, tmp_path):
         with pytest.raises(ConfigError, match="gamma_grid"):
             parse_config(write_config(tmp_path, {"gamma_grid": [0.5, "high"]}))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from stormsim import (
     compute_metrics,
     run,
     train_profile_for,
+    write_json,
     write_policy_log,
-    write_summary,
 )
 
 from conftest import flagged_cells, make_profile, trace_of
@@ -251,7 +252,7 @@ class TestArtifacts:
         report = run(trace_of(events), profile, DetectorConfig(gamma=6.5), horizon_days=1)
         metrics = compute_metrics(report)
         path = tmp_path / "summary.json"
-        write_summary(path, metrics)
+        write_json(path, asdict(metrics))
         summary = json.loads(path.read_text())
         assert list(summary) == [
             "gamma",
@@ -269,5 +270,5 @@ class TestArtifacts:
         report = run(trace_of([]), profile, DetectorConfig(gamma=1.0), horizon_days=1)
         metrics = compute_metrics(report)
         path = tmp_path / "summary.json"
-        write_summary(path, metrics)
+        write_json(path, asdict(metrics))
         assert json.loads(path.read_text())["p_detection"] is None

@@ -417,11 +417,18 @@ class TestPersistence:
             ("interval_seconds=300,max_ta=-1,training_days=2", "max_ta must be non-negative"),
             ("interval_seconds=300,max_ta=-5,training_days=2", "max_ta must be non-negative"),
             ("interval_seconds=7,max_ta=10,training_days=2", "interval_seconds=7"),
+            # far over the cap: too large to allocate even were it not checked
+            (
+                "interval_seconds=1,max_ta=1000000000000,training_days=2",
+                "a 86400 x 1000000000001 float profile table passes the 1 GiB cap",
+            ),
+            # "\udcff" is written as the byte 0xff
+            ("interval_seconds=300,max_ta=10,training_days=2\udcff", "not valid UTF-8"),
         ],
     )
     def test_bad_metadata_rejected_with_path(self, tmp_path, meta, match):
         path = tmp_path / "profile.csv"
-        path.write_text(f"#{meta}\nslot,ta,mean,std\n")
+        path.write_bytes(f"#{meta}\nslot,ta,mean,std\n".encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError, match=f"^{path}: {match}"):
             load_profile(path)
 

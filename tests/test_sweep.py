@@ -7,7 +7,6 @@ from stormsim import (
     Decision,
     DetectorConfig,
     Metrics,
-    SweepResult,
     build_score_cache,
     build_trace,
     compute_metrics,
@@ -24,21 +23,21 @@ from conftest import replay, replay_metrics
 
 class TestRunExperiment:
     def test_rows_sorted_and_monotone(self, small_config):
-        result = run_experiment(small_config)
-        gammas = [row.gamma for row in result.rows]
+        rows = run_experiment(small_config)
+        gammas = [row.gamma for row in rows]
         assert gammas == sorted(gammas)
-        assert len(result.rows) == len(small_config.gamma_grid)
-        for earlier, later in zip(result.rows, result.rows[1:]):
+        assert len(rows) == len(small_config.gamma_grid)
+        for earlier, later in zip(rows, rows[1:]):
             assert later.p_detection <= earlier.p_detection
             assert later.p_false_alarm <= earlier.p_false_alarm
             assert later.p_false_alarm_per_cell <= earlier.p_false_alarm_per_cell
 
     def test_infinite_gamma_row(self, small_config):
         config = replace(small_config, gamma_grid=(float("inf"),))
-        result = run_experiment(config)
-        assert len(result.rows) == 1
-        assert result.rows[0].p_false_alarm == 0.0
-        assert result.rows[0].p_detection == 0.0
+        rows = run_experiment(config)
+        assert len(rows) == 1
+        assert rows[0].p_false_alarm == 0.0
+        assert rows[0].p_detection == 0.0
 
     def test_supplying_profile_skips_training(self, small_config):
         profile = train_profile_for(small_config)
@@ -50,8 +49,8 @@ class TestRunExperiment:
         assert run_experiment(small_config) == run_experiment(small_config)
 
     def test_intervals_total(self, small_config):
-        result = run_experiment(small_config)
-        assert result.rows[0].denominators["intervals"] == small_config.eval_days * 288
+        rows = run_experiment(small_config)
+        assert rows[0].denominators["intervals"] == small_config.eval_days * 288
 
 
 class TestCacheVsReplay:
@@ -81,25 +80,25 @@ class TestCacheVsReplay:
         config = replace(small_config, scoring_mode="interval_end")
         profile = train_profile_for(config)
         trace, _bursts, _ = build_trace(config, seed=config.seed_eval, days=2, include_attacks=True)
-        result = run_experiment(config, profile=profile)
-        assert [row.gamma for row in result.rows] == sorted(config.gamma_grid)
-        for row in result.rows:
+        rows = run_experiment(config, profile=profile)
+        assert [row.gamma for row in rows] == sorted(config.gamma_grid)
+        for row in rows:
             report = run(trace, profile, DetectorConfig(gamma=row.gamma), 2, "interval_end")
             assert row == compute_metrics(report)
 
 
 class TestSweepCsv:
     def test_header_and_rows(self, small_config, tmp_path):
-        result = run_experiment(small_config)
+        rows = run_experiment(small_config)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(result, path)
+        write_sweep_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == SWEEP_CSV_HEADER
-        assert len(lines) == 1 + len(result.rows)
+        assert len(lines) == 1 + len(rows)
 
     def test_empty_result(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(SweepResult(rows=()), path)
+        write_sweep_csv((), path)
         assert path.read_text() == SWEEP_CSV_HEADER + "\n"
 
     def test_round_trip_precision(self, tmp_path):
@@ -114,7 +113,7 @@ class TestSweepCsv:
             ),
         )
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(SweepResult(rows=rows), path)
+        write_sweep_csv(rows, path)
         fields = path.read_text().splitlines()[1].split(",")
         assert float(fields[0]) == 1.5
         assert float(fields[1]) == 0.9231233333712
@@ -134,14 +133,14 @@ class TestSweepCsv:
             ),
         )
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(SweepResult(rows=rows), path)
+        write_sweep_csv(rows, path)
         fields = path.read_text().splitlines()[1].split(",")
         assert math.isnan(float(fields[1]))
 
     def test_bytes_deterministic(self, small_config, tmp_path):
-        result = run_experiment(small_config)
+        rows = run_experiment(small_config)
         path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(result, path_a)
+        write_sweep_csv(rows, path_a)
         write_sweep_csv(run_experiment(small_config), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
@@ -151,6 +150,6 @@ class TestNoAdversaries:
         config = replace(
             small_config, attack=replace(small_config.attack, adversary_count=0)
         )
-        result = run_experiment(config)
-        assert all(row.p_detection is None for row in result.rows)
-        assert all(row.denominators["bursts"] == 0 for row in result.rows)
+        rows = run_experiment(config)
+        assert all(row.p_detection is None for row in rows)
+        assert all(row.denominators["bursts"] == 0 for row in rows)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,10 @@ from stormsim import (
     diurnal_rate,
     gen_attack_bursts,
     gen_legit_events,
+    write_json,
     write_trace,
 )
-from stormsim.traffic import substream, write_bursts_json
+from stormsim.traffic import substream
 
 DAY = 86400.0
 
@@ -202,7 +203,7 @@ class TestBurstJson:
 
         _events, bursts, _ = build_trace(small_config, seed=5, days=2)
         path = tmp_path / "bursts.json"
-        write_bursts_json(path, bursts)
+        write_json(path, list(map(asdict, bursts)))
         records = json.loads(path.read_text())
         assert len(records) == len(bursts)
         for record, burst in zip(records, bursts):
