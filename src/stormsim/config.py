@@ -21,7 +21,7 @@ from .core import slots_per_day
 from .geometry import TaQuantizer, max_ta_index
 
 MAX_SEED = 2**64 - 1
-MAX_TABLE_BYTES = 2**30  # cap on one dense count (days, slots, TA) or profile (slots, TA) table, 8 bytes a cell
+MAX_TABLE_BYTES = 2**30  # cap on one dense count or profile table, or a workload's request times, at 8 bytes each
 
 
 class ConfigError(ValueError):
@@ -155,6 +155,19 @@ class ScenarioConfig:
                 f"{table_bytes / 2**30:.1f} GiB, over the {MAX_TABLE_BYTES / 2**30:g} GiB cap; "
                 "use fewer days, a longer interval_seconds, a smaller cell or a lower numerology_mu"
             )
+        legit, attack = self.legit, self.attack
+        try:  # the longer horizon's expected times: every legit thinning candidate and every attack row
+            times = days * (
+                legit.device_count * legit.base_rate_per_hour * (1 + legit.diurnal_amplitude) * 24
+                + attack.adversary_count * attack.bursts_per_day * attack.rsrs_per_burst
+            )
+        except OverflowError:  # a count past the float range
+            times = math.inf
+        if 8 * max(times, attack.rsrs_per_burst) > MAX_TABLE_BYTES:
+            raise ConfigError(
+                f"a {days}-day trace of about {times:.3g} request times in bursts of {attack.rsrs_per_burst} "
+                f"passes the {MAX_TABLE_BYTES / 2**30:g} GiB cap; use fewer days, devices or attack RSRs"
+            )
         if not 0 < self.sigma_floor < math.inf:  # also rejects nan
             raise ConfigError("sigma_floor must be positive and finite")
         if math.isnan(self.gamma):
@@ -198,10 +211,11 @@ def parse_config(path) -> ScenarioConfig:
     """Load and validate a scenario JSON file; missing fields take defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return config_from_dict(json.load(fh))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

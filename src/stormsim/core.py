@@ -62,12 +62,24 @@ def slot_of(seconds: float, interval_seconds: int) -> SlotIndex:
     return SlotIndex(int(day), int(remainder // interval_seconds))
 
 
-def cell_keys(times: np.ndarray, tas: np.ndarray, interval_seconds: int, max_ta: int) -> np.ndarray:
+def cell_keys(times: np.ndarray, tas: np.ndarray, interval_seconds: int, max_ta: int, days: int) -> np.ndarray:
     """Flat index ``(day * slots_per_day + slot) * (max_ta + 1) + ta`` of each
     event's cell, with day and slot as in :func:`slot_of`; keys sort by day,
     slot, then TA. The interval divides the day, so ``time // interval`` is
-    ``day * slots_per_day + slot`` exactly."""
+    ``day * slots_per_day + slot`` exactly. The one check that a trace fits
+    its (days, slots, TA) grid: ``ValueError`` for days below 1, the first
+    TA past ``max_ta`` (in ``on_rsr``'s words) or a time past the horizon."""
     slots_per_day(interval_seconds)  # raises unless the interval divides the day
+    if days < 1:
+        raise ValueError(f"days must be at least 1, got {days!r}")
+    too_far = tas > max_ta
+    if too_far.any():
+        raise ValueError(
+            f"event TA {int(tas[too_far.argmax()])} outside profile range 0..{max_ta}; "
+            "geometry and profile configuration disagree"
+        )
+    if np.any(times >= days * SECONDS_PER_DAY):
+        raise ValueError(f"trace extends past the declared horizon of {days} days")
     return (times // interval_seconds).astype(np.int64) * (max_ta + 1) + tas
 
 

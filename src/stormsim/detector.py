@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ScoringMode
-from .core import SECONDS_PER_DAY, Decision, RsrEvent, SlotIndex, Verdict, cell_keys, slot_of
+from .core import Decision, RsrEvent, SlotIndex, Verdict, cell_keys, slot_of
 from .profiler import KpiProfile
 
 
@@ -138,55 +138,27 @@ def score_events(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score a whole time-sorted trace, given as ``time_s`` and ``ta`` arrays.
 
-    Returns each event's flat cell key (``core.cell_keys``) and its score.
-    ``per_rsr`` gives the score ``on_rsr`` gives it: an event's running
-    count is its rank within its cell under a stable argsort of the keys.
-    Within a cell scores never decrease, so a cell is flagged at the first
-    event whose own score exceeds gamma, and the cell's highest score is its
-    score on the full interval count. ``interval_end`` gives every event
-    that full-count score of its cell. ``scoring_mode`` may also be given by
-    its value; any other value raises ``ValueError``.
+    Returns each event's flat cell key (``core.cell_keys``) and its score
+    ``(count - mean) / max(std, sigma_floor)``. ``per_rsr`` counts an event
+    at its rank within its cell under a stable argsort of the keys, as
+    ``on_rsr`` does; ``interval_end`` at its cell's full interval count.
+    Within a cell per-RSR scores never decrease, so a cell is flagged at the
+    first event whose own score exceeds gamma, and its interval-end score is
+    its highest per-RSR score. ``scoring_mode`` may also be given by its
+    value; any other value raises ``ValueError``.
     """
-    scoring_mode = ScoringMode(scoring_mode)
-    if horizon_days < 1:
-        raise ValueError(f"horizon_days must be at least 1, got {horizon_days!r}")
+    per_rsr = ScoringMode(scoring_mode) is ScoringMode.PER_RSR
     if not sigma_floor > 0:
         raise ValueError(f"sigma_floor must be positive, got {sigma_floor!r}")
-    if len(times) and times[-1] >= horizon_days * SECONDS_PER_DAY:
-        raise ValueError("trace extends past the declared horizon")
     if np.any(times[1:] < times[:-1]):
         raise ValueError("trace must be sorted by time")
-    too_far = tas > profile.max_ta
-    if too_far.any():
-        raise ValueError(
-            f"event TA {int(tas[too_far.argmax()])} outside profile range 0..{profile.max_ta}; "
-            "geometry and profile configuration disagree"
-        )
-    cells = cell_keys(times, tas, profile.interval_seconds, profile.max_ta)
+    cells = cell_keys(times, tas, profile.interval_seconds, profile.max_ta, horizon_days)
     order = np.argsort(cells, kind="stable")
     sorted_cells = cells[order]
+    ends = np.arange(1, len(cells) + 1) if per_rsr else np.searchsorted(sorted_cells, sorted_cells, "right")
     counts = np.empty_like(cells)
-    counts[order] = np.arange(1, len(cells) + 1) - np.searchsorted(sorted_cells, sorted_cells)
-    del order, sorted_cells  # peak memory grows with the trace-length arrays alive at once
+    counts[order] = ends - np.searchsorted(sorted_cells, sorted_cells)
+    del order, sorted_cells, ends  # peak memory grows with the trace-length arrays alive at once
     table = cells % profile.mean.size  # the cell's (slot, TA) position in the profile
     denom = np.maximum(profile.std, sigma_floor).ravel()[table]
-    scores = (counts - profile.mean.ravel()[table]) / denom
-    if scoring_mode is ScoringMode.INTERVAL_END:
-        del counts, table, denom  # group_max's sort arrays come on top of whatever is still alive
-        _cells, cell_final, cell_of = group_max(cells, scores)
-        scores = cell_final[cell_of]
-    return cells, scores
-
-
-def group_max(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct keys in ascending order, the largest value of each, and each element's group."""
-    order = np.argsort(keys)  # one sort: np.unique with return_inverse costs more
-    sorted_keys = keys[order]
-    starts = np.ones(keys.size, bool)  # True where a group begins in sorted order
-    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group_of = np.empty(keys.size, np.intp)
-    group_of[order] = np.cumsum(starts) - 1
-    groups = sorted_keys[np.flatnonzero(starts)]
-    maxima = np.full(groups.size, -np.inf)
-    np.maximum.at(maxima, group_of, values)
-    return groups, maxima, group_of
+    return cells, (counts - profile.mean.ravel()[table]) / denom

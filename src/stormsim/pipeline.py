@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ScoringMode
 from .core import Trace, Verdicts
-from .detector import DetectorConfig, Policy, group_max, score_events
+from .detector import DetectorConfig, Policy, score_events
 from .profiler import KpiProfile
 
 
@@ -109,10 +109,10 @@ def score_cache(trace: Trace, cells: np.ndarray, scores: np.ndarray, n_ta: int, 
     """Aggregate each event's score, keyed by its flat cell, per burst, per clean cell and per interval."""
     attack = trace.attack
     clean = ~np.isin(cells, cells[attack])
-    clean_cells, clean_last, _cell_of = group_max(cells[clean], scores[clean])
-    _intervals, interval_clean_max, _interval_of = group_max(clean_cells // n_ta, clean_last)
+    clean_cells, clean_last = group_max(cells[clean], scores[clean])
+    _intervals, interval_clean_max = group_max(clean_cells // n_ta, clean_last)
     attack_scores = scores[attack]
-    _bursts, burst_max, _burst_of = group_max(trace.burst_id[attack], attack_scores)
+    _bursts, burst_max = group_max(trace.burst_id[attack], attack_scores)
     return ScoreCache(
         scores=scores,
         attack_scores=attack_scores,
@@ -122,6 +122,16 @@ def score_cache(trace: Trace, cells: np.ndarray, scores: np.ndarray, n_ta: int, 
         intervals_total=intervals_total,
         cells_total=intervals_total * n_ta,
     )
+
+
+def group_max(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in ascending order and the largest value of each."""
+    order = np.argsort(keys)  # one sort, whose order also lines the values up by group
+    sorted_keys = keys[order]
+    starts = np.ones(keys.size, bool)  # True where a group begins in sorted order
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(starts)
+    return sorted_keys[starts], np.maximum.reduceat(values[order], starts)
 
 
 def build_score_cache(

@@ -31,19 +31,8 @@ def count_per_interval(
     to 127 requests a cell), so the difference of two counts never wraps;
     the sum over the whole table equals the trace length.
     """
-    n_slots = slots_per_day(interval_seconds)
-    if days < 1:
-        raise ValueError(f"days must be at least 1, got {days!r}")
-    shape = (days, n_slots, max_ta + 1)
-    if np.any(trace.ta > max_ta):
-        raise ValueError(
-            f"event TA {int(trace.ta.max())} exceeds max_ta={max_ta}; "
-            "geometry and profile configuration disagree"
-        )
-    if np.any(trace.time_s >= days * SECONDS_PER_DAY):
-        raise ValueError(f"events must lie within [0, {days * SECONDS_PER_DAY}) seconds")
-    keys = cell_keys(trace.time_s, trace.ta, interval_seconds, max_ta)
-    cells, counts = np.unique(keys, return_counts=True)
+    cells, counts = np.unique(cell_keys(trace.time_s, trace.ta, interval_seconds, max_ta, days), return_counts=True)
+    shape = (days, slots_per_day(interval_seconds), max_ta + 1)
     # the smallest signed dtype that holds -max - 1 also holds max
     table = np.zeros(math.prod(shape), np.min_scalar_type(-int(counts.max(initial=0)) - 1))
     table[cells] = counts
@@ -203,15 +192,19 @@ def load_profile(path) -> KpiProfile:
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing metadata line")
     meta: dict[str, int] = {}
+    keys = ("interval_seconds", "max_ta", "training_days")
     for part in lines[0][1:].split(","):
         key, _, value = part.partition("=")
+        key = key.strip()
         if not value:
             raise ValueError(f"{path}: malformed metadata entry {part!r}")
+        if key not in keys or key in meta:
+            raise ValueError(f"{path}: {'repeated' if key in meta else 'unknown'} metadata key {key!r}")
         try:
-            meta[key.strip()] = int(value)
+            meta[key] = int(value)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed metadata entry {part!r}") from exc
-    missing = {"interval_seconds", "max_ta", "training_days"} - set(meta)
+    missing = set(keys) - set(meta)
     if missing:
         raise ValueError(f"{path}: metadata missing {sorted(missing)}")
     if len(lines) < 2 or lines[1] != "slot,ta,mean,std":

@@ -92,8 +92,6 @@ def gen_legit_events(spec: LegitTrafficSpec, horizon_s: float, rng: np.random.Ge
     """
     if horizon_s < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon_s!r}")
-    if horizon_s == 0:
-        return np.empty(0)
     peak_per_hour = spec.base_rate_per_hour * (1.0 + spec.diurnal_amplitude)
     n_candidates = int(rng.poisson(peak_per_hour / 3600.0 * horizon_s))
     times = rng.uniform(0.0, horizon_s, n_candidates)

@@ -190,7 +190,7 @@ def test_non_numeric_gamma_grid_exits_nonzero(tmp_path, capsys):
     config_file = tmp_path / "c.json"
     config_file.write_text(json.dumps(dict(SMALL_CONFIG, gamma_grid=[1.0, "x"])))
     assert main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "s.csv")]) == 2
-    assert "gamma_grid" in capsys.readouterr().err
+    assert f"error: {config_file}: gamma_grid entry must be a number, got 'x'" in capsys.readouterr().err
 
 
 def test_nan_burst_window_exits_2(tmp_path, capsys):
@@ -200,7 +200,18 @@ def test_nan_burst_window_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--config", str(config_file), "--profile", str(tmp_path / "p.csv"), "--out", str(out)])
     assert code == 2
-    assert "error: attack.burst_window_s must be positive and finite" in capsys.readouterr().err
+    assert f"error: {config_file}: attack.burst_window_s must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ungeneratable_workload_exits_2(tmp_path, capsys):
+    # refused when the config is read, before any trace is generated
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps(dict(SMALL_CONFIG, attack={"rsrs_per_burst": 10**13})))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--profile", str(tmp_path / "p.csv"), "--out", str(out)])
+    assert code == 2
+    assert f"error: {config_file}: a 2-day trace of about" in capsys.readouterr().err
     assert not out.exists()
 
 

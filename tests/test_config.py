@@ -74,8 +74,14 @@ class TestParsing:
             parse_config(path)
 
     def test_non_numeric_grid_entry(self, tmp_path):
-        with pytest.raises(ConfigError, match="gamma_grid"):
-            parse_config(write_config(tmp_path, {"gamma_grid": [0.5, "high"]}))
+        path = write_config(tmp_path, {"gamma_grid": [0.5, "high"]})
+        with pytest.raises(ConfigError, match=f"^{path}: gamma_grid entry must be a number"):
+            parse_config(path)
+
+    def test_unknown_key_names_the_file(self, tmp_path):
+        path = write_config(tmp_path, {"attack": {"rate": 5}})
+        with pytest.raises(ConfigError, match=f"^{path}: unknown attack keys: rate"):
+            parse_config(path)
 
     def test_round_trip_through_dict(self):
         config = ScenarioConfig(seed_train=9, seed_eval=10, gamma=3.0)
@@ -194,6 +200,32 @@ class TestTableCap:
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(ConfigError, match="cell_radius_m"):
             ScenarioConfig(cell_radius_m=radius)
+
+
+class TestWorkloadCap:
+    """A workload's generated request times are bounded up front, at 8 bytes each, by the table cap."""
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            (
+                {"attack": {"rsrs_per_burst": 10**13}},
+                r"^a 30-day trace of about 4\.5e\+15 request times in bursts of 10000000000000 passes the 1 GiB cap",
+            ),
+            ({"legit": {"device_count": 10**12}}, r"about 4\.86e\+15 request times"),
+            ({"attack": {"bursts_per_day": 1e12}}, r"about 1\.5e\+16 request times"),
+            # too large for a float: the cap still holds, and no OverflowError escapes
+            ({"legit": {"device_count": 10**400}}, "about inf request times"),
+            # no adversary, so no attack times are expected, but one burst row is still over the cap
+            ({"attack": {"adversary_count": 0, "rsrs_per_burst": 2**27 + 1}}, "in bursts of 134217729 passes"),
+        ],
+    )
+    def test_ungeneratable_workload_rejected(self, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            build_in_code(doc)
+
+    def test_burst_row_at_the_cap_accepted(self):
+        ScenarioConfig(attack=AttackSpec(adversary_count=0, rsrs_per_burst=2**27))
 
 
 # one valid non-default value for every field of the three dataclasses

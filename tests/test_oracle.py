@@ -22,6 +22,7 @@ from stormsim import (
     ScoringMode,
     build_score_cache,
     compute_metrics,
+    count_per_interval,
     metrics_at,
     run,
 )
@@ -149,16 +150,25 @@ BAD_TRACES = {
 }
 
 
-@pytest.mark.parametrize("bad", sorted(BAD_TRACES))
+SCORERS = {
+    "per_rsr": lambda trace, profile: run(trace, profile, DetectorConfig(gamma=1.0), 1),
+    "interval_end": lambda trace, profile: run(trace, profile, DetectorConfig(gamma=1.0), 1, ScoringMode.INTERVAL_END),
+    "score_cache": lambda trace, profile: build_score_cache(trace, profile, 1.0, 1),
+    "score_cache_interval_end": lambda trace, profile: build_score_cache(
+        trace, profile, 1.0, 1, ScoringMode.INTERVAL_END
+    ),
+}
+
+
+def _count(trace, profile):
+    return count_per_interval(trace, profile.interval_seconds, profile.max_ta, 1)
+
+
+# counting needs no time order, so it meets only the grid's faults
 @pytest.mark.parametrize(
-    "entry",
-    [
-        lambda trace, profile: run(trace, profile, DetectorConfig(gamma=1.0), 1),
-        lambda trace, profile: run(trace, profile, DetectorConfig(gamma=1.0), 1, ScoringMode.INTERVAL_END),
-        lambda trace, profile: build_score_cache(trace, profile, 1.0, 1),
-        lambda trace, profile: build_score_cache(trace, profile, 1.0, 1, ScoringMode.INTERVAL_END),
-    ],
-    ids=["per_rsr", "interval_end", "score_cache", "score_cache_interval_end"],
+    "entry, bad",
+    [pytest.param(scorer, bad, id=f"{name}-{bad}") for name, scorer in SCORERS.items() for bad in sorted(BAD_TRACES)]
+    + [pytest.param(_count, bad, id=f"count-{bad}") for bad in ("TA above max_ta", "past horizon")],
 )
 def test_batch_paths_check_inputs_alike(entry, bad):
     trace, match = BAD_TRACES[bad]

@@ -109,11 +109,11 @@ class TestCounting:
         assert table.sum() == len(events)
 
     def test_ta_overflow_rejected(self):
-        with pytest.raises(ValueError, match="max_ta"):
+        with pytest.raises(ValueError, match=r"event TA 11 outside profile range 0\.\.10"):
             count_per_interval(trace_of([legit(1.0, 11)]), 300, 10, 1)
 
     def test_out_of_horizon_rejected(self):
-        with pytest.raises(ValueError, match="within"):
+        with pytest.raises(ValueError, match="horizon"):
             count_per_interval(trace_of([legit(86400.0, 0)]), 300, 10, 1)
 
     @pytest.mark.parametrize("events, dtype", [(0, np.int8), (127, np.int8), (128, np.int16)])
@@ -422,6 +422,9 @@ class TestPersistence:
                 "interval_seconds=1,max_ta=1000000000000,training_days=2",
                 "a 86400 x 1000000000001 float profile table passes the 1 GiB cap",
             ),
+            ("interval_seconds=300,max_ta=10,training_days=2,bogus=7", "unknown metadata key 'bogus'"),
+            ("interval_seconds=300,max_ta=10,training_days=2,max_ta=10", "repeated metadata key 'max_ta'"),
+            ("interval_seconds=300,max_ta=10,max_ta=11,training_days=2", "repeated metadata key 'max_ta'"),
             # "\udcff" is written as the byte 0xff
             ("interval_seconds=300,max_ta=10,training_days=2\udcff", "not valid UTF-8"),
         ],
