@@ -21,7 +21,7 @@ from .core import slots_per_day
 from .geometry import TaQuantizer, max_ta_index
 
 MAX_SEED = 2**64 - 1
-MAX_TABLE_BYTES = 2**30  # cap on one dense count or profile table, or a workload's request times, at 8 bytes each
+MAX_TABLE_BYTES = 2**30  # cap on one dense count or profile table, a workload's request times at 8 bytes each, or its devices
 
 
 class ConfigError(ValueError):
@@ -167,6 +167,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"a {days}-day trace of about {times:.3g} request times in bursts of {attack.rsrs_per_burst} "
                 f"passes the {MAX_TABLE_BYTES / 2**30:g} GiB cap; use fewer days, devices or attack RSRs"
+            )
+        devices = legit.device_count + attack.adversary_count
+        if devices > MAX_TABLE_BYTES // 512:  # each placed device and its substream take about 0.45 KiB
+            raise ConfigError(
+                f"{devices} devices and adversaries at about 0.45 KiB each pass the "
+                f"{MAX_TABLE_BYTES / 2**30:g} GiB cap of {MAX_TABLE_BYTES // 512} devices; use fewer devices"
             )
         if not 0 < self.sigma_floor < math.inf:  # also rejects nan
             raise ConfigError("sigma_floor must be positive and finite")

@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import re
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
@@ -201,6 +207,7 @@ _REQUIRED_KEYS = {"time_s", "device_id", "ta", "label"}
 _ALL_KEYS = _REQUIRED_KEYS | {"burst_id", "verdict", "anomaly"}
 _INT64_MAX = 2**63 - 1
 ROWS_PER_WRITE = 4096  # rows formatted and written at a time
+SPLIT_ROWS = 8 * ROWS_PER_WRITE  # the fewest rows that write_trace and read_trace split between two processes
 _VERDICT_TEXTS = np.array([',"verdict":"accept"', ',"verdict":"reject"'], object)  # indexed by rejected
 # the characters errors="surrogateescape" decodes undecodable bytes to
 _SURROGATE_ESCAPES = re.compile("[\udc80-\udcff]")
@@ -218,7 +225,9 @@ def write_trace(path, trace: Trace, verdicts: Optional[Verdicts] = None) -> None
 
     Columns are formatted in C by ``json.dumps``, the id, TA and anomaly
     columns once per distinct value, and the rows are joined and written
-    ``ROWS_PER_WRITE`` at a time.
+    ``ROWS_PER_WRITE`` at a time. From :func:`_split_row` on, a forked child
+    formats the rest into a temporary file while this process writes the
+    first rows, then appends that file.
     """
     if verdicts is not None and len(verdicts) != len(trace):
         raise ValueError("verdicts must align one-to-one with events")
@@ -227,12 +236,67 @@ def write_trace(path, trace: Trace, verdicts: Optional[Verdicts] = None) -> None
     fields = [distinct_texts(trace.device_id, ',"device_id":'), distinct_texts(trace.ta, ',"ta":'), (labels, burst_of)]
     if verdicts is not None:
         fields += [(_VERDICT_TEXTS, verdicts.rejected.view(np.uint8)), distinct_texts(verdicts.anomaly, ',"anomaly":')]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(trace), ROWS_PER_WRITE):
-            block = slice(start, start + ROWS_PER_WRITE)
+
+    def write_rows(fh, start: int, stop: int) -> None:
+        for begin in range(start, stop, ROWS_PER_WRITE):
+            block = slice(begin, min(begin + ROWS_PER_WRITE, stop))
             texts = (field_texts[index[block]].tolist() for field_texts, index in fields)
             parts = (repeat('{"time_s":'), _json_texts(trace.time_s[block]), *texts, repeat("}\n"))
             fh.write("".join(chain.from_iterable(zip(*parts))))
+
+    n, split = len(trace), _split_row(len(trace))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if split == n:
+            return write_rows(fh, 0, n)
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as rest:
+            _with_child(lambda: write_rows(fh, 0, split), lambda: (write_rows(rest, split, n), rest.flush()))
+            fh.flush()
+            rest.seek(0)
+            shutil.copyfileobj(rest.buffer, fh.buffer)
+
+
+def _split_row(n: int) -> int:
+    """The first row of a trace of ``n`` rows that a forked child handles:
+    the ``ROWS_PER_WRITE`` boundary nearest ``n / 2``, or ``n`` (no child)
+    below ``SPLIT_ROWS`` rows, without ``os.fork``, with one usable CPU, or
+    when this process runs other threads, which a fork would not copy."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if n < SPLIT_ROWS or not hasattr(os, "fork") or cpus < 2 or threading.active_count() > 1:
+        return n
+    return round(n / (2 * ROWS_PER_WRITE)) * ROWS_PER_WRITE
+
+
+def _with_child(here, there):
+    """``(here(), there())``, with ``there`` run in a forked child while
+    ``here`` runs in this process. The child's result comes back pickled over
+    a pipe, and an exception it raised is raised again here. The child always
+    leaves by ``os._exit``, and is always reaped, killed first if this side
+    raises before its result has arrived."""
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                try:
+                    result = True, there()
+                except BaseException as exc:
+                    result = False, exc
+                pickle.dump(result, writer, pickle.HIGHEST_PROTOCOL)
+                writer.flush()
+            finally:
+                os._exit(0)
+        writer.close()  # so that the read below ends if the child dies
+        try:
+            mine = here()
+            ok, theirs = pickle.load(reader)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    if not ok:
+        raise theirs
+    return mine, theirs
 
 
 def _json_texts(values: np.ndarray) -> list[str]:
@@ -255,14 +319,28 @@ def read_trace(path) -> tuple[Trace, Optional[Verdicts]]:
     ``path:line``, a line that is not valid UTF-8 included. The file is
     parsed in one pass and checked by column; when any check fails, or the
     file is not valid UTF-8, the line loop of :func:`_read_rows` reads it
-    again and raises the first bad line's error.
+    again and raises the first bad line's error. From :func:`_split_row` on,
+    a forked child parses the second half of the lines while this process
+    parses the first, and the halves' columns are joined.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            lines = fh.read().split("\n")
     except UnicodeDecodeError:
         return _read_rows(path)
-    return _parse_columns(text.split("\n")) or _read_rows(path)
+    split = _split_row(len(lines) - 1)  # rows: the file's newlines
+    if split == len(lines) - 1:
+        return _parse_columns(lines) or _read_rows(path)
+    halves = _with_child(lambda: _parse_columns(lines[:split]), lambda: _parse_columns(lines[split:]))
+    if None in halves or (halves[0][1] is None) != (halves[1][1] is None):
+        return _read_rows(path)
+    (trace, verdicts), (rest, rest_verdicts) = halves
+    return Trace._adopt(*_joined(trace, rest)), None if verdicts is None else Verdicts(*_joined(verdicts, rest_verdicts))
+
+
+def _joined(first, second) -> list[np.ndarray]:
+    """Each column of one dataclass of columns followed by the same column of another."""
+    return [np.concatenate((getattr(first, f.name), getattr(second, f.name))) for f in fields(first)]
 
 
 def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Optional[Verdicts]]]:

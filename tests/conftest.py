@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,17 @@ from stormsim import (
     slots_per_day,
 )
 from stormsim.core import _parse_record
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped."""
+    yield
+    try:
+        pid, _status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left unreaped (waitpid gave {pid})")
 
 
 @pytest.fixture
@@ -142,6 +154,14 @@ def replay_metrics(trace, verdicts, policies, bursts, gamma, interval_seconds, m
             "attack_events": attack_events,
         },
     )
+
+
+def bits(trace: Trace, verdicts: Verdicts | None = None) -> list[tuple]:
+    """Every column's dtype and raw bytes, so equal means equal bit for bit."""
+    arrays = [trace.time_s, trace.device_id, trace.ta, trace.burst_id]
+    if verdicts is not None:
+        arrays += [verdicts.rejected, verdicts.anomaly]
+    return [(a.dtype, a.tobytes()) for a in arrays]
 
 
 def read_trace_rows(path):

@@ -215,6 +215,17 @@ def test_ungeneratable_workload_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_device_count_cap_exits_2(tmp_path, capsys):
+    # a billion idle devices expect almost no requests, yet could not be placed
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps(dict(SMALL_CONFIG, legit={"device_count": 10**9, "base_rate_per_hour": 1e-9})))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--profile", str(tmp_path / "p.csv"), "--out", str(out)])
+    assert code == 2
+    assert f"error: {config_file}: {10**9 + 2} devices and adversaries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["explode"])

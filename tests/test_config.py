@@ -227,6 +227,13 @@ class TestWorkloadCap:
     def test_burst_row_at_the_cap_accepted(self):
         ScenarioConfig(attack=AttackSpec(adversary_count=0, rsrs_per_burst=2**27))
 
+    def test_device_count_capped(self):
+        # idle devices add no request times, but each costs its placement and substream
+        idle = {"base_rate_per_hour": 1e-9}
+        with pytest.raises(ConfigError, match=r"^2097153 devices and adversaries at about 0\.45 KiB each"):
+            build_in_code({"legit": dict(idle, device_count=2**21 - 4)})  # plus the 5 default adversaries
+        build_in_code({"legit": dict(idle, device_count=2**21 - 5)})
+
 
 # one valid non-default value for every field of the three dataclasses
 NON_DEFAULTS = {

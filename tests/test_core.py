@@ -1,14 +1,17 @@
 import json
 import math
+import os
 import re
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_trace_rows, write_trace_rows
+from conftest import bits, read_trace_rows, write_trace_rows
 from stormsim import (
     Decision,
     Label,
@@ -22,7 +25,8 @@ from stormsim import (
     slots_per_day,
     write_trace,
 )
-from stormsim.core import ROWS_PER_WRITE, _parse_columns
+from stormsim import core
+from stormsim.core import ROWS_PER_WRITE, SPLIT_ROWS, _parse_columns, _split_row, _with_child
 
 sim_times = st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False)
 
@@ -88,14 +92,6 @@ class TestRsrEvent:
     def test_non_finite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             RsrEvent(time_s=bad, device_id=0, ta=0, label=Label.LEGIT)
-
-
-def bits(trace: Trace, verdicts: Verdicts | None = None) -> list[tuple]:
-    """Every column's dtype and raw bytes, so equal means equal bit for bit."""
-    arrays = [trace.time_s, trace.device_id, trace.ta, trace.burst_id]
-    if verdicts is not None:
-        arrays += [verdicts.rejected, verdicts.anomaly]
-    return [(a.dtype, a.tobytes()) for a in arrays]
 
 
 class TestColumns:
@@ -482,3 +478,113 @@ class TestWriteTraceOracle:
             write_trace(path, trace, verdicts)
             write_trace_rows(reference, trace, verdicts)
             assert path.read_bytes() == reference.read_bytes()
+
+
+def random_columns(n: int, seed: int = 0) -> tuple[Trace, Verdicts]:
+    """``n`` sorted random rows, a third of them attack ones, with verdicts."""
+    rng = np.random.default_rng(seed)
+    time_s = np.sort(rng.uniform(0.0, 86400.0, n))
+    burst_id = np.where(rng.random(n) < 1 / 3, rng.integers(0, 50, n), -1)
+    trace = Trace(time_s, rng.integers(0, 200, n), rng.integers(0, 100, n), burst_id)
+    return trace, Verdicts(rng.random(n) < 0.1, rng.normal(0.0, 3.0, n))
+
+
+def rows_of(trace: Trace, verdicts: Verdicts | None, rows: slice) -> tuple[Trace, Verdicts | None]:
+    part = Trace(trace.time_s[rows], trace.device_id[rows], trace.ta[rows], trace.burst_id[rows])
+    return part, None if verdicts is None else Verdicts(verdicts.rejected[rows], verdicts.anomaly[rows])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so traces of SPLIT_ROWS rows or more are split on any machine."""
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+class TestTwoCoreTraceIO:
+    """From SPLIT_ROWS rows on, a forked child writes and parses the second
+    half of a trace; bytes, columns and errors stay those of one process."""
+
+    def test_split_rule(self, two_cpus, monkeypatch):
+        assert [_split_row(n) for n in (0, SPLIT_ROWS - 1)] == [0, SPLIT_ROWS - 1]
+        assert _split_row(SPLIT_ROWS) == SPLIT_ROWS // 2
+        assert _split_row(SPLIT_ROWS + 2 * ROWS_PER_WRITE - 1) == SPLIT_ROWS // 2 + ROWS_PER_WRITE
+        assert _split_row(66_481) == 8 * ROWS_PER_WRITE
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _split_row(10 * SPLIT_ROWS) == 10 * SPLIT_ROWS
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:  # a fork would copy only the calling thread
+            assert _split_row(10 * SPLIT_ROWS) == 10 * SPLIT_ROWS
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert _split_row(10 * SPLIT_ROWS) == 5 * SPLIT_ROWS
+        monkeypatch.delattr(core.os, "fork")
+        assert _split_row(10 * SPLIT_ROWS) == 10 * SPLIT_ROWS
+
+    @pytest.mark.parametrize("n", [SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1])
+    @pytest.mark.parametrize("with_verdicts", [True, False])
+    def test_same_bytes_and_columns_as_one_process(self, tmp_path, two_cpus, monkeypatch, n, with_verdicts):
+        trace, verdicts = random_columns(n)
+        verdicts = verdicts if with_verdicts else None
+        split, serial = tmp_path / "split.jsonl", tmp_path / "serial.jsonl"
+        write_trace(split, trace, verdicts)
+        read_split = bits(*read_trace(split))
+        monkeypatch.setattr(core, "_split_row", lambda n: n)
+        write_trace(serial, trace, verdicts)
+        assert split.read_bytes() == serial.read_bytes()
+        assert read_split == bits(*read_trace(serial)) == bits(trace, verdicts)
+
+    def test_bad_line_in_second_half(self, tmp_path, two_cpus):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, *random_columns(SPLIT_ROWS + 5000))
+        lines = path.read_text().split("\n")
+        lines[SPLIT_ROWS] = lines[SPLIT_ROWS].replace('"label":"legit"', '"label":"weird"')
+        lines[SPLIT_ROWS] = lines[SPLIT_ROWS].replace('"label":"attack"', '"label":"weird"')
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"{path}:{SPLIT_ROWS + 1}: bad label"):
+            read_trace(path)
+        assert outcome(read_trace, path) == outcome(read_trace_rows, path)
+
+    @pytest.mark.parametrize("verdict_half", [0, 1])
+    def test_verdicts_in_one_half_only(self, tmp_path, two_cpus, verdict_half):
+        # each half parses on its own, and only one carries verdict columns
+        n = SPLIT_ROWS + 7000
+        split = _split_row(n)
+        trace, verdicts = random_columns(n)
+        halves = [rows_of(trace, verdicts, slice(0, split)), rows_of(trace, verdicts, slice(split, n))]
+        halves[1 - verdict_half] = halves[1 - verdict_half][0], None
+        path, part = tmp_path / "t.jsonl", tmp_path / "part.jsonl"
+        with open(path, "wb") as fh:
+            for half in halves:
+                write_trace(part, *half)
+                fh.write(part.read_bytes())
+        with pytest.raises(ValueError, match=f"{path}:{split + 1}: verdict columns must be all-or-none"):
+            read_trace(path)
+        assert outcome(read_trace, path) == outcome(read_trace_rows, path)
+
+    def test_exception_in_child_reaches_caller(self, tmp_path, two_cpus, monkeypatch):
+        assert _with_child(os.getpid, os.getpid)[0] == os.getpid() != _with_child(os.getpid, os.getpid)[1]
+        with pytest.raises(ZeroDivisionError):
+            _with_child(lambda: None, lambda: 1 / 0)
+        path = tmp_path / "t.jsonl"
+        write_trace(path, *random_columns(SPLIT_ROWS))
+        parent, parse = os.getpid(), core._parse_columns
+
+        def parse_here_only(lines):
+            if os.getpid() != parent:
+                raise MemoryError("out of memory in the child")
+            return parse(lines)
+
+        monkeypatch.setattr(core, "_parse_columns", parse_here_only)
+        with pytest.raises(MemoryError, match="in the child"):
+            read_trace(path)
+
+    def test_child_killed_when_this_side_raises(self):
+        start = time.monotonic()
+        with pytest.raises(ZeroDivisionError):
+            _with_child(lambda: 1 / 0, lambda: time.sleep(30))
+        assert time.monotonic() - start < 10  # the child was killed, not waited for

@@ -1,7 +1,8 @@
 """Golden outputs: ``stormsim train``, ``run`` and ``sweep --profile`` on a small
 fixed config must write byte for byte what the recorded digests say, and so
 must ``train`` and ``run`` on a config whose profile spans several write and
-parse blocks.
+parse blocks, and on one whose eval trace is large enough for trace I/O to
+split it between two processes.
 
 A refactor that keeps behaviour leaves every digest alone. A change that
 alters an output on purpose updates the digest here and says so in
@@ -13,7 +14,11 @@ import json
 
 import pytest
 
+from conftest import bits
+from stormsim import DetectorConfig, build_trace, read_trace, run
 from stormsim.cli import main
+from stormsim.config import config_from_dict
+from stormsim.core import ROWS_PER_WRITE
 from stormsim.profiler import load_profile, save_profile
 
 CONFIG = {
@@ -83,6 +88,12 @@ TRUNCATING_GOLDEN = {
     "trace.jsonl": "ba1eb6ebc9f849b6b5cd4e75b75cf5618eeef4e22ce82820d9bee3f3a3095893",
 }
 
+# The default cell over 5 eval days: 66,481 rows, more than twice the 32,768
+# (8 * ROWS_PER_WRITE) rows at which write_trace and read_trace split a trace
+LARGE_TRACE_CONFIG = {"training_days": 1, "eval_days": 5, "seed_train": 41, "seed_eval": 42}
+
+LARGE_TRACE_GOLDEN = "f0b8542f79a403f611a11c293b8245e018303cb97e46bd3c83a5eddf0cb16d09"
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -125,3 +136,19 @@ def test_horizon_truncated_bursts_match_golden_digests(tmp_path):
     assert {name: sha256(out / name) for name in TRUNCATING_GOLDEN} == TRUNCATING_GOLDEN
     counts = [b["count"] for b in json.loads((out / "bursts.json").read_text())]
     assert min(counts) < TRUNCATING_CONFIG["attack"]["rsrs_per_burst"]
+
+
+def test_large_trace_matches_golden_digest_and_reads_back(tmp_path):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(LARGE_TRACE_CONFIG))
+    profile, out = tmp_path / "profile.csv", tmp_path / "out"
+    assert main(["train", "--config", str(config_file), "--out", str(profile)]) == 0
+    assert main(["run", "--config", str(config_file), "--profile", str(profile), "--out", str(out)]) == 0
+    assert sha256(out / "trace.jsonl") == LARGE_TRACE_GOLDEN
+    # the columns cmd_run wrote, rebuilt in-process, come back bit for bit
+    config = config_from_dict(LARGE_TRACE_CONFIG)
+    trace, _bursts, _layout = build_trace(config, seed=config.seed_eval, days=config.eval_days, include_attacks=True)
+    detector = DetectorConfig(gamma=config.gamma, sigma_floor=config.sigma_floor)
+    report = run(trace, load_profile(profile), detector, config.eval_days, config.scoring_mode)
+    assert len(trace) > 2 * 8 * ROWS_PER_WRITE
+    assert bits(*read_trace(out / "trace.jsonl")) == bits(trace, report.verdicts)
