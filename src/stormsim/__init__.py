@@ -21,17 +21,15 @@ from .core import (
     Decision,
     Label,
     RsrEvent,
-    SlotIndex,
     Trace,
     Verdict,
     Verdicts,
     read_trace,
-    slot_of,
     slots_per_day,
     write_json,
     write_trace,
 )
-from .detector import DetectorConfig, DetectorState, Policy, anomaly_score, interval_rollover, on_rsr
+from .detector import DetectorConfig, DetectorState, Policy, anomaly_score, on_rsr
 from .geometry import TaQuantizer, max_ta_index, place_devices, ta_index
 from .pipeline import (
     Metrics,
@@ -77,7 +75,6 @@ __all__ = [
     "ScenarioConfig",
     "ScoringMode",
     "SECONDS_PER_DAY",
-    "SlotIndex",
     "TaQuantizer",
     "Trace",
     "Verdict",
@@ -92,7 +89,6 @@ __all__ = [
     "diurnal_rate",
     "gen_attack_bursts",
     "gen_legit_events",
-    "interval_rollover",
     "load_profile",
     "max_ta_index",
     "metrics_at",
@@ -103,7 +99,6 @@ __all__ = [
     "run",
     "run_experiment",
     "save_profile",
-    "slot_of",
     "slots_per_day",
     "ta_index",
     "train",

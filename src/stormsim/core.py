@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -42,13 +42,6 @@ class Decision(str, Enum):
     REJECT = "reject"
 
 
-class SlotIndex(NamedTuple):
-    """Position of one statistics interval: day number plus slot within the day."""
-
-    day: int
-    slot_of_day: int
-
-
 def slots_per_day(interval_seconds: int) -> int:
     """Number of statistics intervals per day; the interval must divide the day."""
     if interval_seconds <= 0 or SECONDS_PER_DAY % interval_seconds != 0:
@@ -59,22 +52,14 @@ def slots_per_day(interval_seconds: int) -> int:
     return SECONDS_PER_DAY // interval_seconds
 
 
-def slot_of(seconds: float, interval_seconds: int) -> SlotIndex:
-    """Map a simulation time to its (day, slot-of-day) interval."""
-    slots_per_day(interval_seconds)
-    if seconds < 0:
-        raise ValueError(f"simulation time must be non-negative, got {seconds!r}")
-    day, remainder = divmod(seconds, SECONDS_PER_DAY)
-    return SlotIndex(int(day), int(remainder // interval_seconds))
-
-
 def cell_keys(times: np.ndarray, tas: np.ndarray, interval_seconds: int, max_ta: int, days: int) -> np.ndarray:
     """Flat index ``(day * slots_per_day + slot) * (max_ta + 1) + ta`` of each
-    event's cell, with day and slot as in :func:`slot_of`; keys sort by day,
-    slot, then TA. The interval divides the day, so ``time // interval`` is
-    ``day * slots_per_day + slot`` exactly. The one check that a trace fits
-    its (days, slots, TA) grid: ``ValueError`` for days below 1, the first
-    TA past ``max_ta`` (in ``on_rsr``'s words) or a time past the horizon."""
+    event's cell, with day and slot of day from ``divmod`` by the day and then
+    by the interval; keys sort by day, slot, then TA. The interval divides the
+    day, so ``time // interval`` is ``day * slots_per_day + slot`` exactly.
+    The one check that a trace fits its (days, slots, TA) grid: ``ValueError``
+    for days below 1, the first TA past ``max_ta`` (in ``on_rsr``'s words) or
+    a time past the horizon."""
     slots_per_day(interval_seconds)  # raises unless the interval divides the day
     if days < 1:
         raise ValueError(f"days must be at least 1, got {days!r}")
@@ -91,15 +76,15 @@ def cell_keys(times: np.ndarray, tas: np.ndarray, interval_seconds: int, max_ta:
 
 @dataclass(frozen=True, slots=True)
 class RsrEvent:
-    """One RRC Setup Request arrival with its ground-truth label.
+    """One RRC Setup Request arrival.
 
-    ``burst_id`` is present exactly when the event belongs to an attack burst.
+    ``burst_id`` is the attack burst the event belongs to, None for a legit
+    request; the ground-truth ``label`` derives from it.
     """
 
     time_s: float
     device_id: int
     ta: int
-    label: Label
     burst_id: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -107,10 +92,12 @@ class RsrEvent:
             raise ValueError(f"event time must be finite and non-negative, got {self.time_s!r}")
         if self.device_id < 0 or self.ta < 0:
             raise ValueError("device_id and ta must be non-negative")
-        if (self.burst_id is not None) != (self.label is Label.ATTACK):
-            raise ValueError("burst_id must be present exactly for attack events")
         if self.burst_id is not None and self.burst_id < 0:
             raise ValueError("burst_id must be non-negative")
+
+    @property
+    def label(self) -> Label:
+        return Label.LEGIT if self.burst_id is None else Label.ATTACK
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +132,8 @@ class Trace:
 
     ``burst_id`` is -1 for a legit request and the burst's id for an attack
     one, so the label is ``burst_id >= 0``. Iterating yields the requests as
-    :class:`RsrEvent`, the input of ``detector.on_rsr``.
+    :class:`RsrEvent`, the input of ``detector.on_rsr``, each built straight
+    from its four columns with -1 read as None.
     """
 
     time_s: np.ndarray
@@ -179,10 +167,8 @@ class Trace:
         return self.time_s.size
 
     def __iter__(self) -> Iterator[RsrEvent]:
-        columns = (self.time_s, self.device_id, self.ta, self.burst_id)
-        for time_s, device_id, ta, burst_id in zip(*(c.tolist() for c in columns)):
-            label, burst = (Label.LEGIT, None) if burst_id < 0 else (Label.ATTACK, burst_id)
-            yield RsrEvent(time_s, device_id, ta, label, burst)
+        burst_id = np.where(self.attack, self.burst_id, None)
+        return map(RsrEvent, self.time_s.tolist(), self.device_id.tolist(), self.ta.tolist(), burst_id.tolist())
 
 
 @dataclass(frozen=True, eq=False)

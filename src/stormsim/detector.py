@@ -6,8 +6,9 @@ interval so far against the full-interval profile; partial counts are biased
 low early in an interval, which makes the detector conservative rather than
 trigger-happy.
 
-``on_rsr`` is the streaming detector. ``score_events`` scores a whole trace
-at once, and ``on_rsr`` replayed event by event is its oracle.
+``on_rsr`` is the streaming detector, the xApp's online path. It works out
+each event's interval itself and shares no code with ``score_events``, which
+scores a whole trace at once; ``on_rsr`` replayed event by event is its oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ScoringMode
-from .core import Decision, RsrEvent, SlotIndex, Verdict, cell_keys, slot_of
+from .core import SECONDS_PER_DAY, Decision, RsrEvent, Verdict, cell_keys
 from .profiler import KpiProfile
 
 
@@ -68,29 +69,18 @@ def anomaly_score(count: int, mean: float, std: float, sigma_floor: float) -> fl
 
 @dataclass
 class DetectorState:
-    """Mutable per-interval state: running counts, flags, issued policies.
+    """Mutable per-interval state: the current ``(day, slot_of_day)``, the
+    latest event time, running counts, flags and issued policies.
 
     ``policy_log`` is an append-only history; a policy stops governing
     verdicts once its interval ends, but stays in the log for reporting.
     """
 
-    slot: Optional[SlotIndex] = None
+    slot: Optional[tuple[int, int]] = None
+    time_s: float = 0.0
     counts: dict[int, int] = field(default_factory=dict)
     flagged: set[int] = field(default_factory=set)
     policy_log: list[Policy] = field(default_factory=list)
-
-
-def interval_rollover(state: DetectorState, new_slot: SlotIndex) -> None:
-    """Advance to a strictly later interval: counts, flags and policies reset.
-
-    Slots with no events are never visited, which is fine: an empty slot
-    cannot raise an alarm anyway.
-    """
-    if state.slot is not None and new_slot <= state.slot:
-        raise ValueError(f"rollover must move forward, got {state.slot} -> {new_slot}")
-    state.slot = new_slot
-    state.counts = {}
-    state.flagged = set()
 
 
 def on_rsr(
@@ -101,30 +91,34 @@ def on_rsr(
 ) -> Verdict:
     """Process one request and decide accept/reject.
 
-    Steps: roll the state over when the event opens a new interval, bump the
-    running count for the event's TA, score it, flag the TA (and issue a
-    policy) when the score exceeds gamma. The verdict is Reject exactly when
-    the TA is flagged, so the request that crosses the threshold is itself
-    rejected. Events must arrive in non-decreasing time order.
+    Steps: clear the counts and flags when the event opens a new (day, slot
+    of day), bump the running count for the event's TA, score it, flag the
+    TA (and issue a policy) when the score exceeds gamma. The verdict is
+    Reject exactly when the TA is flagged, so the request that crosses the
+    threshold is itself rejected. An event earlier than the last one raises
+    ``ValueError``.
     """
-    if event.ta > profile.max_ta:
+    time_s, ta = event.time_s, event.ta
+    if ta > profile.max_ta:
         raise ValueError(
-            f"event TA {event.ta} outside profile range 0..{profile.max_ta}; "
+            f"event TA {ta} outside profile range 0..{profile.max_ta}; "
             "geometry and profile configuration disagree"
         )
-    slot = slot_of(event.time_s, profile.interval_seconds)
-    if state.slot is None or slot != state.slot:
-        interval_rollover(state, slot)
-    count = state.counts.get(event.ta, 0) + 1
-    state.counts[event.ta] = count
-    mean, std = profile.lookup(slot.slot_of_day, event.ta)
-    score = anomaly_score(count, mean, std, config.sigma_floor)
-    if score > config.gamma and event.ta not in state.flagged:
-        state.flagged.add(event.ta)
-        state.policy_log.append(
-            Policy(ta=event.ta, day=slot.day, slot_of_day=slot.slot_of_day, issued_at_s=event.time_s)
-        )
-    decision = Decision.REJECT if event.ta in state.flagged else Decision.ACCEPT
+    if time_s < state.time_s:
+        raise ValueError(f"events must be sorted by time, got {time_s!r} after {state.time_s!r}")
+    state.time_s = time_s
+    day, time_of_day = divmod(time_s, SECONDS_PER_DAY)
+    day, slot = int(day), int(time_of_day // profile.interval_seconds)
+    if (day, slot) != state.slot:
+        state.slot = (day, slot)
+        state.counts.clear()
+        state.flagged.clear()
+    count = state.counts[ta] = state.counts.get(ta, 0) + 1
+    score = anomaly_score(count, profile.mean.item(slot, ta), profile.std.item(slot, ta), config.sigma_floor)
+    if score > config.gamma and ta not in state.flagged:
+        state.flagged.add(ta)
+        state.policy_log.append(Policy(ta=ta, day=day, slot_of_day=slot, issued_at_s=time_s))
+    decision = Decision.REJECT if ta in state.flagged else Decision.ACCEPT
     return Verdict(decision=decision, anomaly=score)
 
 

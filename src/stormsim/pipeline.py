@@ -61,7 +61,6 @@ class ScoreCache:
     events, so its size is the number of bursts with an event in the trace.
     """
 
-    scores: np.ndarray
     attack_scores: np.ndarray
     burst_max: np.ndarray
     interval_clean_max: np.ndarray
@@ -114,7 +113,6 @@ def score_cache(trace: Trace, cells: np.ndarray, scores: np.ndarray, n_ta: int, 
     attack_scores = scores[attack]
     _bursts, burst_max = group_max(trace.burst_id[attack], attack_scores)
     return ScoreCache(
-        scores=scores,
         attack_scores=attack_scores,
         burst_max=burst_max,
         interval_clean_max=interval_clean_max,

@@ -119,9 +119,6 @@ class KpiProfile:
     def n_slots(self) -> int:
         return slots_per_day(self.interval_seconds)
 
-    def lookup(self, slot_of_day: int, ta: int) -> tuple[float, float]:
-        return float(self.mean[slot_of_day, ta]), float(self.std[slot_of_day, ta])
-
 
 def train(day_counts: np.ndarray) -> KpiProfile:
     """Fold per-day count tables into a profile.

@@ -20,10 +20,18 @@ from stormsim import (
     Verdict,
     Verdicts,
     on_rsr,
-    slot_of,
     slots_per_day,
 )
 from stormsim.core import _parse_record
+from stormsim.traffic import (
+    _STREAM_ATTACK_TRAFFIC,
+    _STREAM_LEGIT_TRAFFIC,
+    Burst,
+    derive_layout,
+    gen_attack_bursts,
+    gen_legit_events,
+    substream,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -87,17 +95,21 @@ def replay(trace, profile, config):
     return verdicts, state.policy_log
 
 
+def day_slot(time_s, interval_seconds):
+    """The (day, slot of day) of a time, by scalar ``divmod``."""
+    day, time_of_day = divmod(time_s, SECONDS_PER_DAY)
+    return int(day), int(time_of_day // interval_seconds)
+
+
 def interval_end_replay(trace, profile, config):
     """Interval-end oracle: every event carries its cell's last replay score."""
     scores, _policies = replay(trace, profile, config)
     last = {}
     for event, verdict in zip(trace, scores):
-        slot = slot_of(event.time_s, profile.interval_seconds)
-        last[(slot.day, slot.slot_of_day, event.ta)] = verdict.anomaly
+        last[(*day_slot(event.time_s, profile.interval_seconds), event.ta)] = verdict.anomaly
     verdicts = []
     for event in trace:
-        slot = slot_of(event.time_s, profile.interval_seconds)
-        score = last[(slot.day, slot.slot_of_day, event.ta)]
+        score = last[(*day_slot(event.time_s, profile.interval_seconds), event.ta)]
         verdicts.append(Verdict(Decision.REJECT if score > config.gamma else Decision.ACCEPT, score))
     policies = [
         Policy(
@@ -126,8 +138,7 @@ def replay_metrics(trace, verdicts, policies, bursts, gamma, interval_seconds, m
         if event.label is not Label.ATTACK:
             continue
         attack_events += 1
-        slot = slot_of(event.time_s, interval_seconds)
-        attack_cells.add((slot.day, slot.slot_of_day, event.ta))
+        attack_cells.add((*day_slot(event.time_s, interval_seconds), event.ta))
         if verdict.decision is Decision.REJECT:
             rejected_attack_events += 1
             detected.add(event.burst_id)
@@ -154,6 +165,32 @@ def replay_metrics(trace, verdicts, policies, bursts, gamma, interval_seconds, m
             "attack_events": attack_events,
         },
     )
+
+
+def build_trace_rows(config, seed, days, include_attacks=True):
+    """Reference for ``traffic.build_trace``: the trace assembled device by
+    device and burst by burst from the same substreams, each burst cut at the
+    horizon, bursts numbered by (start, adversary) and the events sorted by
+    (time, device_id, burst_id). Returns ``(trace, bursts, layout)``."""
+    horizon_s = float(days) * SECONDS_PER_DAY
+    layout = derive_layout(config, seed, include_attacks)
+    rows = []  # (time_s, device_id, burst_id, ta): tuple order is the sort order
+    for dev in layout.legit:
+        times = gen_legit_events(config.legit, horizon_s, substream(seed, _STREAM_LEGIT_TRAFFIC, dev.device_id))
+        rows += [(t, dev.device_id, -1, dev.ta) for t in times.tolist()]
+    volleys = []  # (start, adversary index, times), one per burst
+    for j in range(len(layout.adversaries)):
+        starts, times = gen_attack_bursts(config.attack, horizon_s, substream(seed, _STREAM_ATTACK_TRAFFIC, j))
+        volleys += [(start, j, row) for start, row in zip(starts.tolist(), times.tolist())]
+    bursts = []
+    for burst_id, (start, j, times) in enumerate(sorted(volleys, key=lambda v: v[:2])):
+        adversary = layout.adversaries[j]
+        kept = [t for t in times if t < horizon_s]
+        rows += [(t, adversary.device_id, burst_id, adversary.ta) for t in kept]
+        bursts.append(Burst(burst_id, adversary.device_id, start, config.attack.burst_window_s, len(kept)))
+    rows.sort()
+    time_s, device_id, burst_id, ta = zip(*rows) if rows else ([], [], [], [])
+    return Trace(time_s, device_id, ta, burst_id), bursts, layout
 
 
 def bits(trace: Trace, verdicts: Verdicts | None = None) -> list[tuple]:

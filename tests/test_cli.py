@@ -1,5 +1,10 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +284,30 @@ def test_commands_call_the_benchmark_wrapped_names(config_path, tmp_path, monkey
     assert main(["sweep", "--config", config_path, "--profile", profile, "--out", str(tmp_path / "s.csv")]) == 0
     expected = {f"{module.__name__}.{name}" for module, names in WRAPPED_NAMES.items() for name in names}
     assert expected - set(calls) == set()
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_step_runner_smoke(tmp_path):
+    """perfbench/step.py's train, traced run and readback on a tiny config: the
+    online detector consumes the run's rows, and the traced counts agree with
+    what the trace file reads back."""
+    config = {"legit": {"device_count": 10}, "training_days": 1, "eval_days": 1, "seed_train": 3, "seed_eval": 4}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    reports = {}
+    for step, trace in (("train", False), ("run", True), ("readback", False)):
+        spec = {"step": step, "dir": str(tmp_path), "src": str(REPO / "src"), "trace": trace}
+        spec["spawned_at"] = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "step.py"), json.dumps(spec)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        reports[step] = json.loads(done.stdout.splitlines()[-1])
+        assert reports[step]["rc"] == 0, step
+    run, readback = reports["run"], reports["readback"]["readback"]
+    assert "detector.on_rsr" in {span[0] for span in run["spans"]}
+    assert run["counts"]["traffic.eval_attack_events"] == readback["attack_events"] > 0
+    assert run["counts"]["pipeline.rejected_events"] == readback["rejects"]

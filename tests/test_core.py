@@ -16,19 +16,15 @@ from stormsim import (
     Decision,
     Label,
     RsrEvent,
-    SlotIndex,
     Trace,
     Verdict,
     Verdicts,
     read_trace,
-    slot_of,
     slots_per_day,
     write_trace,
 )
 from stormsim import core
 from stormsim.core import ROWS_PER_WRITE, SPLIT_ROWS, _parse_columns, _split_row, _with_child
-
-sim_times = st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False)
 
 
 class TestSlotArithmetic:
@@ -40,68 +36,41 @@ class TestSlotArithmetic:
         with pytest.raises(ValueError):
             slots_per_day(bad)
 
-    def test_day_start(self):
-        assert slot_of(0.0, 300) == SlotIndex(0, 0)
-
-    def test_last_slot_of_day(self):
-        assert slot_of(86399.9, 300) == SlotIndex(0, 287)
-
-    def test_into_second_day(self):
-        # 90000 - 86400 = 3600 s into day 1, 3600 / 300 = slot 12
-        assert slot_of(90000.0, 300) == SlotIndex(1, 12)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            slot_of(-1.0, 300)
-
-    def test_surjective_over_a_day(self):
-        seen = {slot_of(s * 300 + 0.5, 300) for s in range(288)}
-        assert seen == {SlotIndex(0, s) for s in range(288)}
-
-    @given(st.lists(sim_times, min_size=2, max_size=50))
-    def test_monotone_in_time(self, times):
-        times.sort()
-        slots = [slot_of(t, 300) for t in times]
-        assert slots == sorted(slots)
-
-    @given(sim_times, st.sampled_from([60, 300, 900, 3600, 86400]))
-    def test_slot_consistent_with_time_of_day(self, t, interval):
-        slot = slot_of(t, interval)
-        assert 0 <= slot.slot_of_day < slots_per_day(interval)
-        assert slot.day == int(t // 86400)
-
 
 class TestRsrEvent:
-    def test_attack_requires_burst_id(self):
-        with pytest.raises(ValueError):
-            RsrEvent(time_s=1.0, device_id=0, ta=0, label=Label.ATTACK)
+    def test_label_derives_from_burst_id(self):
+        assert RsrEvent(time_s=1.0, device_id=0, ta=0).label is Label.LEGIT
+        assert RsrEvent(time_s=1.0, device_id=0, ta=0, burst_id=0).label is Label.ATTACK
 
-    def test_legit_forbids_burst_id(self):
-        with pytest.raises(ValueError):
-            RsrEvent(time_s=1.0, device_id=0, ta=0, label=Label.LEGIT, burst_id=3)
+    def test_negative_burst_id_rejected(self):
+        with pytest.raises(ValueError, match="burst_id"):
+            RsrEvent(time_s=1.0, device_id=0, ta=0, burst_id=-1)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            RsrEvent(time_s=-1.0, device_id=0, ta=0, label=Label.LEGIT)
+            RsrEvent(time_s=-1.0, device_id=0, ta=0)
 
     def test_valid_events(self):
-        RsrEvent(time_s=0.0, device_id=0, ta=0, label=Label.LEGIT)
-        RsrEvent(time_s=5.0, device_id=2, ta=7, label=Label.ATTACK, burst_id=0)
+        RsrEvent(time_s=0.0, device_id=0, ta=0)
+        RsrEvent(time_s=5.0, device_id=2, ta=7, burst_id=0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_time_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            RsrEvent(time_s=bad, device_id=0, ta=0, label=Label.LEGIT)
+            RsrEvent(time_s=bad, device_id=0, ta=0)
 
 
 class TestColumns:
     def test_trace_iterates_as_events(self):
         trace = Trace([0.5, 2.0], [1, 7], [3, 9], [-1, 4])
         assert len(trace) == 2
-        assert list(trace) == [
-            RsrEvent(time_s=0.5, device_id=1, ta=3, label=Label.LEGIT),
-            RsrEvent(time_s=2.0, device_id=7, ta=9, label=Label.ATTACK, burst_id=4),
+        events = list(trace)
+        assert events == [
+            RsrEvent(time_s=0.5, device_id=1, ta=3),
+            RsrEvent(time_s=2.0, device_id=7, ta=9, burst_id=4),
         ]
+        assert [type(e.burst_id) for e in events] == [type(None), int]  # Python values, not NumPy scalars
+        assert [e.label for e in events] == [Label.LEGIT, Label.ATTACK]
         assert trace.attack.tolist() == [False, True]
         assert trace.time_s.dtype == np.float64 and trace.burst_id.dtype == np.int64
 

@@ -7,11 +7,10 @@ from stormsim import (
     Decision,
     DetectorConfig,
     DetectorState,
-    Label,
+    Policy,
     RsrEvent,
-    SlotIndex,
+    Verdict,
     anomaly_score,
-    interval_rollover,
     on_rsr,
 )
 
@@ -19,7 +18,7 @@ from conftest import make_profile
 
 
 def attack(t, ta, burst=0, device=50):
-    return RsrEvent(time_s=t, device_id=device, ta=ta, label=Label.ATTACK, burst_id=burst)
+    return RsrEvent(time_s=t, device_id=device, ta=ta, burst_id=burst)
 
 
 class TestAnomalyScore:
@@ -85,7 +84,7 @@ class TestOnRsr:
         profile = make_profile(mean=mean, std=std)
         state = DetectorState()
         verdict = on_rsr(
-            RsrEvent(time_s=0.0, device_id=0, ta=3, label=Label.LEGIT),
+            RsrEvent(time_s=0.0, device_id=0, ta=3),
             profile,
             DetectorConfig(gamma=6.5),
             state,
@@ -127,24 +126,24 @@ class TestOnRsr:
         profile = make_profile()
         config = DetectorConfig(gamma=0.5)
         state = DetectorState()
-        on_rsr(RsrEvent(time_s=5.0, device_id=0, ta=1, label=Label.LEGIT), profile, config, state)
+        on_rsr(RsrEvent(time_s=5.0, device_id=0, ta=1), profile, config, state)
         assert state.flagged == {1}
         verdict = on_rsr(
-            RsrEvent(time_s=301.0, device_id=0, ta=1, label=Label.LEGIT), profile, config, state
+            RsrEvent(time_s=301.0, device_id=0, ta=1), profile, config, state
         )
         # fresh interval: count restarts at 1, flag from slot 0 is gone but
         # the first event re-crosses gamma=0.5 and is rejected again
         assert verdict.anomaly == 1.0
-        assert state.slot == SlotIndex(0, 1)
+        assert state.slot == (0, 1)
         assert len(state.policy_log) == 2
 
     def test_skipping_empty_slots_is_silent(self):
         profile = make_profile()
         config = DetectorConfig(gamma=6.5)
         state = DetectorState()
-        on_rsr(RsrEvent(time_s=5.0, device_id=0, ta=1, label=Label.LEGIT), profile, config, state)
-        on_rsr(RsrEvent(time_s=3000.0, device_id=0, ta=1, label=Label.LEGIT), profile, config, state)
-        assert state.slot == SlotIndex(0, 10)
+        on_rsr(RsrEvent(time_s=5.0, device_id=0, ta=1), profile, config, state)
+        on_rsr(RsrEvent(time_s=3000.0, device_id=0, ta=1), profile, config, state)
+        assert state.slot == (0, 10)
         assert state.counts == {1: 1}
         assert state.policy_log == []
 
@@ -152,16 +151,75 @@ class TestOnRsr:
         profile = make_profile()
         config = DetectorConfig(gamma=6.5)
         state = DetectorState()
-        on_rsr(RsrEvent(time_s=600.0, device_id=0, ta=1, label=Label.LEGIT), profile, config, state)
-        with pytest.raises(ValueError, match="forward"):
-            on_rsr(RsrEvent(time_s=5.0, device_id=0, ta=1, label=Label.LEGIT), profile, config, state)
+        on_rsr(RsrEvent(time_s=600.0, device_id=0, ta=1), profile, config, state)
+        with pytest.raises(ValueError, match="sorted"):
+            on_rsr(RsrEvent(time_s=5.0, device_id=0, ta=1), profile, config, state)
+
+    def test_time_going_backwards_inside_one_interval_rejected(self):
+        profile = make_profile()
+        config = DetectorConfig(gamma=1.0)
+        state = DetectorState()
+        assert on_rsr(RsrEvent(time_s=100.0, device_id=0, ta=1), profile, config, state).decision is Decision.ACCEPT
+        with pytest.raises(ValueError, match="sorted"):
+            on_rsr(RsrEvent(time_s=50.0, device_id=0, ta=1), profile, config, state)
+        assert state.counts == {1: 1} and state.policy_log == []
+
+    def test_equal_times_allowed(self):
+        profile = make_profile()
+        config = DetectorConfig(gamma=6.5)
+        state = DetectorState()
+        for _ in range(3):
+            on_rsr(RsrEvent(time_s=300.0, device_id=0, ta=1), profile, config, state)
+        assert state.counts == {1: 3} and state.time_s == 300.0
+
+    def test_fresh_state(self):
+        state = DetectorState()
+        assert state.slot is None and state.counts == {} and state.flagged == set() and state.policy_log == []
+        on_rsr(RsrEvent(time_s=0.0, device_id=0, ta=2), make_profile(), DetectorConfig(gamma=6.5), state)
+        assert state.slot == (0, 0) and state.counts == {2: 1}
+
+    def test_forward_rollover_clears_counts_and_flags(self):
+        profile = make_profile()
+        config = DetectorConfig(gamma=1.5)
+        state = DetectorState()
+        for t in (10.0, 20.0):
+            on_rsr(RsrEvent(time_s=t, device_id=0, ta=3), profile, config, state)
+        on_rsr(RsrEvent(time_s=30.0, device_id=0, ta=4), profile, config, state)
+        assert state.counts == {3: 2, 4: 1} and state.flagged == {3}
+        verdict = on_rsr(RsrEvent(time_s=600.0, device_id=0, ta=4), profile, config, state)
+        assert state.slot == (0, 2)
+        assert state.counts == {4: 1} and state.flagged == set()
+        assert verdict == Verdict(Decision.ACCEPT, 1.0)
+
+    def test_day_boundary_is_forward(self):
+        profile = make_profile()
+        config = DetectorConfig(gamma=1.5)
+        state = DetectorState()
+        for t in (86100.0, 86399.0):
+            on_rsr(RsrEvent(time_s=t, device_id=0, ta=2), profile, config, state)
+        assert state.slot == (0, 287) and state.flagged == {2}
+        verdict = on_rsr(RsrEvent(time_s=86400.0, device_id=0, ta=2), profile, config, state)
+        assert state.slot == (1, 0)
+        assert state.counts == {2: 1} and state.flagged == set()
+        assert verdict == Verdict(Decision.ACCEPT, 1.0)
+
+    @pytest.mark.parametrize(
+        "time_s, day, slot",
+        # 90000 - 86400 = 3600 s into day 1, 3600 / 300 = slot 12
+        [(0.0, 0, 0), (86399.9, 0, 287), (90000.0, 1, 12)],
+    )
+    def test_policy_names_its_day_and_slot(self, time_s, day, slot):
+        state = DetectorState()
+        on_rsr(RsrEvent(time_s=time_s, device_id=0, ta=6), make_profile(), DetectorConfig(gamma=0.5), state)
+        assert state.slot == (day, slot)
+        assert state.policy_log == [Policy(ta=6, day=day, slot_of_day=slot, issued_at_s=time_s)]
 
     def test_ta_outside_profile_rejected(self):
         profile = make_profile(max_ta=3)
         state = DetectorState()
         with pytest.raises(ValueError, match="profile range"):
             on_rsr(
-                RsrEvent(time_s=0.0, device_id=0, ta=4, label=Label.LEGIT),
+                RsrEvent(time_s=0.0, device_id=0, ta=4),
                 profile,
                 DetectorConfig(gamma=1.0),
                 state,
@@ -176,30 +234,6 @@ class TestOnRsr:
             return [on_rsr(e, profile, DetectorConfig(gamma=4.0), state) for e in events]
 
         assert replay() == replay()
-
-
-class TestIntervalRollover:
-    def test_initial_rollover_from_none(self):
-        state = DetectorState()
-        interval_rollover(state, SlotIndex(0, 0))
-        assert state.slot == SlotIndex(0, 0)
-
-    def test_forward_rollover_clears_state(self):
-        state = DetectorState(slot=SlotIndex(0, 1), counts={3: 9}, flagged={3})
-        interval_rollover(state, SlotIndex(0, 2))
-        assert state.counts == {} and state.flagged == set()
-
-    def test_rollover_to_past_rejected(self):
-        state = DetectorState(slot=SlotIndex(1, 5))
-        with pytest.raises(ValueError):
-            interval_rollover(state, SlotIndex(1, 5))
-        with pytest.raises(ValueError):
-            interval_rollover(state, SlotIndex(0, 200))
-
-    def test_day_boundary_is_forward(self):
-        state = DetectorState(slot=SlotIndex(0, 287))
-        interval_rollover(state, SlotIndex(1, 0))
-        assert state.slot == SlotIndex(1, 0)
 
 
 class TestDetectorConfig:

@@ -17,7 +17,6 @@ from stormsim import (
     SECONDS_PER_DAY,
     Burst,
     DetectorConfig,
-    Label,
     RsrEvent,
     ScoringMode,
     build_score_cache,
@@ -26,6 +25,7 @@ from stormsim import (
     metrics_at,
     run,
 )
+from stormsim.detector import score_events
 
 from conftest import flagged_cells, interval_end_replay, make_profile, replay, replay_metrics, trace_of
 
@@ -73,10 +73,7 @@ def scenarios(draw):
             # "last" is the last float before the interval end, and before the horizon for the last interval
             fraction = 1.0 if placement == "last" else placement
             time_s = min(start + fraction * interval, math.nextafter(end, 0.0))
-        label = Label.LEGIT if burst < 0 else Label.ATTACK
-        events.append(
-            RsrEvent(time_s=time_s, device_id=0, ta=ta, label=label, burst_id=None if burst < 0 else burst)
-        )
+        events.append(RsrEvent(time_s=time_s, device_id=0, ta=ta, burst_id=None if burst < 0 else burst))
     events.sort(key=lambda e: e.time_s)
 
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -108,6 +105,7 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
     trace, bursts, profile, horizon, floor, gammas = scenario
     cache = build_score_cache(trace, profile, floor, horizon)
     end_cache = build_score_cache(trace, profile, floor, horizon, ScoringMode.INTERVAL_END)
+    _cells, scores = score_events(trace.time_s, trace.ta, profile, floor, horizon)
 
     def oracle_metrics(verdicts, policies, gamma):
         return replay_metrics(
@@ -118,7 +116,7 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
         config = DetectorConfig(gamma=gamma, sigma_floor=floor)
         verdicts, policies = replay(trace, profile, config)
         replay_scores = np.array([v.anomaly for v in verdicts], dtype=float)
-        assert np.array_equal(cache.scores, replay_scores)
+        assert np.array_equal(scores, replay_scores)
         metrics = oracle_metrics(verdicts, policies, gamma)
 
         per_rsr = run(trace, profile, config, horizon, ScoringMode.PER_RSR)
@@ -140,11 +138,12 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
 
 
 def _legit(time_s, ta):
-    return RsrEvent(time_s=time_s, device_id=0, ta=ta, label=Label.LEGIT)
+    return RsrEvent(time_s=time_s, device_id=0, ta=ta)
 
 
 BAD_TRACES = {
     "unsorted": (trace_of([_legit(400.0, 1), _legit(5.0, 1)]), "sorted"),
+    "unsorted inside one interval": (trace_of([_legit(100.0, 1), _legit(50.0, 1)]), "sorted"),
     "past horizon": (trace_of([_legit(86400.5, 1)]), "horizon"),
     "TA above max_ta": (trace_of([_legit(5.0, 1), _legit(6.0, 11)]), r"event TA 11 outside profile range 0\.\.10"),
 }
@@ -176,8 +175,10 @@ def test_batch_paths_check_inputs_alike(entry, bad):
         entry(trace, make_profile())
 
 
-def test_ta_message_matches_on_rsr():
-    trace, match = BAD_TRACES["TA above max_ta"]
+# on_rsr knows no horizon, so it meets every other fault, with the batch paths' message
+@pytest.mark.parametrize("bad", sorted(set(BAD_TRACES) - {"past horizon"}))
+def test_messages_match_on_rsr(bad):
+    trace, match = BAD_TRACES[bad]
     with pytest.raises(ValueError, match=match):
         replay(trace, make_profile(), DetectorConfig(gamma=1.0))
 

@@ -23,7 +23,7 @@ from conftest import flagged_cells, make_profile, trace_of
 
 def burst_events(ta, start, burst_id, n=100, spacing=0.02, device=50):
     return [
-        RsrEvent(time_s=start + i * spacing, device_id=device, ta=ta, label=Label.ATTACK, burst_id=burst_id)
+        RsrEvent(time_s=start + i * spacing, device_id=device, ta=ta, burst_id=burst_id)
         for i in range(n)
     ]
 
@@ -99,7 +99,7 @@ class TestMetrics:
         # only the legit cell counts as a false alarm
         profile = make_profile()
         legit_events = [
-            RsrEvent(time_s=1.0 + 0.1 * i, device_id=0, ta=7, label=Label.LEGIT) for i in range(20)
+            RsrEvent(time_s=1.0 + 0.1 * i, device_id=0, ta=7) for i in range(20)
         ]
         attack_list = burst_events(ta=5, start=3.0, burst_id=0, n=20)
         trace = trace_of(sorted(legit_events + attack_list, key=lambda e: (e.time_s, e.device_id)))
@@ -220,15 +220,15 @@ class TestRunValidation:
     def test_unsorted_trace_rejected(self):
         profile = make_profile()
         events = [
-            RsrEvent(time_s=400.0, device_id=0, ta=1, label=Label.LEGIT),
-            RsrEvent(time_s=5.0, device_id=0, ta=1, label=Label.LEGIT),
+            RsrEvent(time_s=400.0, device_id=0, ta=1),
+            RsrEvent(time_s=5.0, device_id=0, ta=1),
         ]
         with pytest.raises(ValueError):
             run(trace_of(events), profile, DetectorConfig(gamma=1.0), horizon_days=1)
 
     def test_trace_past_horizon_rejected(self):
         profile = make_profile()
-        events = [RsrEvent(time_s=86400.5, device_id=0, ta=1, label=Label.LEGIT)]
+        events = [RsrEvent(time_s=86400.5, device_id=0, ta=1)]
         with pytest.raises(ValueError, match="horizon"):
             run(trace_of(events), profile, DetectorConfig(gamma=1.0), horizon_days=1)
 

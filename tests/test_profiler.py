@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from stormsim import (
     CountAccumulator,
-    Label,
     LegitTrafficSpec,
     RsrEvent,
     ScenarioConfig,
@@ -22,14 +20,14 @@ from stormsim import (
     train,
 )
 from stormsim import profiler
-from stormsim.core import ROWS_PER_WRITE, SECONDS_PER_DAY, slot_of
+from stormsim.core import ROWS_PER_WRITE, SECONDS_PER_DAY
 from stormsim.profiler import KpiProfile
 
-from conftest import trace_of
+from conftest import day_slot, trace_of
 
 
 def legit(t, ta, device=0):
-    return RsrEvent(time_s=t, device_id=device, ta=ta, label=Label.LEGIT)
+    return RsrEvent(time_s=t, device_id=device, ta=ta)
 
 
 @st.composite
@@ -128,11 +126,11 @@ class TestCounting:
     def test_matches_bincount_oracle(self, case):
         trace, interval, max_ta, days = case
         n_slots = SECONDS_PER_DAY // interval
-        # the keys from the scalar slot arithmetic, counted the wide way
-        keys = [
-            (slot.day * n_slots + slot.slot_of_day) * (max_ta + 1) + ta
-            for slot, ta in zip(map(slot_of, trace.time_s.tolist(), repeat(interval)), trace.ta.tolist())
-        ]
+        # the keys from scalar divmod arithmetic, counted the wide way
+        keys = []
+        for time_s, ta in zip(trace.time_s.tolist(), trace.ta.tolist()):
+            day, slot = day_slot(time_s, interval)
+            keys.append((day * n_slots + slot) * (max_ta + 1) + ta)
         expected = np.bincount(np.array(keys, np.int64), minlength=days * n_slots * (max_ta + 1))
         table = count_per_interval(trace, interval, max_ta, days)
         assert table.shape == (days, n_slots, max_ta + 1)

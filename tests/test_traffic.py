@@ -3,6 +3,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormsim import (
     AttackSpec,
@@ -17,6 +19,8 @@ from stormsim import (
     write_trace,
 )
 from stormsim.traffic import substream
+
+from conftest import bits, build_trace_rows
 
 DAY = 86400.0
 
@@ -195,6 +199,32 @@ class TestBuildTrace:
         c = substream(1, 2, 4).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+@st.composite
+def trace_configs(draw):
+    """A small scenario: up to 5 legit devices and 4 adversaries, up to 2,000
+    bursts a day of 1 to 20 RSRs, windows up to an hour, so that bursts often
+    cross the horizon."""
+    return ScenarioConfig(
+        legit=LegitTrafficSpec(device_count=draw(st.integers(0, 5))),
+        attack=AttackSpec(
+            adversary_count=draw(st.integers(0, 4)),
+            bursts_per_day=draw(st.floats(0.5, 2000.0)),
+            rsrs_per_burst=draw(st.integers(1, 20)),
+            burst_window_s=draw(st.sampled_from((0.5, 5.0, 3600.0))),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_configs(), st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+def test_build_trace_equals_row_by_row_assembly(config, seed, days, include_attacks):
+    trace, bursts, layout = build_trace(config, seed=seed, days=days, include_attacks=include_attacks)
+    ref_trace, ref_bursts, ref_layout = build_trace_rows(config, seed, days, include_attacks)
+    assert bits(trace) == bits(ref_trace)
+    assert bursts == ref_bursts
+    assert layout == ref_layout
 
 
 class TestBurstJson:
