@@ -1,11 +1,12 @@
 """Scenario configuration: parameter dataclasses, JSON parsing, validation.
 
 Scenarios are described by a JSON document rather than command-line flags;
-unknown keys are hard errors so a typo cannot silently fall back to a
-default and corrupt an experiment. The three frozen dataclasses are the one
-schema: their fields name the keys and hold the defaults, and their
-constructors check and coerce every value, so a config built in code meets
-the rules of a parsed one and serialises to the same JSON.
+unknown and repeated keys are hard errors so a typo cannot silently fall
+back to a default, or override an earlier value, and corrupt an
+experiment. The three frozen dataclasses are the one schema: their fields
+name the keys and hold the defaults, and their constructors check and
+coerce every value, so a config built in code meets the rules of a parsed
+one and serialises to the same JSON.
 """
 
 from __future__ import annotations
@@ -213,11 +214,21 @@ def config_from_dict(doc: Mapping[str, Any]) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """One JSON object's pairs as a dict, refusing a repeated key rather than keeping its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_config(path) -> ScenarioConfig:
     """Load and validate a scenario JSON file; missing fields take defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return config_from_dict(json.load(fh))
+            return config_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except ConfigError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,9 +74,9 @@ def cell_keys(times: np.ndarray, tas: np.ndarray, interval_seconds: int, max_ta:
     return (times // interval_seconds).astype(np.int64) * (max_ta + 1) + tas
 
 
-@dataclass(frozen=True, slots=True)
-class RsrEvent:
-    """One RRC Setup Request arrival.
+class RsrEvent(NamedTuple):
+    """One RRC Setup Request arrival, a plain row with no checks of its own:
+    ``detector.on_rsr`` checks the fields it reads.
 
     ``burst_id`` is the attack burst the event belongs to, None for a legit
     request; the ground-truth ``label`` derives from it.
@@ -87,21 +87,12 @@ class RsrEvent:
     ta: int
     burst_id: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.time_s < math.inf:  # also rejects nan
-            raise ValueError(f"event time must be finite and non-negative, got {self.time_s!r}")
-        if self.device_id < 0 or self.ta < 0:
-            raise ValueError("device_id and ta must be non-negative")
-        if self.burst_id is not None and self.burst_id < 0:
-            raise ValueError("burst_id must be non-negative")
-
     @property
     def label(self) -> Label:
         return Label.LEGIT if self.burst_id is None else Label.ATTACK
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Accept/reject decision together with the anomaly value behind it."""
 
     decision: Decision
@@ -189,8 +180,8 @@ class Verdicts:
             yield Verdict(Decision.REJECT if rejected else Decision.ACCEPT, anomaly)
 
 
-_REQUIRED_KEYS = {"time_s", "device_id", "ta", "label"}
-_ALL_KEYS = _REQUIRED_KEYS | {"burst_id", "verdict", "anomaly"}
+_REQUIRED_KEYS = {"time_s", "device_id", "ta", "label", "verdict", "anomaly"}
+_ALL_KEYS = _REQUIRED_KEYS | {"burst_id"}
 _INT64_MAX = 2**63 - 1
 ROWS_PER_WRITE = 4096  # rows formatted and written at a time
 SPLIT_ROWS = 8 * ROWS_PER_WRITE  # the fewest rows that write_trace and read_trace split between two processes
@@ -206,8 +197,8 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def write_trace(path, trace: Trace, verdicts: Optional[Verdicts] = None) -> None:
-    """Write a trace as JSON Lines; verdict columns are included when supplied.
+def write_trace(path, trace: Trace, verdicts: Verdicts) -> None:
+    """Write a trace and the detector's verdict on each request as JSON Lines.
 
     Columns are formatted in C by ``json.dumps``, the id, TA and anomaly
     columns once per distinct value, and the rows are joined and written
@@ -215,13 +206,12 @@ def write_trace(path, trace: Trace, verdicts: Optional[Verdicts] = None) -> None
     formats the rest into a temporary file while this process writes the
     first rows, then appends that file.
     """
-    if verdicts is not None and len(verdicts) != len(trace):
+    if len(verdicts) != len(trace):
         raise ValueError("verdicts must align one-to-one with events")
     labels, burst_of = distinct_texts(trace.burst_id, ',"label":"attack","burst_id":')
     labels[labels == ',"label":"attack","burst_id":-1'] = ',"label":"legit"'  # burst_id -1 marks a legit request
     fields = [distinct_texts(trace.device_id, ',"device_id":'), distinct_texts(trace.ta, ',"ta":'), (labels, burst_of)]
-    if verdicts is not None:
-        fields += [(_VERDICT_TEXTS, verdicts.rejected.view(np.uint8)), distinct_texts(verdicts.anomaly, ',"anomaly":')]
+    fields += [(_VERDICT_TEXTS, verdicts.rejected.view(np.uint8)), distinct_texts(verdicts.anomaly, ',"anomaly":')]
 
     def write_rows(fh, start: int, stop: int) -> None:
         for begin in range(start, stop, ROWS_PER_WRITE):
@@ -298,8 +288,8 @@ def distinct_texts(column: np.ndarray, prefix: str) -> tuple[np.ndarray, np.ndar
     return np.array([prefix + text for text in _json_texts(values.view(column.dtype))], object), inverse
 
 
-def read_trace(path) -> tuple[Trace, Optional[Verdicts]]:
-    """Read a JSONL trace back; verdicts are returned when the file carries them.
+def read_trace(path) -> tuple[Trace, Verdicts]:
+    """Read a JSONL trace and its verdicts back.
 
     Every record is checked, and a bad one raises ``ValueError`` naming its
     ``path:line``, a line that is not valid UTF-8 included. The file is
@@ -318,10 +308,10 @@ def read_trace(path) -> tuple[Trace, Optional[Verdicts]]:
     if split == len(lines) - 1:
         return _parse_columns(lines) or _read_rows(path)
     halves = _with_child(lambda: _parse_columns(lines[:split]), lambda: _parse_columns(lines[split:]))
-    if None in halves or (halves[0][1] is None) != (halves[1][1] is None):
+    if None in halves:
         return _read_rows(path)
     (trace, verdicts), (rest, rest_verdicts) = halves
-    return Trace._adopt(*_joined(trace, rest)), None if verdicts is None else Verdicts(*_joined(verdicts, rest_verdicts))
+    return Trace._adopt(*_joined(trace, rest)), Verdicts(*_joined(verdicts, rest_verdicts))
 
 
 def _joined(first, second) -> list[np.ndarray]:
@@ -329,16 +319,16 @@ def _joined(first, second) -> list[np.ndarray]:
     return [np.concatenate((getattr(first, f.name), getattr(second, f.name))) for f in fields(first)]
 
 
-def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Optional[Verdicts]]]:
+def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Verdicts]]:
     """The trace held in ``lines``, the file's text split on newlines as file
     iteration splits it, or None when any check fails.
 
     The kept lines are joined and parsed with one ``json.loads``, and the
-    columns are held to the rules of :func:`_parse_record` and the all-or-none
-    verdict rule. Each kept line starts with ``{``, the text holds one ``{``
-    per line and every value is a scalar, so each line is exactly one record:
-    none spans two lines and no two share one. A line that starts with
-    whitespace is left to the line loop.
+    columns are held to the rules of :func:`_parse_record`. Each kept line
+    starts with ``{``, the text holds one ``{`` per line and every value is
+    a scalar, so each line is exactly one record: none spans two lines and
+    no two share one. A line that starts with whitespace is left to the
+    line loop.
     """
     kept = list(filter(str.strip, lines))
     text = "[" + ",".join(kept) + "]"
@@ -351,10 +341,9 @@ def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Optional[Verdicts]
     n = len(records)
     if n != len(kept) or not set(map(type, records)) <= {dict}:
         return None
-    has_verdict = n > 0 and "verdict" in records[0]
-    keys = ("time_s", "device_id", "ta", "label") + ("verdict", "anomaly") * has_verdict
+    keys = ("time_s", "device_id", "ta", "label", "verdict", "anomaly")
     try:
-        time_s, device_id, ta, label, *verdict = (list(map(itemgetter(key), records)) for key in keys)
+        time_s, device_id, ta, label, decision, anomaly = (list(map(itemgetter(key), records)) for key in keys)
     except KeyError:
         return None
     burst_id = list(map(dict.get, records, repeat("burst_id"), repeat(-1)))
@@ -371,9 +360,6 @@ def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Optional[Verdicts]
         return None
     if not np.array_equal(trace.attack, np.fromiter(map("attack".__eq__, label), bool, n)):
         return None
-    if not has_verdict:
-        return trace, None
-    decision, anomaly = verdict
     if decision.count("accept") + decision.count("reject") != n or not _numbers(anomaly):
         return None
     return trace, Verdicts(np.fromiter(map("reject".__eq__, decision), bool, n), np.array(anomaly, np.float64))
@@ -385,11 +371,10 @@ def _numbers(column: list) -> bool:
     return types <= {int, float} and (int not in types or all(abs(v) <= sys.float_info.max for v in column if type(v) is int))
 
 
-def _read_rows(path) -> tuple[Trace, Optional[Verdicts]]:
+def _read_rows(path) -> tuple[Trace, Verdicts]:
     """Read a trace line by line with :func:`_parse_record`, raising the first
     bad line's error with its ``path:line``."""
-    rows: list[tuple[float, int, int, int]] = []
-    verdict_rows: list[tuple[bool, float]] = []
+    rows: list[tuple[float, int, int, int, bool, float]] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -398,13 +383,10 @@ def _read_rows(path) -> tuple[Trace, Optional[Verdicts]]:
                 record = _parse_record(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((float(record["time_s"]), record["device_id"], record["ta"], record.get("burst_id", -1)))
-            if "verdict" in record:
-                verdict_rows.append((record["verdict"] == "reject", float(record["anomaly"])))
-            if len(verdict_rows) not in (0, len(rows)):
-                raise ValueError(f"{path}:{lineno}: verdict columns must be all-or-none")
-    trace = Trace(*zip(*rows)) if rows else Trace([], [], [], [])
-    return trace, (Verdicts(*zip(*verdict_rows)) if verdict_rows else None)
+            burst_id, rejected = record.get("burst_id", -1), record["verdict"] == "reject"
+            rows.append((float(record["time_s"]), record["device_id"], record["ta"], burst_id, rejected, float(record["anomaly"])))
+    columns = list(zip(*rows)) or [[]] * 6
+    return Trace(*columns[:4]), Verdicts(*columns[4:])
 
 
 def _parse_record(line: str) -> dict:
@@ -434,12 +416,9 @@ def _parse_record(line: str) -> dict:
         raise ValueError(f"event time must be finite and non-negative, got {time_s!r}")
     if ("burst_id" in keys) != (label == "attack"):
         raise ValueError("burst_id must be present exactly for attack events")
-    if ("verdict" in keys) != ("anomaly" in keys):
-        raise ValueError("verdict and anomaly must appear together")
-    if "verdict" in keys:
-        if record["verdict"] not in ("accept", "reject"):
-            raise ValueError(f"bad verdict {record['verdict']!r}")
-        anomaly = record["anomaly"]
-        if not (type(anomaly) is float or type(anomaly) is int and abs(anomaly) <= sys.float_info.max):
-            raise ValueError(f"anomaly must be a number, got {anomaly!r}")
+    if record["verdict"] not in ("accept", "reject"):
+        raise ValueError(f"bad verdict {record['verdict']!r}")
+    anomaly = record["anomaly"]
+    if not (type(anomaly) is float or type(anomaly) is int and abs(anomaly) <= sys.float_info.max):
+        raise ValueError(f"anomaly must be a number, got {anomaly!r}")
     return record

@@ -95,15 +95,19 @@ def on_rsr(
     of day), bump the running count for the event's TA, score it, flag the
     TA (and issue a policy) when the score exceeds gamma. The verdict is
     Reject exactly when the TA is flagged, so the request that crosses the
-    threshold is itself rejected. An event earlier than the last one raises
-    ``ValueError``.
+    threshold is itself rejected. Rows carry no checks of their own, so the
+    fields read here are checked here: a TA outside ``0..max_ta``, a time
+    that is negative or not finite, and a time earlier than the last one
+    raise ``ValueError``.
     """
     time_s, ta = event.time_s, event.ta
-    if ta > profile.max_ta:
+    if not 0 <= ta <= profile.max_ta:
         raise ValueError(
             f"event TA {ta} outside profile range 0..{profile.max_ta}; "
             "geometry and profile configuration disagree"
         )
+    if not 0 <= time_s < math.inf:  # also rejects nan
+        raise ValueError(f"event time must be finite and non-negative, got {time_s!r}")
     if time_s < state.time_s:
         raise ValueError(f"events must be sorted by time, got {time_s!r} after {state.time_s!r}")
     state.time_s = time_s

@@ -165,7 +165,7 @@ def save_profile(profile: KpiProfile, path) -> None:
     slots, tas = np.nonzero((profile.mean != 0.0) | (profile.std != 0.0))
     columns = (slots, tas, profile.mean[slots, tas], profile.std[slots, tas])
     fields = [distinct_texts(column, prefix) for column, prefix in zip(columns, ("", ",", ",", ","))]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"#interval_seconds={profile.interval_seconds},"
             f"max_ta={profile.max_ta},training_days={profile.training_days}\n"

@@ -54,4 +54,4 @@ def write_sweep_csv(rows: Sequence[Metrics], path) -> None:
             f"{float(row.gamma)!r},{p_detection!r},{float(row.p_false_alarm)!r},"
             f"{float(row.p_false_alarm_per_cell)!r},{row.denominators['bursts']},{row.denominators['intervals']}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -204,7 +204,7 @@ def bits(trace: Trace, verdicts: Verdicts | None = None) -> list[tuple]:
 def read_trace_rows(path):
     """Reference reader: one ``_parse_record`` per line, as ``read_trace`` read
     before it parsed the whole file at once, with the same ``path:line`` errors."""
-    rows, verdict_rows = [], []
+    rows = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -213,30 +213,24 @@ def read_trace_rows(path):
                 record = _parse_record(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((float(record["time_s"]), record["device_id"], record["ta"], record.get("burst_id", -1)))
-            if "verdict" in record:
-                verdict_rows.append((record["verdict"] == "reject", float(record["anomaly"])))
-            if len(verdict_rows) not in (0, len(rows)):
-                raise ValueError(f"{path}:{lineno}: verdict columns must be all-or-none")
-    trace = Trace(*zip(*rows)) if rows else Trace([], [], [], [])
-    return trace, (Verdicts(*zip(*verdict_rows)) if verdict_rows else None)
+            burst_id, rejected = record.get("burst_id", -1), record["verdict"] == "reject"
+            rows.append((float(record["time_s"]), record["device_id"], record["ta"], burst_id, rejected, float(record["anomaly"])))
+    columns = list(zip(*rows)) or [[]] * 6
+    return Trace(*columns[:4]), Verdicts(*columns[4:])
 
 
-def write_trace_rows(path, trace, verdicts=None):
+def write_trace_rows(path, trace, verdicts):
     """Reference writer: one f-string per row, as ``write_trace`` wrote before
     it formatted whole columns."""
-    if verdicts is not None and len(verdicts) != len(trace):
+    if len(verdicts) != len(trace):
         raise ValueError("verdicts must align one-to-one with events")
     columns = [trace.time_s.tolist(), trace.device_id.tolist(), trace.ta.tolist(), trace.burst_id.tolist()]
-    if verdicts is not None:
-        columns += [verdicts.rejected.tolist(), map(_json_float, verdicts.anomaly.tolist())]
+    columns += [verdicts.rejected.tolist(), map(_json_float, verdicts.anomaly.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for time_s, device_id, ta, burst_id, *verdict in zip(*columns):
+        for time_s, device_id, ta, burst_id, rejected, anomaly in zip(*columns):
             label = '"legit"' if burst_id < 0 else f'"attack","burst_id":{burst_id}'
-            line = f'{{"time_s":{time_s!r},"device_id":{device_id},"ta":{ta},"label":{label}'
-            if verdict:
-                line += f',"verdict":"{"reject" if verdict[0] else "accept"}","anomaly":{verdict[1]}'
-            fh.write(line + "}\n")
+            verdict = "reject" if rejected else "accept"
+            fh.write(f'{{"time_s":{time_s!r},"device_id":{device_id},"ta":{ta},"label":{label},"verdict":"{verdict}","anomaly":{anomaly}}}\n')
 
 
 def _json_float(value: float) -> str:

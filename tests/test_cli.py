@@ -209,6 +209,25 @@ def test_nan_burst_window_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"gamma": 6.5, "eval_days": 2, "gamma": 2.0}', "gamma"),
+        ('{"legit": {"device_count": 15, "device_count": 15}, "eval_days": 2}', "device_count"),
+    ],
+    ids=["top_level", "nested"],
+)
+def test_repeated_config_key_exits_2(tmp_path, capsys, text, key):
+    # json.load would keep the last value and run on it
+    config_file = tmp_path / "c.json"
+    config_file.write_text(text)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--profile", str(tmp_path / "p.csv"), "--out", str(out)])
+    assert code == 2
+    assert f"error: {config_file}: repeated key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ungeneratable_workload_exits_2(tmp_path, capsys):
     # refused when the config is read, before any trace is generated
     config_file = tmp_path / "c.json"

@@ -42,23 +42,6 @@ class TestRsrEvent:
         assert RsrEvent(time_s=1.0, device_id=0, ta=0).label is Label.LEGIT
         assert RsrEvent(time_s=1.0, device_id=0, ta=0, burst_id=0).label is Label.ATTACK
 
-    def test_negative_burst_id_rejected(self):
-        with pytest.raises(ValueError, match="burst_id"):
-            RsrEvent(time_s=1.0, device_id=0, ta=0, burst_id=-1)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            RsrEvent(time_s=-1.0, device_id=0, ta=0)
-
-    def test_valid_events(self):
-        RsrEvent(time_s=0.0, device_id=0, ta=0)
-        RsrEvent(time_s=5.0, device_id=2, ta=7, burst_id=0)
-
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_non_finite_time_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            RsrEvent(time_s=bad, device_id=0, ta=0)
-
 
 class TestColumns:
     def test_trace_iterates_as_events(self):
@@ -69,6 +52,7 @@ class TestColumns:
             RsrEvent(time_s=0.5, device_id=1, ta=3),
             RsrEvent(time_s=2.0, device_id=7, ta=9, burst_id=4),
         ]
+        assert {type(e) for e in events} == {RsrEvent}
         assert [type(e.burst_id) for e in events] == [type(None), int]  # Python values, not NumPy scalars
         assert [e.label for e in events] == [Label.LEGIT, Label.ATTACK]
         assert trace.attack.tolist() == [False, True]
@@ -137,6 +121,7 @@ class TestColumns:
 
 
 HORIZON_S = 2 * 86400.0
+VERDICT_KEYS = ',"verdict":"accept","anomaly":0.0'  # the verdict pair every record holds
 trace_times = st.one_of(
     st.just(0.0),
     st.just(math.nextafter(HORIZON_S, 0.0)),
@@ -153,29 +138,28 @@ row_strategy = st.tuples(
 )
 
 
-def columns_of(rows, with_verdicts: bool) -> tuple[Trace, Verdicts | None]:
-    """The trace of ``row_strategy`` rows in time order, with verdicts or not."""
+def columns_of(rows) -> tuple[Trace, Verdicts]:
+    """The trace and verdicts of ``row_strategy`` rows in time order."""
     rows = sorted(rows, key=lambda row: row[0])
     time_s, device_id, ta, burst_id, rejected, anomaly = zip(*rows) if rows else ([],) * 6
     trace = Trace(
         np.array(time_s, float), np.array(device_id, np.int64), np.array(ta, np.int64), np.array(burst_id, np.int64)
     )
-    return trace, Verdicts(np.array(rejected, bool), np.array(anomaly, float)) if with_verdicts else None
+    return trace, Verdicts(np.array(rejected, bool), np.array(anomaly, float))
 
 
 class TestTraceSerialization:
-    @given(rows=st.lists(row_strategy, max_size=30), with_verdicts=st.booleans())
-    def test_round_trip_events(self, rows, with_verdicts):
+    @given(rows=st.lists(row_strategy, max_size=30))
+    def test_round_trip_events(self, rows):
         import pathlib
         import tempfile
 
-        trace, verdicts = columns_of(rows, with_verdicts)
+        trace, verdicts = columns_of(rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "trace.jsonl"
             write_trace(path, trace, verdicts)
             loaded, loaded_verdicts = read_trace(path)
-            expected = verdicts if len(trace) else None  # an empty file carries no verdict columns
-            assert bits(loaded, loaded_verdicts) == bits(trace, expected)
+            assert bits(loaded, loaded_verdicts) == bits(trace, verdicts)
             first = path.read_bytes()
             write_trace(path, loaded, loaded_verdicts)
             assert path.read_bytes() == first
@@ -205,54 +189,57 @@ class TestTraceSerialization:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"time_s":1.0,"device_id":0,"ta":0,"label":"legit","oops":1}\n')
+        path.write_text('{"time_s":1.0,"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS + ',"oops":1}\n')
         with pytest.raises(ValueError, match="unknown"):
             read_trace(path)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"time_s":1.0,"device_id":0,"label":"legit"}\n')
-        with pytest.raises(ValueError, match="missing"):
+        path.write_text('{"time_s":1.0,"device_id":0,"label":"legit"' + VERDICT_KEYS + "}\n")
+        with pytest.raises(ValueError, match=r"missing keys \['ta'\]"):
             read_trace(path)
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"time_s":1.0,"device_id":0,"ta":0,"label":"weird"}\n')
+        path.write_text('{"time_s":1.0,"device_id":0,"ta":0,"label":"weird"' + VERDICT_KEYS + "}\n")
         with pytest.raises(ValueError, match="label"):
             read_trace(path)
 
     @pytest.mark.parametrize(
-        "fields",
+        "fields, match",
         [
-            '"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":"3"',
-            '"time_s":1.0,"device_id":0,"ta":true,"label":"legit"',
-            '"time_s":"1.0","device_id":0,"ta":0,"label":"legit"',
-            '"time_s":1.0,"device_id":0,"ta":-1,"label":"legit"',
-            '"time_s":NaN,"device_id":0,"ta":0,"label":"legit"',
-            '"time_s":Infinity,"device_id":0,"ta":0,"label":"legit"',
-            '"time_s":' + "9" * 400 + ',"device_id":0,"ta":0,"label":"legit"',
-            '"time_s":true,"device_id":0,"ta":0,"label":"legit"',
+            ('"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":"3"' + VERDICT_KEYS, "must be integers"),
+            ('"time_s":1.0,"device_id":0,"ta":true,"label":"legit"' + VERDICT_KEYS, "must be integers"),
+            ('"time_s":"1.0","device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS, "time_s a number"),
+            ('"time_s":1.0,"device_id":0,"ta":-1,"label":"legit"' + VERDICT_KEYS, "must lie in"),
+            ('"time_s":NaN,"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS, "finite"),
+            ('"time_s":Infinity,"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS, "finite"),
+            ('"time_s":' + "9" * 400 + ',"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS, "finite"),
+            ('"time_s":true,"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS, "time_s a number"),
             # one past the largest float: converting it would round down to a valid time
-            '"time_s":' + str(int(sys.float_info.max) + 1) + ',"device_id":0,"ta":0,"label":"legit"',
-            '"time_s":1.0,"device_id":9223372036854775808,"ta":0,"label":"legit"',
-            '"time_s":1.0,"device_id":0,"ta":' + "9" * 30 + ',"label":"legit"',
-            '"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":9223372036854775808',
-            '"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":-1',
-            '"time_s":1.0,"device_id":0,"ta":0,"label":"legit","burst_id":3',
-            '"time_s":1.0,"device_id":0,"ta":0,"label":"attack"',
-            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"maybe","anomaly":0.0',
-            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":"x"',
-            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":' + "9" * 400,
-            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":false',
-            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":-'
-            + str(int(sys.float_info.max) + 1),
-            '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept"',
+            ('"time_s":' + str(int(sys.float_info.max) + 1) + ',"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS, "finite"),
+            ('"time_s":1.0,"device_id":9223372036854775808,"ta":0,"label":"legit"' + VERDICT_KEYS, "must lie in"),
+            ('"time_s":1.0,"device_id":0,"ta":' + "9" * 30 + ',"label":"legit"' + VERDICT_KEYS, "must lie in"),
+            ('"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":9223372036854775808' + VERDICT_KEYS, "must lie in"),
+            ('"time_s":1.0,"device_id":0,"ta":0,"label":"attack","burst_id":-1' + VERDICT_KEYS, "must lie in"),
+            ('"time_s":1.0,"device_id":0,"ta":0,"label":"legit","burst_id":3' + VERDICT_KEYS, "present exactly"),
+            ('"time_s":1.0,"device_id":0,"ta":0,"label":"attack"' + VERDICT_KEYS, "present exactly"),
+            ('"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"maybe","anomaly":0.0', "bad verdict"),
+            ('"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":"x"', "anomaly must"),
+            ('"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":' + "9" * 400, "anomaly must"),
+            ('"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":false', "anomaly must"),
+            (
+                '"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":-'
+                + str(int(sys.float_info.max) + 1),
+                "anomaly must",
+            ),
+            ('"time_s":0.5,"device_id":0,"ta":0,"label":"legit","verdict":"accept"', r"missing keys \['anomaly'\]"),
         ],
     )
-    def test_bad_field_type_rejected(self, tmp_path, fields):
+    def test_bad_field_type_rejected(self, tmp_path, fields, match):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"time_s":0.5,"device_id":0,"ta":0,"label":"legit"}\n{' + fields + "}\n")
-        with pytest.raises(ValueError, match=f"{path}:2: "):
+        path.write_text('{"time_s":0.5,"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS + "}\n{" + fields + "}\n")
+        with pytest.raises(ValueError, match=f"{path}:2: .*{match}"):
             read_trace(path)
 
     def test_partial_verdicts_rejected(self, tmp_path):
@@ -261,7 +248,7 @@ class TestTraceSerialization:
             '{"time_s":1.0,"device_id":0,"ta":0,"label":"legit","verdict":"accept","anomaly":0.0}\n'
             '{"time_s":2.0,"device_id":0,"ta":0,"label":"legit"}\n'
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: missing keys ['anomaly', 'verdict']")):
             read_trace(path)
 
 
@@ -269,7 +256,7 @@ class TestTraceSerialization:
 # occurrence of a character or insert a string just after it; inserting after
 # a quote puts a raw U+2028 or U+001C inside a string, which str.splitlines
 # would break on. Field edits replace the k-th value or key, or drop the pair;
-# dropping the k-th verdict pair leaves a line without verdict columns.
+# dropping the k-th verdict pair leaves a line without its verdict keys.
 EDIT_TARGETS = '\n,{}": .'
 EDIT_INSERTS = ["\n", ",", "{", "}", " ", "\t", "\n\n", " \n", "\r", "\u2028", "\x1c"]
 EDIT_VALUES = [
@@ -320,15 +307,14 @@ class TestReadTraceOracle:
     @settings(max_examples=300, deadline=None)
     @given(
         rows=st.lists(row_strategy, max_size=6),
-        with_verdicts=st.booleans(),
         edits=st.lists(edit_strategy, max_size=3),
         crlf=st.booleans(),
     )
-    def test_matches_line_loop(self, rows, with_verdicts, edits, crlf):
+    def test_matches_line_loop(self, rows, edits, crlf):
         import pathlib
         import tempfile
 
-        trace, verdicts = columns_of(rows, with_verdicts)
+        trace, verdicts = columns_of(rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "trace.jsonl"
             write_trace(path, trace, verdicts)
@@ -360,7 +346,7 @@ class TestReadTraceOracle:
         # json.loads raises RecursionError, not ValueError, on deep nesting;
         # the bad label on the line before it is still the error reported.
         path = tmp_path / "t.jsonl"
-        path.write_text('{"time_s":1.0,"device_id":0,"ta":0,"label":"weird"}\n{"time_s":' + "[" * 100_000 + "\n")
+        path.write_text('{"time_s":1.0,"device_id":0,"ta":0,"label":"weird"' + VERDICT_KEYS + '}\n{"time_s":' + "[" * 100_000 + "\n")
         with pytest.raises(ValueError, match=f"{path}:1: bad label"):
             read_trace(path)
 
@@ -373,8 +359,8 @@ class TestReadTraceOracle:
 
     def test_indented_line_read_by_line_loop(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text(' {"time_s":1.0,"device_id":0,"ta":0,"label":"legit"}\n\n')
-        assert bits(*read_trace(path)) == bits(Trace([1.0], [0], [0], [-1]))
+        path.write_text(' {"time_s":1.0,"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS + "}\n\n")
+        assert bits(*read_trace(path)) == bits(Trace([1.0], [0], [0], [-1]), Verdicts([False], [0.0]))
 
     @pytest.mark.parametrize(
         "first, padding, match",
@@ -390,7 +376,7 @@ class TestReadTraceOracle:
         # bad record or a byte that is not UTF-8, wherever the decoder's
         # chunks fall.
         path = tmp_path / "t.jsonl"
-        path.write_bytes(b'{"time_s":1.0,"device_id":0,"ta":0,' + first + b"}\n" + b"\n" * padding + b"\xff\n")
+        path.write_bytes(b'{"time_s":1.0,"device_id":0,"ta":0,' + first + VERDICT_KEYS.encode() + b"}\n" + b"\n" * padding + b"\xff\n")
         with pytest.raises(ValueError, match=match):
             read_trace(path)
         assert outcome(read_trace, path) == outcome(read_trace_rows, path)
@@ -424,15 +410,13 @@ class TestWriteTraceOracle:
             st.sampled_from([0, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1]), st.integers(0, 40)
         ),
         labels=st.sampled_from(["mixed", "legit", "attack"]),
-        with_verdicts=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @example(rows=EDGE_ROWS, length=0, labels="mixed", with_verdicts=True, seed=0)
-    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE - 1, labels="legit", with_verdicts=True, seed=0)
-    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE, labels="attack", with_verdicts=True, seed=0)
-    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE + 1, labels="mixed", with_verdicts=True, seed=0)
-    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE + 1, labels="mixed", with_verdicts=False, seed=0)
-    def test_same_bytes_as_row_writer(self, rows, length, labels, with_verdicts, seed):
+    @example(rows=EDGE_ROWS, length=0, labels="mixed", seed=0)
+    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE - 1, labels="legit", seed=0)
+    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE, labels="attack", seed=0)
+    @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE + 1, labels="mixed", seed=0)
+    def test_same_bytes_as_row_writer(self, rows, length, labels, seed):
         import pathlib
         import tempfile
 
@@ -441,7 +425,7 @@ class TestWriteTraceOracle:
         if labels != "mixed":
             burst_id = np.full(length, -1) if labels == "legit" else np.maximum(burst_id, 0)
         trace = Trace(time_s, device_id, ta, burst_id)
-        verdicts = Verdicts(rejected, anomaly) if with_verdicts else None
+        verdicts = Verdicts(rejected, anomaly)
         with tempfile.TemporaryDirectory() as tmp:
             path, reference = pathlib.Path(tmp) / "trace.jsonl", pathlib.Path(tmp) / "rows.jsonl"
             write_trace(path, trace, verdicts)
@@ -458,9 +442,9 @@ def random_columns(n: int, seed: int = 0) -> tuple[Trace, Verdicts]:
     return trace, Verdicts(rng.random(n) < 0.1, rng.normal(0.0, 3.0, n))
 
 
-def rows_of(trace: Trace, verdicts: Verdicts | None, rows: slice) -> tuple[Trace, Verdicts | None]:
+def rows_of(trace: Trace, verdicts: Verdicts, rows: slice) -> tuple[Trace, Verdicts]:
     part = Trace(trace.time_s[rows], trace.device_id[rows], trace.ta[rows], trace.burst_id[rows])
-    return part, None if verdicts is None else Verdicts(verdicts.rejected[rows], verdicts.anomaly[rows])
+    return part, Verdicts(verdicts.rejected[rows], verdicts.anomaly[rows])
 
 
 @pytest.fixture
@@ -495,10 +479,8 @@ class TestTwoCoreTraceIO:
         assert _split_row(10 * SPLIT_ROWS) == 10 * SPLIT_ROWS
 
     @pytest.mark.parametrize("n", [SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1])
-    @pytest.mark.parametrize("with_verdicts", [True, False])
-    def test_same_bytes_and_columns_as_one_process(self, tmp_path, two_cpus, monkeypatch, n, with_verdicts):
+    def test_same_bytes_and_columns_as_one_process(self, tmp_path, two_cpus, monkeypatch, n):
         trace, verdicts = random_columns(n)
-        verdicts = verdicts if with_verdicts else None
         split, serial = tmp_path / "split.jsonl", tmp_path / "serial.jsonl"
         write_trace(split, trace, verdicts)
         read_split = bits(*read_trace(split))
@@ -520,18 +502,19 @@ class TestTwoCoreTraceIO:
 
     @pytest.mark.parametrize("verdict_half", [0, 1])
     def test_verdicts_in_one_half_only(self, tmp_path, two_cpus, verdict_half):
-        # each half parses on its own, and only one carries verdict columns
+        # only one half's records carry their verdict keys; the first line
+        # of the other half is the first bad line
         n = SPLIT_ROWS + 7000
         split = _split_row(n)
         trace, verdicts = random_columns(n)
-        halves = [rows_of(trace, verdicts, slice(0, split)), rows_of(trace, verdicts, slice(split, n))]
-        halves[1 - verdict_half] = halves[1 - verdict_half][0], None
         path, part = tmp_path / "t.jsonl", tmp_path / "part.jsonl"
-        with open(path, "wb") as fh:
-            for half in halves:
-                write_trace(part, *half)
-                fh.write(part.read_bytes())
-        with pytest.raises(ValueError, match=f"{path}:{split + 1}: verdict columns must be all-or-none"):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for half, rows in enumerate([slice(0, split), slice(split, n)]):
+                write_trace(part, *rows_of(trace, verdicts, rows))
+                text = part.read_text(encoding="utf-8")
+                fh.write(text if half == verdict_half else VERDICT.sub("", text))
+        first_bad = split + 1 if verdict_half == 0 else 1
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{first_bad}: missing keys ['anomaly', 'verdict']")):
             read_trace(path)
         assert outcome(read_trace, path) == outcome(read_trace_rows, path)
 

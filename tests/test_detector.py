@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -224,6 +226,21 @@ class TestOnRsr:
                 DetectorConfig(gamma=1.0),
                 state,
             )
+
+    def test_negative_ta_rejected(self):
+        # a row is a plain tuple, so a negative TA reaches on_rsr; unchecked
+        # it would index the profile's last column
+        state = DetectorState()
+        with pytest.raises(ValueError, match=r"event TA -1 outside profile range 0\.\.3"):
+            on_rsr(RsrEvent(time_s=0.0, device_id=0, ta=-1), make_profile(max_ta=3), DetectorConfig(gamma=-1.0), state)
+        assert state == DetectorState()
+
+    @pytest.mark.parametrize("bad", [-1.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_bad_time_rejected(self, bad):
+        state = DetectorState()
+        with pytest.raises(ValueError, match="event time must be finite and non-negative"):
+            on_rsr(RsrEvent(time_s=bad, device_id=0, ta=1), make_profile(), DetectorConfig(gamma=-1.0), state)
+        assert state == DetectorState()
 
     def test_replay_is_deterministic(self):
         profile = make_profile()

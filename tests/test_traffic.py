@@ -11,6 +11,7 @@ from stormsim import (
     Label,
     LegitTrafficSpec,
     ScenarioConfig,
+    Verdicts,
     build_trace,
     diurnal_rate,
     gen_attack_bursts,
@@ -188,9 +189,10 @@ class TestBuildTrace:
 
     def test_jsonl_bytes_deterministic(self, small_config, tmp_path):
         events, _, _ = build_trace(small_config, seed=5, days=2)
+        verdicts = Verdicts(events.attack, events.time_s % 7.0)
         path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_trace(path_a, events)
-        write_trace(path_b, events)
+        write_trace(path_a, events, verdicts)
+        write_trace(path_b, events, verdicts)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_substreams_are_independent(self):
