@@ -37,11 +37,14 @@ def cmd_train(config: ScenarioConfig, out_path: str) -> int:
         config, seed=config.seed_train, days=config.training_days, include_attacks=False
     )
     counts = count_per_interval(trace, config.interval_seconds, config.max_ta, config.training_days)
+    events = len(trace)
+    del trace  # each input is freed once used, so the peak holds only what is still needed
     profile = train(counts)
+    del counts
     save_profile(profile, out_path)
     populated = int(np.count_nonzero((profile.mean != 0.0) | (profile.std != 0.0)))
     print(
-        f"trained on {len(trace)} events over {config.training_days} days; "
+        f"trained on {events} events over {config.training_days} days; "
         f"{populated} populated cells -> {out_path}"
     )
     return 0

@@ -104,8 +104,7 @@ def _columns(obj, dtypes: dict, adopt: bool = False) -> None:
     copy of its dtype, refusing casts across kinds (float to int, say), and
     require equal lengths. The copy keeps the caller's array from changing
     a column after it was checked. With ``adopt``, a column already of its
-    dtype is kept and made read-only instead of copied, for arrays that no
-    other code holds."""
+    dtype is kept and made read-only instead of copied."""
     for name, dtype in dtypes.items():
         column = np.asarray(getattr(obj, name))
         if column.ndim != 1 or (column.size and not np.can_cast(column.dtype, dtype, "same_kind")):
@@ -117,8 +116,25 @@ def _columns(obj, dtypes: dict, adopt: bool = False) -> None:
         raise ValueError(f"columns {list(dtypes)} must have equal lengths")
 
 
+class Adoptable:
+    """Base of the frozen dataclasses of arrays. Their constructor stores
+    read-only copies of the arrays it is given; ``__post_init__(adopt=True)``
+    keeps them instead, for :meth:`_adopt`."""
+
+    @classmethod
+    def _adopt(cls, *values):
+        """The instance of freshly built values, in field order, that no
+        other code holds: each array is kept and made read-only rather than
+        copied, and all meet the checks of the constructor."""
+        obj = object.__new__(cls)
+        for f, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(obj, f.name, value)
+        obj.__post_init__(adopt=True)
+        return obj
+
+
 @dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(Adoptable):
     """A labeled RSR trace as columns, one entry per request in trace order.
 
     ``burst_id`` is -1 for a legit request and the burst's id for an attack
@@ -139,17 +155,6 @@ class Trace:
         if np.any(self.device_id < 0) or np.any(self.ta < 0) or np.any(self.burst_id < -1):
             raise ValueError("device_id and ta must be non-negative, burst_id -1 or more")
 
-    @classmethod
-    def _adopt(cls, *columns: np.ndarray) -> Trace:
-        """The trace of freshly built columns, in field order, that no other
-        code holds: each one of its dtype is kept, made read-only, rather
-        than copied, and all meet the checks of the constructor."""
-        trace = object.__new__(cls)
-        for f, column in zip(fields(cls), columns, strict=True):
-            object.__setattr__(trace, f.name, column)
-        trace.__post_init__(adopt=True)
-        return trace
-
     @property
     def attack(self) -> np.ndarray:
         return self.burst_id >= 0
@@ -163,14 +168,14 @@ class Trace:
 
 
 @dataclass(frozen=True, eq=False)
-class Verdicts:
+class Verdicts(Adoptable):
     """The detector's answer to each request of a trace, as columns."""
 
     rejected: np.ndarray
     anomaly: np.ndarray
 
-    def __post_init__(self) -> None:
-        _columns(self, {"rejected": np.bool_, "anomaly": np.float64})
+    def __post_init__(self, adopt: bool = False) -> None:
+        _columns(self, {"rejected": np.bool_, "anomaly": np.float64}, adopt)
 
     def __len__(self) -> int:
         return self.rejected.size
@@ -311,7 +316,7 @@ def read_trace(path) -> tuple[Trace, Verdicts]:
     if None in halves:
         return _read_rows(path)
     (trace, verdicts), (rest, rest_verdicts) = halves
-    return Trace._adopt(*_joined(trace, rest)), Verdicts(*_joined(verdicts, rest_verdicts))
+    return Trace._adopt(*_joined(trace, rest)), Verdicts._adopt(*_joined(verdicts, rest_verdicts))
 
 
 def _joined(first, second) -> list[np.ndarray]:
@@ -362,7 +367,7 @@ def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Verdicts]]:
         return None
     if decision.count("accept") + decision.count("reject") != n or not _numbers(anomaly):
         return None
-    return trace, Verdicts(np.fromiter(map("reject".__eq__, decision), bool, n), np.array(anomaly, np.float64))
+    return trace, Verdicts._adopt(np.fromiter(map("reject".__eq__, decision), bool, n), np.array(anomaly, np.float64))
 
 
 def _numbers(column: list) -> bool:
@@ -386,7 +391,7 @@ def _read_rows(path) -> tuple[Trace, Verdicts]:
             burst_id, rejected = record.get("burst_id", -1), record["verdict"] == "reject"
             rows.append((float(record["time_s"]), record["device_id"], record["ta"], burst_id, rejected, float(record["anomaly"])))
     columns = list(zip(*rows)) or [[]] * 6
-    return Trace(*columns[:4]), Verdicts(*columns[4:])
+    return Trace._adopt(*columns[:4]), Verdicts._adopt(*columns[4:])
 
 
 def _parse_record(line: str) -> dict:

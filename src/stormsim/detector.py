@@ -96,11 +96,15 @@ def on_rsr(
     TA (and issue a policy) when the score exceeds gamma. The verdict is
     Reject exactly when the TA is flagged, so the request that crosses the
     threshold is itself rejected. Rows carry no checks of their own, so the
-    fields read here are checked here: a TA outside ``0..max_ta``, a time
-    that is negative or not finite, and a time earlier than the last one
-    raise ``ValueError``.
+    fields read here are checked here, before any state changes: a TA that
+    is not an integer (a bool or a float, say; numpy integers pass) or lies
+    outside ``0..max_ta``, a time that is negative or not finite, and a time
+    earlier than the last one raise ``ValueError``.
     """
     time_s, ta = event.time_s, event.ta
+    if isinstance(ta, bool) or not isinstance(ta, (int, np.integer)):
+        raise ValueError(f"event TA must be an integer, got {ta!r}")
+    ta = int(ta)
     if not 0 <= ta <= profile.max_ta:
         raise ValueError(
             f"event TA {ta} outside profile range 0..{profile.max_ta}; "

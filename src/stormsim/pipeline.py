@@ -87,8 +87,7 @@ def run(
     """
     scoring_mode = ScoringMode(scoring_mode)
     cells, anomalies = score_events(trace.time_s, trace.ta, profile, config.sigma_floor, horizon_days, scoring_mode)
-    verdicts = Verdicts(anomalies > config.gamma, anomalies)
-    del anomalies  # one trace-length score array at a time: the verdicts' copy
+    verdicts = Verdicts._adopt(anomalies > config.gamma, anomalies)
     crossings = np.flatnonzero(verdicts.rejected)
     policy_cells, first = np.unique(cells[crossings], return_index=True)
     n_ta = profile.max_ta + 1

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from pathlib import Path
+from itertools import chain, islice, repeat
+from typing import Iterable
 
 import numpy as np
 
 from .config import MAX_TABLE_BYTES
-from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Trace, cell_keys, distinct_texts, slots_per_day
+from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Adoptable, Trace, cell_keys, distinct_texts, slots_per_day
+
+FOLD_CELLS = 2**15  # table cells that train folds at a time
 
 
 def count_per_interval(
@@ -85,7 +87,7 @@ def _check_metadata(interval_seconds: int, max_ta: int, training_days: int) -> i
 
 
 @dataclass(frozen=True, eq=False)
-class KpiProfile:
+class KpiProfile(Adoptable):
     """Long-term per-(slot-of-day, TA) count statistics from clean traffic.
 
     Both tables are shaped (slots_per_day, max_ta + 1), fit in
@@ -99,11 +101,12 @@ class KpiProfile:
     mean: np.ndarray
     std: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, adopt: bool = False) -> None:
         shape = (_check_metadata(self.interval_seconds, self.max_ta, self.training_days), self.max_ta + 1)
-        # read-only copies, so the caller's arrays cannot change the checked tables
+        # read-only copies, so the caller's arrays cannot change the checked tables;
+        # adopted tables are made read-only in place
         for name in ("mean", "std"):
-            table = np.array(getattr(self, name))
+            table = np.asarray(getattr(self, name)) if adopt else np.array(getattr(self, name))
             table.setflags(write=False)
             object.__setattr__(self, name, table)
         if self.mean.shape != shape or self.std.shape != shape:
@@ -137,23 +140,20 @@ def train(day_counts: np.ndarray) -> KpiProfile:
         raise ValueError(f"slot axis of length {n_slots} does not divide the day")
     # Only the cells with a count on some day are folded. The fold keeps any
     # other cell at exactly 0.0, so the zeroed tables below are bit-identical
-    # to a fold over every cell. Each day's cells are gathered on their own,
-    # which keeps a (days, cells) copy of the count table from ever existing.
+    # to a fold over every cell. The table is folded FOLD_CELLS cells at a
+    # time, each cell by itself, so that besides the two tables only one
+    # block's gathered counts and moments ever exist.
     flat = day_counts.reshape(days, -1)
-    cells = np.flatnonzero(flat.any(axis=0))
-    accumulator = CountAccumulator((cells.size,))
-    for d in range(days):
-        accumulator.add_day(flat[d, cells])
     mean, std = np.zeros((n_slots, n_ta)), np.zeros((n_slots, n_ta))
-    np.put(mean, cells, accumulator.mean)
-    np.put(std, cells, accumulator.std())
-    return KpiProfile(
-        interval_seconds=SECONDS_PER_DAY // n_slots,
-        max_ta=n_ta - 1,
-        training_days=days,
-        mean=mean,
-        std=std,
-    )
+    for start in range(0, flat.shape[1], FOLD_CELLS):
+        block = flat[:, start : start + FOLD_CELLS]
+        cells = np.flatnonzero(block.any(axis=0))
+        accumulator = CountAccumulator((cells.size,))
+        for day in block:
+            accumulator.add_day(day[cells])
+        np.put(mean, start + cells, accumulator.mean)
+        np.put(std, start + cells, accumulator.std())
+    return KpiProfile._adopt(SECONDS_PER_DAY // n_slots, n_ta - 1, days, mean, std)
 
 
 def save_profile(profile: KpiProfile, path) -> None:
@@ -178,19 +178,40 @@ def save_profile(profile: KpiProfile, path) -> None:
 
 
 def load_profile(path) -> KpiProfile:
-    """Read a profile CSV back into dense tables; absent cells are zero."""
+    """Read a profile CSV back into dense tables; absent cells are zero.
+
+    The file is read as text with universal newlines, so lines end only at
+    ``"\\n"``, ``"\\r\\n"`` or ``"\\r"`` (``str.splitlines`` would also break
+    at U+2028, U+0085 and the like, and so misnumber every row after one).
+    :func:`_read_columns` reads the rows ``ROWS_PER_WRITE`` lines at a time
+    from the open file, so neither the whole text nor a list of its lines
+    is ever held; a file it refuses is read again by the line loop of
+    :func:`_read_rows`, which raises the first bad row's error. A byte that
+    is not UTF-8 raises ``ValueError`` naming the path, whichever of the
+    two readers meets it first.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            metadata = _read_metadata(path, *(fh.readline().removesuffix("\n") for _ in range(2)))
+            shape = (slots_per_day(metadata[0]), metadata[1] + 1)
+            mean, std = np.zeros(shape), np.zeros(shape)
+            by_columns = _read_columns(fh, mean, std)
+        if not by_columns:
+            _read_rows(path, mean, std)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
-    # read_text turns "\r\n" and "\r" into "\n"; str.splitlines would also break at
-    # U+2028, U+0085 and the like and so misnumber every row after one
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("#"):
+    return KpiProfile._adopt(*metadata, mean, std)
+
+
+def _read_metadata(path, first: str, header: str) -> tuple[int, int, int]:
+    """The ``interval_seconds``, ``max_ta`` and ``training_days`` of a
+    profile file's metadata line ``first``; ``ValueError`` naming ``path``
+    unless that line, the column ``header`` and the metadata are valid."""
+    if not first.startswith("#"):
         raise ValueError(f"{path}: missing metadata line")
     meta: dict[str, int] = {}
     keys = ("interval_seconds", "max_ta", "training_days")
-    for part in lines[0][1:].split(","):
+    for part in first[1:].split(","):
         key, _, value = part.partition("=")
         key = key.strip()
         if not value:
@@ -204,92 +225,99 @@ def load_profile(path) -> KpiProfile:
     missing = set(keys) - set(meta)
     if missing:
         raise ValueError(f"{path}: metadata missing {sorted(missing)}")
-    if len(lines) < 2 or lines[1] != "slot,ta,mean,std":
+    if header != "slot,ta,mean,std":
         raise ValueError(f"{path}: missing or bad header line")
-
-    interval_seconds, max_ta = meta["interval_seconds"], meta["max_ta"]
+    metadata = meta["interval_seconds"], meta["max_ta"], meta["training_days"]
     try:
-        n_slots = _check_metadata(interval_seconds, max_ta, meta["training_days"])
+        _check_metadata(*metadata)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    mean = np.zeros((n_slots, max_ta + 1), dtype=float)
-    std = np.zeros((n_slots, max_ta + 1), dtype=float)
-    if not _read_columns(lines[2:], mean, std):
-        _read_rows(path, lines, mean, std)
-    del text, lines  # freed before KpiProfile copies the tables, which lowers the peak
-    return KpiProfile(
-        interval_seconds=interval_seconds,
-        max_ta=max_ta,
-        training_days=meta["training_days"],
-        mean=mean,
-        std=std,
-    )
+    return metadata
 
 
-def _read_columns(lines: list[str], mean: np.ndarray, std: np.ndarray) -> bool:
-    """Fill ``mean`` and ``std`` from the rows of ``lines`` by column and
-    return True; return False, filling nothing, when a row would fail a
-    check of :func:`_read_rows` or the rows are not in ascending cell order.
+def _read_columns(lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> bool:
+    """Fill the zeroed tables ``mean`` and ``std`` from the rows of
+    ``lines`` by column and return True; return False, with both tables
+    zeroed again, when a row would fail a check of :func:`_read_rows` or the
+    rows are not in ascending cell order.
 
-    The non-blank lines are joined and split on commas ``ROWS_PER_WRITE``
-    at a time. Each holds exactly three commas, so its fields are the
+    The non-blank lines are taken ``ROWS_PER_WRITE`` at a time, joined and
+    split on commas. Each holds exactly three commas, so its fields are the
     substrings ``line.split(",")`` gives, and ``int`` and ``float`` read
-    them as the line loop does, each distinct text once. Strictly ascending
-    cells rule out duplicates.
+    them as the line loop does, each distinct text of a block once. A line
+    read from a file keeps its ``"\\n"``, which only its last field holds,
+    and ``float`` reads that field as it reads it without one. Cells
+    strictly ascending, across blocks too, rule out duplicates. Each block
+    is put in the tables once it passes.
     """
-    kept = list(filter(str.strip, lines))
-    n = len(kept)
-    columns = (np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n), np.empty(n))
-    for start in range(0, n, ROWS_PER_WRITE):
-        block = kept[start : start + ROWS_PER_WRITE]
-        if list(map(str.count, block, repeat(","))).count(3) != len(block):
-            return False
-        fields = ",".join(block).split(",")
-        for i, (column, parse) in enumerate(zip(columns, (int, int, float, float))):
-            texts = fields[i::4]
-            try:
-                values = {text: parse(text) for text in set(texts)}
-                column[start : start + len(block)] = list(map(values.__getitem__, texts))
-            except (ValueError, OverflowError):
-                return False
-    slots, tas, means, stds = columns
     n_slots, n_ta = mean.shape
-    if not (np.all((0 <= slots) & (slots < n_slots)) and np.all((0 <= tas) & (tas < n_ta))):
-        return False
-    cells = slots * n_ta + tas
-    valid = np.isfinite(means) & np.isfinite(stds) & (means >= 0.0) & (stds >= 0.0)
-    if not (np.all(np.diff(cells) > 0) and valid.all()):
-        return False
-    np.put(mean, cells, means)
-    np.put(std, cells, stds)
-    return True
+    rows, last = filter(str.strip, lines), -1
+    while block := list(islice(rows, ROWS_PER_WRITE)):
+        columns = _block_columns(block)
+        if columns is None:
+            break
+        slots, tas, means, stds = columns
+        if not (np.all((0 <= slots) & (slots < n_slots)) and np.all((0 <= tas) & (tas < n_ta))):
+            break
+        cells = slots * n_ta + tas
+        valid = np.isfinite(means) & np.isfinite(stds) & (means >= 0.0) & (stds >= 0.0)
+        if not (np.all(np.diff(cells, prepend=last) > 0) and valid.all()):
+            break
+        np.put(mean, cells, means)
+        np.put(std, cells, stds)
+        last = cells[-1]
+    else:
+        return True
+    mean.fill(0.0)  # a refused file fills nothing
+    std.fill(0.0)
+    return False
 
 
-def _read_rows(path, lines: list[str], mean: np.ndarray, std: np.ndarray) -> None:
-    """Fill ``mean`` and ``std`` from the rows of ``lines`` one line at a
-    time, raising the first bad row's error with its ``path:line``."""
+def _block_columns(block: list[str]):
+    """The slot, TA, mean and std columns of a block of non-blank rows, or
+    None when a row does not hold exactly three commas or a field does not
+    parse or fit its column."""
+    if list(map(str.count, block, repeat(","))).count(3) != len(block):
+        return None
+    fields = ",".join(block).split(",")
+    columns = []
+    for i, (parse, dtype) in enumerate(((int, np.int64), (int, np.int64), (float, float), (float, float))):
+        texts = fields[i::4]
+        try:
+            values = {text: parse(text) for text in set(texts)}
+            columns.append(np.array(list(map(values.__getitem__, texts)), dtype))
+        except (ValueError, OverflowError):
+            return None
+    return columns
+
+
+def _read_rows(path, mean: np.ndarray, std: np.ndarray) -> None:
+    """Fill ``mean`` and ``std`` from the rows of the file at ``path`` one
+    line at a time, raising the first bad row's error with its ``path:line``."""
     n_slots, n_ta = mean.shape
     seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            slot, ta = int(parts[0]), int(parts[1])
-            cell_mean, cell_std = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-        if not (0 <= slot < n_slots and 0 <= ta < n_ta):
-            raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
-        if (slot, ta) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
-        # the chained comparisons are False for nan, so this also rejects it
-        if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):
-            raise ValueError(
-                f"{path}:{lineno}: mean and std must be finite and non-negative, got {line!r}"
-            )
-        seen.add((slot, ta))
-        mean[slot, ta] = cell_mean
-        std[slot, ta] = cell_std
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(islice(fh, 2, None), start=3):
+            line = line.removesuffix("\n")
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+            try:
+                slot, ta = int(parts[0]), int(parts[1])
+                cell_mean, cell_std = float(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+            if not (0 <= slot < n_slots and 0 <= ta < n_ta):
+                raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
+            if (slot, ta) in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
+            # the chained comparisons are False for nan, so this also rejects it
+            if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):
+                raise ValueError(
+                    f"{path}:{lineno}: mean and std must be finite and non-negative, got {line!r}"
+                )
+            seen.add((slot, ta))
+            mean[slot, ta] = cell_mean
+            std[slot, ta] = cell_std

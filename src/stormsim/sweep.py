@@ -26,6 +26,7 @@ def train_profile_for(config: ScenarioConfig) -> KpiProfile:
         config, seed=config.seed_train, days=config.training_days, include_attacks=False
     )
     counts = count_per_interval(trace, config.interval_seconds, config.max_ta, config.training_days)
+    del trace  # freed before the fold, as in ``stormsim train``
     return train(counts)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,29 @@ def test_commands_call_the_benchmark_wrapped_names(config_path, tmp_path, monkey
     assert main(["sweep", "--config", config_path, "--profile", profile, "--out", str(tmp_path / "s.csv")]) == 0
     expected = {f"{module.__name__}.{name}" for module, names in WRAPPED_NAMES.items() for name in names}
     assert expected - set(calls) == set()
+
+
+def test_train_frees_each_input_once_used(config_path, tmp_path, monkeypatch):
+    # the trace is gone before the fold, and the count table before the profile is written
+    made = {}
+
+    def wrap(name, freed=None):
+        original = getattr(stormsim.cli, name)
+
+        def wrapper(*args, **kwargs):
+            assert freed is None or made[freed]() is None, f"{freed}'s result still alive at {name}"
+            result = original(*args, **kwargs)
+            if result is not None:
+                made[name] = weakref.ref(result[0] if name == "build_trace" else result)
+            return result
+
+        monkeypatch.setattr(stormsim.cli, name, wrapper)
+
+    wrap("build_trace")
+    wrap("count_per_interval")
+    wrap("train", freed="build_trace")
+    wrap("save_profile", freed="count_per_interval")
+    assert main(["train", "--config", config_path, "--out", str(tmp_path / "profile.csv")]) == 0
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -115,9 +115,16 @@ class TestColumns:
             (([True], ["x"]), "anomaly must be a 1-D float64 column"),
         ],
     )
-    def test_bad_verdicts_rejected(self, columns, match):
+    @pytest.mark.parametrize("make", [Verdicts, Verdicts._adopt])
+    def test_bad_verdicts_rejected(self, columns, match, make):
         with pytest.raises(ValueError, match=match):
-            Verdicts(*columns)
+            make(*columns)
+
+    def test_adopted_verdicts_are_kept_read_only(self):
+        rejected, anomaly = np.array([False, True]), np.array([0.5, 7.0])
+        verdicts = Verdicts._adopt(rejected, anomaly)
+        assert verdicts.rejected is rejected and verdicts.anomaly is anomaly
+        assert not (rejected.flags.writeable or anomaly.flags.writeable)
 
 
 HORIZON_S = 2 * 86400.0

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -234,6 +235,28 @@ class TestOnRsr:
         with pytest.raises(ValueError, match=r"event TA -1 outside profile range 0\.\.3"):
             on_rsr(RsrEvent(time_s=0.0, device_id=0, ta=-1), make_profile(max_ta=3), DetectorConfig(gamma=-1.0), state)
         assert state == DetectorState()
+
+    @pytest.mark.parametrize(
+        "bad", [3.0, True, False, np.float64(3.0), np.bool_(True), "3"],
+        ids=["float", "True", "False", "np.float64", "np.bool_", "str"],
+    )
+    def test_non_integer_ta_rejected_before_state_changes(self, bad):
+        profile, config, state = make_profile(), DetectorConfig(gamma=-1.0), DetectorState()
+        on_rsr(RsrEvent(time_s=1.0, device_id=0, ta=3), profile, config, state)
+        before = copy.deepcopy(state)
+        with pytest.raises(ValueError, match="event TA must be an integer, got"):
+            on_rsr(RsrEvent(time_s=400.0, device_id=0, ta=bad), profile, config, state)
+        assert state == before
+
+    @pytest.mark.parametrize("make", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_ta_is_read_as_int(self, make):
+        profile, config = make_profile(), DetectorConfig(gamma=0.5)
+        plain, numpy_state = DetectorState(), DetectorState()
+        for time_s in (1.0, 2.0, 400.0):
+            expected = on_rsr(RsrEvent(time_s=time_s, device_id=0, ta=3), profile, config, plain)
+            assert on_rsr(RsrEvent(time_s=time_s, device_id=0, ta=make(3)), profile, config, numpy_state) == expected
+        assert numpy_state == plain
+        assert all(type(policy.ta) is int for policy in numpy_state.policy_log)
 
     @pytest.mark.parametrize("bad", [-1.0, -0.5, math.nan, math.inf, -math.inf])
     def test_bad_time_rejected(self, bad):

@@ -18,6 +18,9 @@ from stormsim import (
     write_policy_log,
 )
 
+from stormsim import pipeline
+from stormsim.detector import score_events
+
 from conftest import flagged_cells, make_profile, trace_of
 
 
@@ -66,6 +69,19 @@ class TestSingleBurstRun:
         metrics = compute_metrics(report)
         assert metrics.p_detection is None
         assert metrics.p_false_alarm == 0.0
+
+    def test_verdicts_adopt_the_scores(self, monkeypatch):
+        # the scores become the verdicts' anomaly column, read-only, without a copy
+        scored = []
+
+        def keeping(*args):
+            scored.append(score_events(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(pipeline, "score_events", keeping)
+        report = run(trace_of(burst_events(ta=5, start=10.0, burst_id=0)), make_profile(), DetectorConfig(gamma=6.5), 1)
+        assert report.verdicts.anomaly is scored[0][1]
+        assert not report.verdicts.anomaly.flags.writeable
 
     def test_infinite_gamma(self):
         events = burst_events(ta=5, start=10.0, burst_id=0)

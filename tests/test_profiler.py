@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,13 @@ class TestTraining:
         assert (~table.any(axis=0)).any()
         assert_bit_identical(train(table), full_fold(table))
 
+    def test_fold_across_block_boundaries_is_bit_identical_to_full_fold(self):
+        # 2880 x 41 cells: three full FOLD_CELLS blocks and a partial fourth
+        rng = np.random.default_rng(11)
+        table = rng.poisson(2.0, size=(4, 2880, 41)) * (rng.random((2880, 41)) < 0.4)
+        assert table[0].size > 3 * profiler.FOLD_CELLS > table[0].size - profiler.FOLD_CELLS
+        assert_bit_identical(train(table), full_fold(table))
+
     def test_populated_cell_fold_of_float_table_is_bit_identical(self):
         rng = np.random.default_rng(3)
         table = rng.random((5, 6, 7)) * (rng.random((6, 7)) < 0.5)
@@ -244,13 +252,18 @@ class TestTraining:
             assert abs(slot_sums[slot] - expected) / expected < 0.10
 
 
+# The public constructor, which copies the tables, and the adopting one, which keeps them
+MAKERS = pytest.mark.parametrize("make", [KpiProfile, KpiProfile._adopt])
+
+
 class TestProfileValidation:
+    @MAKERS
     @pytest.mark.parametrize("table, value", [("std", -1.0), ("mean", np.nan), ("std", np.inf)])
-    def test_invalid_moment_rejected(self, table, value):
+    def test_invalid_moment_rejected(self, table, value, make):
         tables = {"mean": np.zeros((288, 11)), "std": np.zeros((288, 11))}
         tables[table][3, 4] = value
         with pytest.raises(ValueError, match=r"cell \(3, 4\): mean and std must be finite"):
-            KpiProfile(interval_seconds=300, max_ta=10, training_days=2, **tables)
+            make(300, 10, 2, tables["mean"], tables["std"])
 
     def test_tables_are_read_only_copies(self):
         mean = np.zeros((288, 11))
@@ -260,27 +273,79 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="read-only"):
             profile.mean[3, 4] = -1.0
 
-    def test_table_shape_must_match_metadata(self):
-        with pytest.raises(ValueError, match="shape"):
-            KpiProfile(
-                interval_seconds=300, max_ta=10, training_days=2,
-                mean=np.zeros((288, 10)), std=np.zeros((288, 10)),
-            )
+    def test_adopted_tables_are_kept_read_only(self):
+        mean, std = np.zeros((288, 11)), np.ones((288, 11))
+        profile = KpiProfile._adopt(300, 10, 2, mean, std)
+        assert profile.mean is mean and profile.std is std
+        assert not (mean.flags.writeable or std.flags.writeable)
 
+    def test_trained_and_loaded_tables_are_read_only(self, tmp_path):
+        profile = train(np.ones((2, 288, 3), np.int8))
+        save_profile(profile, tmp_path / "profile.csv")
+        for tables in (profile, load_profile(tmp_path / "profile.csv")):
+            assert not (tables.mean.flags.writeable or tables.std.flags.writeable)
+
+    @MAKERS
+    def test_table_shape_must_match_metadata(self, make):
+        with pytest.raises(ValueError, match="shape"):
+            make(300, 10, 2, np.zeros((288, 10)), np.zeros((288, 10)))
+
+    @MAKERS
     @pytest.mark.parametrize("field, value", [("std", np.full((288, 11), -1.0)), ("interval_seconds", 7)])
-    def test_fields_cannot_be_assigned(self, field, value):
-        profile = KpiProfile(300, 10, 2, np.zeros((288, 11)), np.zeros((288, 11)))
+    def test_fields_cannot_be_assigned(self, field, value, make):
+        profile = make(300, 10, 2, np.zeros((288, 11)), np.zeros((288, 11)))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(profile, field, value)
         assert profile.interval_seconds == 300 and not profile.std.any()
 
+    @MAKERS
     @pytest.mark.parametrize(
         "max_ta, training_days, match",
         [(-1, 2, "max_ta must be non-negative"), (0, 0, "training_days must be at least 1"), (-1, 0, "max_ta")],
     )
-    def test_bad_metadata_rejected(self, max_ta, training_days, match):
+    def test_bad_metadata_rejected(self, max_ta, training_days, match, make):
         with pytest.raises(ValueError, match=match):
-            KpiProfile(300, max_ta, training_days, np.zeros((288, max_ta + 1)), np.zeros((288, max_ta + 1)))
+            make(300, max_ta, training_days, np.zeros((288, max_ta + 1)), np.zeros((288, max_ta + 1)))
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """``train`` and ``load_profile`` hold the profile's two tables plus a
+    margin that does not grow with the rows: ``train`` folds ``FOLD_CELLS``
+    table cells at a time and ``load_profile`` reads ``ROWS_PER_WRITE`` rows
+    at a time, and both adopt the tables they build instead of copying them.
+    The margin covers those blocks and the validity masks of the tables."""
+
+    SHAPE = (2880, 205)  # mu=3 and T=30 s: 2,880 slots of 205 TA bins, 4.5 MiB a table
+    MARGIN = 2.5 * 2**20
+
+    @pytest.mark.parametrize("populated", [1e-4, 0.14, 1.0])
+    def test_train_peak(self, populated):
+        rng = np.random.default_rng(6)
+        counts = (rng.integers(0, 4, (3, *self.SHAPE)) * (rng.random(self.SHAPE) < populated)).astype(np.int8)
+        profile, peak = traced_peak(train, counts)
+        assert profile.mean.shape == self.SHAPE
+        assert peak <= profile.mean.nbytes + profile.std.nbytes + self.MARGIN
+
+    @pytest.mark.parametrize("rows", [1, ROWS_PER_WRITE, 5 * ROWS_PER_WRITE + 7])
+    def test_load_profile_peak(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        mean, std = np.zeros(self.SHAPE), np.zeros(self.SHAPE)
+        cells = rng.choice(mean.size, rows, replace=False)
+        mean.flat[cells], std.flat[cells] = rng.random(rows) * 9.0, rng.random(rows)  # values all distinct
+        path = tmp_path / "profile.csv"
+        save_profile(KpiProfile(30, 204, 3, mean, std), path)
+        loaded, peak = traced_peak(load_profile, path)
+        assert np.array_equal(loaded.mean, mean) and np.array_equal(loaded.std, std)
+        assert peak <= loaded.mean.nbytes + loaded.std.nbytes + self.MARGIN
 
 
 class TestPersistence:
@@ -596,3 +661,56 @@ class TestLoadProfileOracle:
         assert profiler._read_columns(path.read_text().splitlines()[2:], mean, std)
         assert np.array_equal(mean, profile.mean) and np.array_equal(std, profile.std)
         assert np.count_nonzero(profile.mean == 4.0) == len(PLACES)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("rows", [ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1, 2 * ROWS_PER_WRITE])
+    def test_rows_across_block_boundaries_are_read_by_columnar_parse(self, tmp_path, rows, end):
+        # a blank line every 1,000 rows, so raw lines and rows do not line up
+        lines = [f"{cell // 103},{cell % 103},{cell % 7 + 0.5},{cell % 3 * 0.25}" for cell in range(1, 3 * rows, 3)]
+        for place in range(1000, rows, 1000):
+            lines[place] += end + " "
+        path = tmp_path / "profile.csv"
+        path.write_bytes(end.join(["#interval_seconds=300,max_ta=102,training_days=3", "slot,ta,mean,std", *lines, ""]).encode())
+        profile = self.assert_same_tables(path)
+        assert np.count_nonzero(profile.mean) == rows
+        mean, std = np.zeros(profile.mean.shape), np.zeros(profile.std.shape)
+        with open(path, encoding="utf-8") as fh:
+            fh.readline(), fh.readline()
+            assert profiler._read_columns(fh, mean, std)
+        assert np.array_equal(mean, profile.mean) and np.array_equal(std, profile.std)
+
+    def test_descending_step_at_block_boundary_fills_nothing(self, tmp_path):
+        # the first row of the second block has a lower cell than the last of the first
+        path = tmp_path / "profile.csv"
+        self.write_rows(path, {ROWS_PER_WRITE: "0,0,4.0,2.0"})
+        profile = self.assert_same_tables(path)
+        assert profile.mean[0, 0] == 4.0
+        mean, std = np.zeros(profile.mean.shape), np.zeros(profile.std.shape)
+        assert not profiler._read_columns(path.read_text().split("\n")[2:], mean, std)
+        assert not (mean.any() or std.any())  # the first block was put, then taken back
+
+    @pytest.mark.parametrize("at", [ROWS_PER_WRITE - 1, ROWS_PER_WRITE])
+    @pytest.mark.parametrize("bad_row, message", [BAD_ROWS[0], BAD_ROWS[2], BAD_ROWS[6], BAD_ROWS[9]])
+    def test_bad_row_at_block_boundary_raises_line_loop_error(self, tmp_path, bad_row, message, at):
+        path = tmp_path / "profile.csv"
+        self.write_rows(path, {at: bad_row})
+        slot, ta = divmod(4 * at - 1, 103)
+        self.assert_line_loop_error(path, at + 3, message.format(slot=slot, ta=ta))
+
+    def test_duplicate_across_block_boundary_raises_line_loop_error(self, tmp_path):
+        # the first row of the second block repeats the last cell of the first
+        path = tmp_path / "profile.csv"
+        slot, ta = divmod(4 * ROWS_PER_WRITE - 3, 103)
+        self.write_rows(path, {ROWS_PER_WRITE: f"{slot},{ta},9.0,1.0"})
+        self.assert_line_loop_error(path, ROWS_PER_WRITE + 3, rf"duplicate cell \({slot}, {ta}\)")
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_invalid_utf8_past_the_first_block_names_the_path(self, tmp_path, ascending):
+        # read by columns up to the bad byte, or refused at the first block and read by the line loop
+        path = tmp_path / "profile.csv"
+        self.write_rows(path, {} if ascending else {2: "0,0,4.0,2.0"})
+        data = path.read_bytes()
+        cut = data.index(b"\n", len(data) * 9 // 10)
+        path.write_bytes(data[:cut] + b",\xff" + data[cut:])
+        with pytest.raises(ValueError, match=f"^{path}: not valid UTF-8"):
+            load_profile(path)
