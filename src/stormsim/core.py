@@ -7,6 +7,8 @@ the day exactly so slot boundaries stay aligned across days.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import pickle
 import re
 import shutil
 import signal
+import stat
 import sys
 import tempfile
 import threading
@@ -190,6 +193,7 @@ _ALL_KEYS = _REQUIRED_KEYS | {"burst_id"}
 _INT64_MAX = 2**63 - 1
 ROWS_PER_WRITE = 4096  # rows formatted and written at a time
 SPLIT_ROWS = 8 * ROWS_PER_WRITE  # the fewest rows that write_trace and read_trace split between two processes
+CHUNK_BYTES = 2**19  # bytes of a trace that read_trace decodes and parses at a time, plus the rest of a line
 _VERDICT_TEXTS = np.array([',"verdict":"accept"', ',"verdict":"reject"'], object)  # indexed by rejected
 # the characters errors="surrogateescape" decodes undecodable bytes to
 _SURROGATE_ESCAPES = re.compile("[\udc80-\udcff]")
@@ -251,30 +255,39 @@ def _with_child(here, there):
     """``(here(), there())``, with ``there`` run in a forked child while
     ``here`` runs in this process. The child's result comes back pickled over
     a pipe, and an exception it raised is raised again here. The child always
-    leaves by ``os._exit``, and is always reaped, killed first if this side
-    raises before its result has arrived."""
+    leaves by ``os._exit``, with status 0 once its result is sent, and is
+    always reaped, killed first if this side raises before its result has
+    arrived. A child that dies without sending it (killed by a signal, say,
+    or with a result that cannot be pickled) raises ``ChildProcessError``."""
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
         pid = os.fork()
         if pid == 0:
+            status = 1
             try:
                 try:
                     result = True, there()
                 except BaseException as exc:
                     result = False, exc
-                pickle.dump(result, writer, pickle.HIGHEST_PROTOCOL)
+                writer.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
                 writer.flush()
+                status = 0
             finally:
-                os._exit(0)
+                os._exit(status)
         writer.close()  # so that the read below ends if the child dies
         try:
             mine = here()
-            ok, theirs = pickle.load(reader)
+            sent = reader.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            os.waitpid(pid, 0)
+            status = os.waitpid(pid, 0)[1]
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"the forked child {how} before sending its result")
+    ok, theirs = pickle.loads(sent)
     if not ok:
         raise theirs
     return mine, theirs
@@ -297,36 +310,101 @@ def read_trace(path) -> tuple[Trace, Verdicts]:
     """Read a JSONL trace and its verdicts back.
 
     Every record is checked, and a bad one raises ``ValueError`` naming its
-    ``path:line``, a line that is not valid UTF-8 included. The file is
-    parsed in one pass and checked by column; when any check fails, or the
-    file is not valid UTF-8, the line loop of :func:`_read_rows` reads it
-    again and raises the first bad line's error. From :func:`_split_row` on,
-    a forked child parses the second half of the lines while this process
-    parses the first, and the halves' columns are joined.
+    ``path:line``, a line that is not valid UTF-8 included. The file is read
+    and parsed a chunk at a time (:func:`_read_columns`) and checked by
+    column; when a chunk is not valid UTF-8 or fails a check, the line loop
+    of :func:`_read_rows` reads the file again and raises the first bad
+    line's error. When :func:`_split_row` splits the file's ``\\n`` count
+    (read a chunk at a time, up to ``SPLIT_ROWS``), the file is cut just
+    past the first ``\\n`` at or after its middle byte: this process reads
+    the bytes before the cut while a forked child opens the file and reads
+    those after it, and the chunks' columns are joined. A file that is not
+    a regular one (a FIFO, say) is read in order, once, in this process.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        return _read_rows(path)
-    split = _split_row(len(lines) - 1)  # rows: the file's newlines
-    if split == len(lines) - 1:
-        return _parse_columns(lines) or _read_rows(path)
-    halves = _with_child(lambda: _parse_columns(lines[:split]), lambda: _parse_columns(lines[split:]))
-    if None in halves:
-        return _read_rows(path)
-    (trace, verdicts), (rest, rest_verdicts) = halves
-    return Trace._adopt(*_joined(trace, rest)), Verdicts._adopt(*_joined(verdicts, rest_verdicts))
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            parts = _read_columns(fh)
+        elif _split_row(rows := _count_rows(fh)) == rows:
+            fh.seek(0)
+            parts = _read_columns(fh)
+        else:
+            cut = _cut(fh)
+
+            def read_rest():
+                with open(path, "rb") as rest:
+                    rest.seek(cut)
+                    return _read_columns(rest)
+
+            fh.seek(0)
+            halves = _with_child(lambda: _read_columns(fh, cut), read_rest)
+            parts = None if None in halves else halves[0] + halves[1]
+    return _read_rows(path) if parts is None else _joined(parts)
 
 
-def _joined(first, second) -> list[np.ndarray]:
-    """Each column of one dataclass of columns followed by the same column of another."""
-    return [np.concatenate((getattr(first, f.name), getattr(second, f.name))) for f in fields(first)]
+def _count_rows(fh) -> int:
+    """The ``\\n`` bytes of an open binary file from where it stands, counted
+    ``CHUNK_BYTES`` at a time until ``SPLIT_ROWS`` have been seen."""
+    rows = 0
+    while rows < SPLIT_ROWS and (block := fh.read(CHUNK_BYTES)):
+        rows += block.count(b"\n")
+    return rows
+
+
+def _cut(fh) -> int:
+    """The offset just past the first ``\\n`` at or after the middle byte of
+    an open regular file, or its end when no ``\\n`` follows. A ``\\n`` ends a
+    line however text mode reads the file, and never splits a CRLF."""
+    at = os.fstat(fh.fileno()).st_size // 2
+    fh.seek(at)
+    while block := fh.read(CHUNK_BYTES):
+        found = block.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        at += len(block)
+    return at
+
+
+def _read_columns(fh, size: Optional[int] = None) -> Optional[list[tuple[Trace, Verdicts]]]:
+    """The trace and verdicts held in the next ``size`` bytes of an open
+    binary file (all the rest when None), one part per chunk, or None when
+    the bytes are not valid UTF-8 or a chunk fails a check of
+    :func:`_parse_columns`.
+
+    The bytes are read ``CHUNK_BYTES`` at a time and decoded as text mode
+    decodes them, CR and CRLF line ends read as ``\\n``. Each chunk's
+    complete lines are parsed together; its last, partial line is carried
+    into the next chunk, so no process holds more than a chunk of text.
+    """
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    parts, tail, left = [], "", math.inf if size is None else size
+    while True:
+        block = fh.read(min(CHUNK_BYTES, left))
+        left -= len(block)
+        try:
+            lines = (tail + decoder.decode(block, final=not block)).split("\n")
+        except UnicodeDecodeError:
+            return None
+        tail = lines.pop() if block else ""
+        part = _parse_columns(lines)
+        if part is None:
+            return None
+        parts.append(part)
+        if not block:
+            return parts
+
+
+def _joined(parts: list[tuple[Trace, Verdicts]]) -> tuple[Trace, Verdicts]:
+    """The consecutive parts of a trace and its verdicts as one of each,
+    each column the parts' columns concatenated."""
+    return tuple(
+        kind._adopt(*(np.concatenate([getattr(obj, f.name) for obj in objs]) for f in fields(kind)))
+        for kind, objs in zip((Trace, Verdicts), zip(*parts))
+    )
 
 
 def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Verdicts]]:
-    """The trace held in ``lines``, the file's text split on newlines as file
-    iteration splits it, or None when any check fails.
+    """The trace held in ``lines``, consecutive lines of the file's text split
+    on newlines as file iteration splits it, or None when any check fails.
 
     The kept lines are joined and parsed with one ``json.loads``, and the
     columns are held to the rules of :func:`_parse_record`. Each kept line

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import stormsim.cli
+import stormsim.core
 import stormsim.sweep
 from stormsim.cli import main
 
@@ -327,6 +329,24 @@ def test_train_frees_each_input_once_used(config_path, tmp_path, monkeypatch):
     wrap("train", freed="build_trace")
     wrap("save_profile", freed="count_per_interval")
     assert main(["train", "--config", config_path, "--out", str(tmp_path / "profile.csv")]) == 0
+
+
+def test_dead_write_trace_child_exits_2(config_path, tmp_path, capsys, monkeypatch):
+    # the child that formats the second half of the trace dies without a word
+    profile = str(tmp_path / "profile.csv")
+    assert main(["train", "--config", config_path, "--out", profile]) == 0
+    parent, json_texts = os.getpid(), stormsim.core._json_texts
+
+    def die_in_child(values):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return json_texts(values)
+
+    monkeypatch.setattr(stormsim.core, "_split_row", lambda n: n // 2)
+    monkeypatch.setattr(stormsim.core, "_json_texts", die_in_child)
+    assert main(["run", "--config", config_path, "--profile", profile, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the forked child was killed by signal 9 before sending its result\n"
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -1,8 +1,13 @@
+import contextlib
 import json
 import math
 import os
+import pathlib
 import re
+import signal
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -24,7 +29,7 @@ from stormsim import (
     write_trace,
 )
 from stormsim import core
-from stormsim.core import ROWS_PER_WRITE, SPLIT_ROWS, _parse_columns, _split_row, _with_child
+from stormsim.core import ROWS_PER_WRITE, SPLIT_ROWS, _read_columns, _split_row, _with_child
 
 
 class TestSlotArithmetic:
@@ -158,9 +163,6 @@ def columns_of(rows) -> tuple[Trace, Verdicts]:
 class TestTraceSerialization:
     @given(rows=st.lists(row_strategy, max_size=30))
     def test_round_trip_events(self, rows):
-        import pathlib
-        import tempfile
-
         trace, verdicts = columns_of(rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "trace.jsonl"
@@ -308,7 +310,7 @@ def outcome(reader, path):
 
 
 class TestReadTraceOracle:
-    """``read_trace`` parses the whole file at once; the per-line loop in
+    """``read_trace`` parses the file a chunk at a time; the per-line loop in
     ``conftest.read_trace_rows`` is its oracle."""
 
     @settings(max_examples=300, deadline=None)
@@ -318,9 +320,6 @@ class TestReadTraceOracle:
         crlf=st.booleans(),
     )
     def test_matches_line_loop(self, rows, edits, crlf):
-        import pathlib
-        import tempfile
-
         trace, verdicts = columns_of(rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "trace.jsonl"
@@ -331,11 +330,12 @@ class TestReadTraceOracle:
             path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode("utf-8"))
             expected = outcome(read_trace_rows, path)
             assert outcome(read_trace, path) == expected
-            # The one-pass parse takes every good file whose lines start with
+            # The chunked parse takes every good file whose lines start with
             # "{", so the line loop only reports errors for such files.
             lines = path.read_text(encoding="utf-8").split("\n")
             if not isinstance(expected, str) and all(line[0] == "{" for line in lines if line.strip()):
-                assert _parse_columns(lines) is not None
+                with open(path, "rb") as fh:
+                    assert _read_columns(fh) is not None
 
     def test_split_record_and_shared_line_rejected(self, tmp_path):
         # Three records on three lines, so the joined text parses to three
@@ -424,9 +424,6 @@ class TestWriteTraceOracle:
     @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE, labels="attack", seed=0)
     @example(rows=EDGE_ROWS, length=ROWS_PER_WRITE + 1, labels="mixed", seed=0)
     def test_same_bytes_as_row_writer(self, rows, length, labels, seed):
-        import pathlib
-        import tempfile
-
         index = np.random.default_rng(seed).integers(0, len(rows), length)
         time_s, device_id, ta, burst_id, rejected, anomaly = (np.array(column)[index] for column in zip(*rows))
         if labels != "mixed":
@@ -547,3 +544,133 @@ class TestTwoCoreTraceIO:
         with pytest.raises(ZeroDivisionError):
             _with_child(lambda: 1 / 0, lambda: time.sleep(30))
         assert time.monotonic() - start < 10  # the child was killed, not waited for
+
+    @pytest.mark.parametrize(
+        "there, match",
+        [
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+            (lambda: os._exit(3), "exited with status 3"),
+            (threading.Lock, "exited with status 1"),  # a result that cannot be pickled
+        ],
+    )
+    def test_child_that_dies_raises_child_process_error(self, there, match):
+        with pytest.raises(ChildProcessError, match=f"the forked child {match} before sending its result"):
+            _with_child(lambda: 1, there)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_fifo_read_in_order(self, tmp_path, two_cpus):
+        # a FIFO has no size and cannot seek: it is read once, in order,
+        # where a regular file of as many rows is split
+        trace, verdicts = random_columns(SPLIT_ROWS + 1000)
+        regular, fifo = tmp_path / "t.jsonl", tmp_path / "fifo"
+        write_trace(regular, trace, verdicts)
+        os.mkfifo(fifo)
+        copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+        writer = subprocess.Popen([sys.executable, "-c", copy, regular, fifo])
+        try:
+            assert bits(*read_trace(fifo)) == bits(*read_trace(regular)) == bits(trace, verdicts)
+        finally:
+            writer.kill()
+            writer.wait()
+
+
+@contextlib.contextmanager
+def chunked(chunk: int):
+    """``read_trace`` reading ``chunk`` bytes at a time and splitting every
+    file that holds a ``\\n`` between two processes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "CHUNK_BYTES", chunk)
+        mp.setattr(core, "_split_row", lambda n: 0)
+        yield mp
+
+
+def line_bounds(data: bytes, at: int) -> tuple[int, int]:
+    """Start and end (before its line end) of the line holding byte ``at``."""
+    start = max(data.rfind(b"\n", 0, at), data.rfind(b"\r", 0, at)) + 1
+    ends = [end for end in (data.find(b"\r", at), data.find(b"\n", at)) if end >= 0]
+    return start, min(ends, default=len(data))
+
+
+class TestChunkedReadOracle:
+    """``read_trace`` reads a file by byte ranges a chunk at a time. With
+    chunks of a few rows and every file split, the per-line loop in
+    ``conftest.read_trace_rows`` is its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(row_strategy, max_size=8),
+        line_end=st.sampled_from(["\n", "\r\n", "\r"]),
+        blanks=st.lists(st.tuples(positions, st.sampled_from(["", " ", "\t ", "\u00a0", "\u2028\u3000"])), max_size=3),
+        faults=st.lists(st.tuples(positions, st.sampled_from([b"\xff", b"\xe2\x82", b"}", b" ", b"\n", b"\r", b"x"])), max_size=2),
+        trailing=st.booleans(),
+        chunk=st.integers(min_value=1, max_value=400),
+    )
+    @example(rows=[], line_end="\n", blanks=[], faults=[], trailing=True, chunk=1)  # no content at all
+    @example(rows=[], line_end="\r\n", blanks=[(0, " ")], faults=[], trailing=False, chunk=1)
+    def test_matches_line_loop(self, rows, line_end, blanks, faults, trailing, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "trace.jsonl"
+            write_trace(path, *columns_of(rows))
+            lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+            for at, blank in blanks:
+                lines.insert(at % (len(lines) + 1), blank)
+            data = bytearray((line_end.join(lines) + (line_end if trailing and lines else "")).encode())
+            for at, fault in faults:  # overwrite bytes anywhere: at the cut, on a chunk boundary, ...
+                at %= len(data) + 1
+                data[at : at + len(fault)] = fault
+            path.write_bytes(data)
+            expected = outcome(read_trace_rows, path)
+            with chunked(chunk):
+                assert outcome(read_trace, path) == expected
+                # a good file whose lines start with "{" never falls back to the line loop
+                lines = [] if isinstance(expected, str) else path.read_text(encoding="utf-8").split("\n")
+                if lines and all(line[0] == "{" for line in lines if line.strip()):
+                    with open(path, "rb") as fh:
+                        assert _read_columns(fh) is not None
+
+    @pytest.mark.parametrize("fault", [None, "blank", "byte", "record"])
+    @pytest.mark.parametrize(
+        "where, line_end",
+        [
+            ("before cut", "\n"),
+            ("before cut", "\r\n"),
+            ("after cut", "\n"),
+            ("after cut", "\r\n"),
+            ("chunk", "\n"),
+            ("chunk", "\r\n"),
+            ("chunk", "\r"),
+            ("child chunk", "\n"),
+            ("child chunk", "\r\n"),
+        ],
+    )
+    def test_fault_at_a_seam(self, tmp_path, fault, where, line_end):
+        # Each fault keeps the file's length, so the cut and the chunk
+        # boundaries stay where they were measured on the good file.
+        path, chunk, end = tmp_path / "t.jsonl", 300, line_end.encode()
+        trace, verdicts = random_columns(40)
+        write_trace(path, trace, verdicts)
+        data = bytearray(end.join(path.read_bytes().split(b"\n")[:-1]) + end)
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            cut = core._cut(fh)
+        at = {"before cut": cut - len(end) - 1, "after cut": cut, "chunk": 2 * chunk, "child chunk": cut + chunk}[where]
+        while data[at] in b"\r\n":  # a byte of a line, not of its end
+            at += 1
+        start, stop = line_bounds(data, at)
+        if fault == "blank":
+            data[start:stop] = b" " * (stop - start)
+        elif fault == "byte":
+            data[at] = 0xFF
+        elif fault == "record":
+            data[start:stop] = data[start:stop].replace(b'"ta":', b'"tb":')
+        path.write_bytes(data)
+        expected = outcome(read_trace_rows, path)
+        with chunked(chunk) as mp:
+            if fault in (None, "blank"):  # a good file is never read again line by line
+                mp.setattr(core, "_read_rows", None)
+                kept = np.ones(len(trace), bool)
+                kept[data.count(end, 0, start)] = fault is None
+                assert outcome(read_trace, path) == expected == bits(*rows_of(trace, verdicts, kept))
+            else:
+                assert outcome(read_trace, path) == expected
+                assert expected.startswith(f"{path}:{data.count(end, 0, start) + 1}: ")
