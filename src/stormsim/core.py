@@ -16,7 +16,6 @@ import pickle
 import re
 import shutil
 import signal
-import stat
 import sys
 import tempfile
 import threading
@@ -24,7 +23,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -102,16 +101,18 @@ class Verdict(NamedTuple):
     anomaly: float
 
 
-def _columns(obj, dtypes: dict, adopt: bool = False) -> None:
-    """Replace each named column of a frozen dataclass by a read-only 1-D
-    copy of its dtype, refusing casts across kinds (float to int, say), and
-    require equal lengths. The copy keeps the caller's array from changing
-    a column after it was checked. With ``adopt``, a column already of its
-    dtype is kept and made read-only instead of copied."""
+def _columns(obj, dtypes: dict, adopt: bool = False, ndim: int = 1) -> None:
+    """Replace each named column of a frozen dataclass by a read-only copy
+    of its dtype with ``ndim`` dimensions (a table when 2), refusing casts
+    across kinds (float to int, say), and require equal sizes. The copy
+    keeps the caller's array from changing a column after it was checked.
+    With ``adopt``, a column already of its dtype is kept and made read-only
+    instead of copied."""
     for name, dtype in dtypes.items():
         column = np.asarray(getattr(obj, name))
-        if column.ndim != 1 or (column.size and not np.can_cast(column.dtype, dtype, "same_kind")):
-            raise ValueError(f"{name} must be a 1-D {np.dtype(dtype)} column, got {column.dtype} {column.shape}")
+        if column.ndim != ndim or (column.size and not np.can_cast(column.dtype, dtype, "same_kind")):
+            kind = "column" if ndim == 1 else "table"
+            raise ValueError(f"{name} must be a {ndim}-D {np.dtype(dtype)} {kind}, got {column.dtype} {column.shape}")
         column = column.astype(dtype, copy=not adopt)
         column.setflags(write=False)
         object.__setattr__(obj, name, column)
@@ -193,6 +194,9 @@ _ALL_KEYS = _REQUIRED_KEYS | {"burst_id"}
 _INT64_MAX = 2**63 - 1
 ROWS_PER_WRITE = 4096  # rows formatted and written at a time
 SPLIT_ROWS = 8 * ROWS_PER_WRITE  # the fewest rows that write_trace and read_trace split between two processes
+# the shortest line a trace record can take, {"time_s":0,...,"anomaly":0} and its \n;
+# read_trace splits a file by the most rows its size can hold
+SHORTEST_LINE_BYTES = 81
 CHUNK_BYTES = 2**19  # bytes of a trace that read_trace decodes and parses at a time, plus the rest of a line
 _VERDICT_TEXTS = np.array([',"verdict":"accept"', ',"verdict":"reject"'], object)  # indexed by rejected
 # the characters errors="surrogateescape" decodes undecodable bytes to
@@ -312,22 +316,20 @@ def read_trace(path) -> tuple[Trace, Verdicts]:
     Every record is checked, and a bad one raises ``ValueError`` naming its
     ``path:line``, a line that is not valid UTF-8 included. The file is read
     and parsed a chunk at a time (:func:`_read_columns`) and checked by
-    column; when a chunk is not valid UTF-8 or fails a check, the line loop
-    of :func:`_read_rows` reads the file again and raises the first bad
-    line's error. When :func:`_split_row` splits the file's ``\\n`` count
-    (read a chunk at a time, up to ``SPLIT_ROWS``), the file is cut just
-    past the first ``\\n`` at or after its middle byte: this process reads
-    the bytes before the cut while a forked child opens the file and reads
-    those after it, and the chunks' columns are joined. A file that is not
-    a regular one (a FIFO, say) is read in order, once, in this process.
+    column; a chunk that fails a check is read where it stands by the line
+    loop of :func:`_read_rows`, which raises the first bad line's error.
+    When :func:`_split_row` splits the most rows the file's size can hold,
+    the file is cut just past the first ``\\n`` at or after its middle
+    byte: this process reads the bytes before the cut while a forked child
+    opens the file and reads those after it, and the chunks' columns are
+    joined. A child whose bytes fail a check, and so cannot number their
+    lines, sends None, and this process reads the file again from its own
+    handle. A FIFO has no size, so it is read in order, once, here.
     """
     with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            parts = _read_columns(fh)
-        elif _split_row(rows := _count_rows(fh)) == rows:
-            fh.seek(0)
-            parts = _read_columns(fh)
-        else:
+        # the most rows the file can hold, its last line perhaps without a \n
+        rows = (os.fstat(fh.fileno()).st_size + 1) // SHORTEST_LINE_BYTES
+        if _split_row(rows) != rows:
             cut = _cut(fh)
 
             def read_rest():
@@ -336,18 +338,11 @@ def read_trace(path) -> tuple[Trace, Verdicts]:
                     return _read_columns(rest)
 
             fh.seek(0)
-            halves = _with_child(lambda: _read_columns(fh, cut), read_rest)
-            parts = None if None in halves else halves[0] + halves[1]
-    return _read_rows(path) if parts is None else _joined(parts)
-
-
-def _count_rows(fh) -> int:
-    """The ``\\n`` bytes of an open binary file from where it stands, counted
-    ``CHUNK_BYTES`` at a time until ``SPLIT_ROWS`` have been seen."""
-    rows = 0
-    while rows < SPLIT_ROWS and (block := fh.read(CHUNK_BYTES)):
-        rows += block.count(b"\n")
-    return rows
+            mine, theirs = _with_child(lambda: _read_columns(fh, cut, path), read_rest)
+            if theirs is not None:
+                return _joined(mine + theirs)
+            fh.seek(0)
+        return _joined(_read_columns(fh, path=path))
 
 
 def _cut(fh) -> int:
@@ -364,31 +359,35 @@ def _cut(fh) -> int:
     return at
 
 
-def _read_columns(fh, size: Optional[int] = None) -> Optional[list[tuple[Trace, Verdicts]]]:
+def _read_columns(fh, size: Optional[int] = None, path=None) -> Optional[list[tuple[Trace, Verdicts]]]:
     """The trace and verdicts held in the next ``size`` bytes of an open
-    binary file (all the rest when None), one part per chunk, or None when
-    the bytes are not valid UTF-8 or a chunk fails a check of
-    :func:`_parse_columns`.
+    binary file (all the rest when None), one part per chunk.
 
     The bytes are read ``CHUNK_BYTES`` at a time and decoded as text mode
-    decodes them, CR and CRLF line ends read as ``\\n``. Each chunk's
-    complete lines are parsed together; its last, partial line is carried
-    into the next chunk, so no process holds more than a chunk of text.
+    decodes them with ``errors="surrogateescape"``, CR and CRLF line ends
+    read as ``\\n``. Each chunk's complete lines are parsed together by
+    :func:`_parse_columns`; its last, partial line is carried into the next
+    chunk, so no process holds more than a chunk of text. A chunk that
+    parse refuses makes this return None, or, given the ``path`` of a file
+    read from its first line, is read line by line by :func:`_read_rows`.
     """
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    parts, tail, left = [], "", math.inf if size is None else size
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
+    parts, tail, left, lineno = [], "", math.inf if size is None else size, 1
     while True:
         block = fh.read(min(CHUNK_BYTES, left))
         left -= len(block)
-        try:
-            lines = (tail + decoder.decode(block, final=not block)).split("\n")
-        except UnicodeDecodeError:
-            return None
+        lines = (tail + decoder.decode(block, final=not block)).split("\n")
         tail = lines.pop() if block else ""
         part = _parse_columns(lines)
         if part is None:
-            return None
+            if path is None:
+                return None
+            ends = ["\n"] * len(lines)
+            if not block:
+                ends[-1] = ""  # the file's last line, which has no line end
+            part = _read_rows(path, lineno, map(str.__add__, lines, ends))
         parts.append(part)
+        lineno += len(lines)
         if not block:
             return parts
 
@@ -454,20 +453,21 @@ def _numbers(column: list) -> bool:
     return types <= {int, float} and (int not in types or all(abs(v) <= sys.float_info.max for v in column if type(v) is int))
 
 
-def _read_rows(path) -> tuple[Trace, Verdicts]:
-    """Read a trace line by line with :func:`_parse_record`, raising the first
-    bad line's error with its ``path:line``."""
+def _read_rows(path, lineno: int, lines: Iterable[str]) -> tuple[Trace, Verdicts]:
+    """The trace held in ``lines``, consecutive lines of the file at ``path``
+    from line ``lineno`` on, each with its line end, read one at a time by
+    :func:`_parse_record`; the first bad line's error is raised with its
+    ``path:line``."""
     rows: list[tuple[float, int, int, int, bool, float]] = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = _parse_record(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            burst_id, rejected = record.get("burst_id", -1), record["verdict"] == "reject"
-            rows.append((float(record["time_s"]), record["device_id"], record["ta"], burst_id, rejected, float(record["anomaly"])))
+    for lineno, line in enumerate(lines, start=lineno):
+        if not line.strip():
+            continue
+        try:
+            record = _parse_record(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        burst_id, rejected = record.get("burst_id", -1), record["verdict"] == "reject"
+        rows.append((float(record["time_s"]), record["device_id"], record["ta"], burst_id, rejected, float(record["anomaly"])))
     columns = list(zip(*rows)) or [[]] * 6
     return Trace._adopt(*columns[:4]), Verdicts._adopt(*columns[4:])
 

@@ -14,8 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import MAX_TABLE_BYTES
-from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Adoptable, Trace, cell_keys, distinct_texts, slots_per_day
+from .config import MAX_TABLE_BYTES, _check_types
+from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Adoptable, Trace, _columns, cell_keys, distinct_texts, slots_per_day
 
 FOLD_CELLS = 2**15  # table cells that train folds at a time
 
@@ -90,9 +90,10 @@ def _check_metadata(interval_seconds: int, max_ta: int, training_days: int) -> i
 class KpiProfile(Adoptable):
     """Long-term per-(slot-of-day, TA) count statistics from clean traffic.
 
-    Both tables are shaped (slots_per_day, max_ta + 1), fit in
-    ``MAX_TABLE_BYTES`` and hold finite, non-negative values; ``max_ta`` is
-    at least 0 and ``training_days`` at least 1.
+    Both tables are float64, shaped (slots_per_day, max_ta + 1), fit in
+    ``MAX_TABLE_BYTES`` and hold finite, non-negative values; the metadata
+    are integers, ``max_ta`` at least 0 and ``training_days`` at least 1.
+    The constructor keeps read-only float64 copies of the tables.
     """
 
     interval_seconds: int
@@ -102,13 +103,9 @@ class KpiProfile(Adoptable):
     std: np.ndarray
 
     def __post_init__(self, adopt: bool = False) -> None:
+        _check_types(self)
         shape = (_check_metadata(self.interval_seconds, self.max_ta, self.training_days), self.max_ta + 1)
-        # read-only copies, so the caller's arrays cannot change the checked tables;
-        # adopted tables are made read-only in place
-        for name in ("mean", "std"):
-            table = np.asarray(getattr(self, name)) if adopt else np.array(getattr(self, name))
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
+        _columns(self, {"mean": np.float64, "std": np.float64}, adopt, ndim=2)
         if self.mean.shape != shape or self.std.shape != shape:
             raise ValueError(
                 f"profile tables must have shape {shape}, got {self.mean.shape} and {self.std.shape}"
@@ -185,19 +182,22 @@ def load_profile(path) -> KpiProfile:
     at U+2028, U+0085 and the like, and so misnumber every row after one).
     :func:`_read_columns` reads the rows ``ROWS_PER_WRITE`` lines at a time
     from the open file, so neither the whole text nor a list of its lines
-    is ever held; a file it refuses is read again by the line loop of
-    :func:`_read_rows`, which raises the first bad row's error. A byte that
-    is not UTF-8 raises ``ValueError`` naming the path, whichever of the
-    two readers meets it first.
+    is ever held; a file it refuses is rewound and read by the line loop of
+    :func:`_read_rows`, which raises the first bad row's error. A file that
+    cannot seek (a pipe, say) can be read only once, so the line loop reads
+    it. A byte that is not UTF-8 raises ``ValueError`` naming the path,
+    whichever of the two readers meets it first.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             metadata = _read_metadata(path, *(fh.readline().removesuffix("\n") for _ in range(2)))
             shape = (slots_per_day(metadata[0]), metadata[1] + 1)
             mean, std = np.zeros(shape), np.zeros(shape)
-            by_columns = _read_columns(fh, mean, std)
-        if not by_columns:
-            _read_rows(path, mean, std)
+            if not fh.seekable():
+                _read_rows(path, fh, mean, std)
+            elif not _read_columns(fh, mean, std):
+                fh.seek(0)
+                _read_rows(path, islice(fh, 2, None), mean, std)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
     return KpiProfile._adopt(*metadata, mean, std)
@@ -291,33 +291,33 @@ def _block_columns(block: list[str]):
     return columns
 
 
-def _read_rows(path, mean: np.ndarray, std: np.ndarray) -> None:
-    """Fill ``mean`` and ``std`` from the rows of the file at ``path`` one
-    line at a time, raising the first bad row's error with its ``path:line``."""
+def _read_rows(path, lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> None:
+    """Fill ``mean`` and ``std`` from ``lines``, the rows of the file at
+    ``path`` from its third line on, one line at a time, raising the first
+    bad row's error with its ``path:line``."""
     n_slots, n_ta = mean.shape
     seen: set[tuple[int, int]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(islice(fh, 2, None), start=3):
-            line = line.removesuffix("\n")
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                slot, ta = int(parts[0]), int(parts[1])
-                cell_mean, cell_std = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-            if not (0 <= slot < n_slots and 0 <= ta < n_ta):
-                raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
-            if (slot, ta) in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
-            # the chained comparisons are False for nan, so this also rejects it
-            if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):
-                raise ValueError(
-                    f"{path}:{lineno}: mean and std must be finite and non-negative, got {line!r}"
-                )
-            seen.add((slot, ta))
-            mean[slot, ta] = cell_mean
-            std[slot, ta] = cell_std
+    for lineno, line in enumerate(lines, start=3):
+        line = line.removesuffix("\n")
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            slot, ta = int(parts[0]), int(parts[1])
+            cell_mean, cell_std = float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+        if not (0 <= slot < n_slots and 0 <= ta < n_ta):
+            raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
+        if (slot, ta) in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
+        # the chained comparisons are False for nan, so this also rejects it
+        if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):
+            raise ValueError(
+                f"{path}:{lineno}: mean and std must be finite and non-negative, got {line!r}"
+            )
+        seen.add((slot, ta))
+        mean[slot, ta] = cell_mean
+        std[slot, ta] = cell_std

@@ -1,6 +1,10 @@
+import contextlib
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,3 +240,57 @@ def write_trace_rows(path, trace, verdicts):
 def _json_float(value: float) -> str:
     """``value`` as ``json.dumps`` writes it: ``repr``, or Infinity and NaN."""
     return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` in the code under test once ``seconds`` have
+    passed, so that a read that blocks (on a FIFO with no writer left, say)
+    fails its test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# reading from a FIFO or from /dev/fd/N of a pipe needs both
+needs_pipes = pytest.mark.skipif(not (hasattr(os, "mkfifo") and os.path.isdir("/dev/fd")), reason="no FIFOs or /dev/fd")
+
+
+@contextlib.contextmanager
+def piped(kind: str, tmp_path, data: bytes):
+    """A path that gives ``data`` once and cannot seek: a FIFO that a writer
+    process opens and fills (``kind="fifo"``; the writer is killed and
+    reaped on exit), or ``/dev/fd/N`` of the read end of a pipe that holds
+    ``data`` and whose write end is closed (``kind="pipe"``). For a pipe,
+    ``data`` is written before anything reads it, so it must fit in the
+    pipe's buffer (64 KiB on Linux); a write that does not fit raises
+    ``BlockingIOError`` instead of blocking."""
+    if kind == "fifo":
+        source, fifo = tmp_path / "fifo-source", tmp_path / "fifo"
+        source.write_bytes(data)
+        os.mkfifo(fifo)
+        copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+        writer = subprocess.Popen([sys.executable, "-c", copy, source, fifo])
+        try:
+            yield fifo
+        finally:
+            writer.kill()
+            writer.wait()
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        os.set_blocking(write_fd, False)
+        with open(write_fd, "wb", buffering=0) as writer:
+            if writer.write(data) != len(data):
+                raise BlockingIOError(f"{len(data)} bytes do not fit in the pipe's buffer")
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import stormsim.cli
 import stormsim.core
 import stormsim.sweep
 from stormsim.cli import main
+
+from conftest import deadline, needs_pipes, piped
 
 SMALL_CONFIG = {
     "legit": {"device_count": 15},
@@ -150,6 +153,27 @@ def test_sweep_with_and_without_profile(config_path, tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
     lines = csv_a.read_text().splitlines()
     assert len(lines) == 1 + 3
+
+
+@needs_pipes
+def test_run_reads_a_shuffled_profile_from_a_fifo(config_path, tmp_path):
+    # shuffled rows are refused by the columnar parse; a FIFO cannot be
+    # rewound, so its rows go to the line loop as they arrive
+    profile, shuffled = tmp_path / "profile.csv", tmp_path / "shuffled.csv"
+    assert main(["train", "--config", config_path, "--out", str(profile)]) == 0
+    lines = profile.read_text().splitlines(keepends=True)
+    rows = lines[2:]
+    random.Random(5).shuffle(rows)
+    shuffled.write_text("".join(lines[:2] + rows))
+
+    def run(source, out):
+        assert main(["run", "--config", config_path, "--profile", str(source), "--out", str(out)]) == 0
+        return (out / "summary.json").read_bytes()
+
+    summaries = [run(profile, tmp_path / "from-file"), run(shuffled, tmp_path / "from-shuffled")]
+    with piped("fifo", tmp_path, shuffled.read_bytes()) as fifo, deadline(60):
+        summaries.append(run(fifo, tmp_path / "from-fifo"))
+    assert len(rows) > 100 and summaries[0] == summaries[1] == summaries[2]
 
 
 def test_sweep_single_gamma(tmp_path):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, read_trace_rows, write_trace_rows
+from conftest import bits, deadline, needs_pipes, piped, read_trace_rows, write_trace_rows
 from stormsim import (
     Decision,
     Label,
@@ -29,7 +29,15 @@ from stormsim import (
     write_trace,
 )
 from stormsim import core
-from stormsim.core import ROWS_PER_WRITE, SPLIT_ROWS, _read_columns, _split_row, _with_child
+from stormsim.core import (
+    ROWS_PER_WRITE,
+    SHORTEST_LINE_BYTES,
+    SPLIT_ROWS,
+    _parse_record,
+    _read_columns,
+    _split_row,
+    _with_child,
+)
 
 
 class TestSlotArithmetic:
@@ -674,3 +682,92 @@ class TestChunkedReadOracle:
             else:
                 assert outcome(read_trace, path) == expected
                 assert expected.startswith(f"{path}:{data.count(end, 0, start) + 1}: ")
+
+
+class TestOnePassRead:
+    """``read_trace`` decides the split from the file's size alone and reads
+    a chunk that fails a check where it stands, so it never goes back to
+    its path: a pipe, which gives its bytes once, reads as a file does."""
+
+    def test_shortest_line(self):
+        record = dict.fromkeys(core._REQUIRED_KEYS, 0) | {"label": "legit", "verdict": "accept"}
+        line = json.dumps(record, separators=(",", ":"))
+        assert _parse_record(line) == record
+        assert SHORTEST_LINE_BYTES == len(line) + 1
+        for at in range(len(line)):  # no character of it can go
+            with pytest.raises(ValueError):
+                _parse_record(line[:at] + line[at + 1 :])
+
+    @pytest.mark.parametrize("short, children", [(2, 0), (1, 1)])
+    def test_split_from_the_size(self, tmp_path, two_cpus, monkeypatch, short, children):
+        # a file of SPLIT_ROWS * SHORTEST_LINE_BYTES - 1 bytes can hold SPLIT_ROWS
+        # rows, the last without its \n, so it is split; one byte less is not
+        path = tmp_path / "t.jsonl"
+        trace, verdicts = random_columns(1000)
+        write_trace(path, trace, verdicts)
+        padding = SPLIT_ROWS * SHORTEST_LINE_BYTES - short - path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\n" * padding)
+        calls = []
+
+        def counted(here, there):
+            calls.append(there)
+            return _with_child(here, there)
+
+        monkeypatch.setattr(core, "_with_child", counted)
+        assert bits(*read_trace(path)) == bits(trace, verdicts)
+        assert len(calls) == children
+
+    def test_no_bad_byte_passes_the_column_parse(self, tmp_path):
+        # bytes that are not UTF-8 decode to surrogates, which no record the
+        # column parse takes can hold: each falls to the line loop
+        path = tmp_path / "t.jsonl"
+        write_trace(path, *columns_of([(1.0, 5, 3, -1, False, 0.5), (2.0, 6, 4, 7, True, -1.5)]))
+        data = path.read_bytes()
+        for at in range(len(data)):
+            path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+            with open(path, "rb") as fh:
+                assert _read_columns(fh) is None, at
+            assert outcome(read_trace, path) == outcome(read_trace_rows, path)
+
+    @pytest.mark.parametrize("chunk", [core.CHUNK_BYTES, 100])
+    def test_unended_last_line(self, tmp_path, monkeypatch, chunk):
+        # json's error positions count a line's end, so a last line cut short
+        # with none reports as the line loop reads it, without one
+        monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
+        path = tmp_path / "t.jsonl"
+        write_trace(path, *random_columns(5))
+        path.write_bytes(path.read_bytes()[:-2])
+        expected = outcome(read_trace_rows, path)
+        assert re.match(rf"{path}:5: invalid JSON \(Expecting ',' delimiter: line 1 column \d+", expected)
+        assert outcome(read_trace, path) == expected
+
+    @needs_pipes
+    @pytest.mark.parametrize("kind", ["fifo", "pipe"])
+    @pytest.mark.parametrize("chunk", [core.CHUNK_BYTES, 1000])
+    def test_bad_line_from_a_pipe(self, tmp_path, monkeypatch, kind, chunk):
+        monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
+        path = tmp_path / "t.jsonl"
+        write_trace(path, *random_columns(40))
+        lines = path.read_text().split("\n")
+        lines[30] = lines[30].replace('"label":"legit"', '"label":"weird"').replace('"label":"attack"', '"label":"weird"')
+        path.write_text("\n".join(lines))
+        expected = outcome(read_trace_rows, path)
+        assert expected.startswith(f"{path}:31: bad label")
+        with piped(kind, tmp_path, path.read_bytes()) as pipe, deadline(30):
+            assert outcome(read_trace, pipe) == expected.replace(str(path), str(pipe), 1)
+
+    @needs_pipes
+    @pytest.mark.parametrize("kind", ["fifo", "pipe"])
+    @pytest.mark.parametrize("chunk", [core.CHUNK_BYTES, 1000])
+    def test_indented_lines_from_a_pipe(self, tmp_path, monkeypatch, kind, chunk):
+        # the column parse leaves indented lines to the line loop, which reads
+        # them where they stand
+        monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
+        path = tmp_path / "t.jsonl"
+        trace, verdicts = random_columns(40)
+        write_trace(path, trace, verdicts)
+        lines = path.read_bytes().splitlines(keepends=True)
+        data = b"".join(b" \t" + line if i % 7 == 3 else line for i, line in enumerate(lines))
+        with piped(kind, tmp_path, data) as pipe, deadline(30):
+            assert bits(*read_trace(pipe)) == bits(trace, verdicts)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -24,7 +26,7 @@ from stormsim import profiler
 from stormsim.core import ROWS_PER_WRITE, SECONDS_PER_DAY
 from stormsim.profiler import KpiProfile
 
-from conftest import day_slot, trace_of
+from conftest import day_slot, deadline, needs_pipes, piped, trace_of
 
 
 def legit(t, ta, device=0):
@@ -306,6 +308,54 @@ class TestProfileValidation:
     def test_bad_metadata_rejected(self, max_ta, training_days, match, make):
         with pytest.raises(ValueError, match=match):
             make(300, max_ta, training_days, np.zeros((288, max_ta + 1)), np.zeros((288, max_ta + 1)))
+
+    @MAKERS
+    @pytest.mark.parametrize(
+        "metadata, match",
+        [
+            ((300, 10.0, 2), "max_ta must be an integer, got 10.0"),
+            ((300.0, 10, 2), "interval_seconds must be an integer, got 300.0"),
+            ((300, 10, True), "training_days must be an integer, got True"),
+            ((300, "10", 2), "max_ta must be an integer, got '10'"),
+        ],
+    )
+    def test_metadata_must_be_integers(self, metadata, match, make):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            make(*metadata, np.zeros((288, 11)), np.zeros((288, 11)))
+
+    def test_numpy_integer_metadata_saved_as_int(self, tmp_path):
+        profile = KpiProfile(np.int64(300), np.int32(10), np.uint8(2), np.zeros((288, 11)), np.ones((288, 11)))
+        assert [type(v) for v in (profile.interval_seconds, profile.max_ta, profile.training_days)] == [int] * 3
+        save_profile(profile, tmp_path / "profile.csv")
+        loaded = load_profile(tmp_path / "profile.csv")
+        assert (loaded.interval_seconds, loaded.max_ta, loaded.training_days) == (300, 10, 2)
+
+    @MAKERS
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.bool_, np.int8, np.int64, np.uint16])
+    def test_tables_cast_to_float64(self, tmp_path, dtype, make):
+        # any real kind casts to float64 and saves and loads as the same values
+        values = np.arange(288 * 11).reshape(288, 11) % 3
+        profile = make(300, 10, 2, values.astype(dtype), (values == 1).astype(dtype))
+        assert profile.mean.dtype == profile.std.dtype == np.float64
+        assert not (profile.mean.flags.writeable or profile.std.flags.writeable)
+        assert np.array_equal(profile.mean, values.astype(dtype).astype(np.float64))
+        save_profile(profile, tmp_path / "profile.csv")
+        loaded = load_profile(tmp_path / "profile.csv")
+        assert np.array_equal(loaded.mean, profile.mean) and np.array_equal(loaded.std, profile.std)
+
+    @MAKERS
+    @pytest.mark.parametrize(
+        "table, match",
+        [
+            (np.zeros((288, 11), complex), "mean must be a 2-D float64 table, got complex128"),
+            (np.full((288, 11), "0"), "mean must be a 2-D float64 table, got <U1"),
+            (np.zeros((288, 11), object), "mean must be a 2-D float64 table, got object"),
+            (np.zeros(288 * 11), r"mean must be a 2-D float64 table, got float64 \(3168,\)"),
+        ],
+    )
+    def test_tables_of_another_kind_rejected(self, table, match, make):
+        with pytest.raises(ValueError, match=match):
+            make(300, 10, 2, table, np.zeros((288, 11)))
 
 
 def traced_peak(call, *args):
@@ -714,3 +764,48 @@ class TestLoadProfileOracle:
         path.write_bytes(data[:cut] + b",\xff" + data[cut:])
         with pytest.raises(ValueError, match=f"^{path}: not valid UTF-8"):
             load_profile(path)
+
+
+@needs_pipes
+@pytest.mark.parametrize("kind", ["fifo", "pipe"])
+class TestLoadFromAPipe:
+    """A pipe gives its bytes once: ``load_profile`` reads it with the line
+    loop alone and never goes back to its path."""
+
+    @staticmethod
+    def shuffled_profile(path, bad_row=None):
+        """A 24 x 13 profile saved to ``path`` with its rows shuffled and
+        ``bad_row``, if given, put on line 40; returns the profile."""
+        rng = np.random.default_rng(3)
+        mean = rng.random((24, 13)) * (rng.random((24, 13)) < 0.8)
+        profile = KpiProfile(3600, 12, 3, mean, mean * 0.5)
+        save_profile(profile, path)
+        lines = path.read_text().splitlines(keepends=True)
+        rows = lines[2:]
+        random.Random(3).shuffle(rows)
+        if bad_row is not None:
+            rows.insert(37, bad_row)
+        path.write_text("".join(lines[:2] + rows))
+        return profile
+
+    def test_shuffled_rows_give_the_file_tables(self, tmp_path, kind):
+        path = tmp_path / "profile.csv"
+        profile = self.shuffled_profile(path)
+        from_file = load_profile(path)
+        with piped(kind, tmp_path, path.read_bytes()) as pipe, deadline(30):
+            from_pipe = load_profile(pipe)
+        for loaded in (from_file, from_pipe):
+            assert (loaded.interval_seconds, loaded.max_ta, loaded.training_days) == (3600, 12, 3)
+            assert np.array_equal(loaded.mean.view(np.int64), profile.mean.view(np.int64))
+            assert np.array_equal(loaded.std.view(np.int64), profile.std.view(np.int64))
+
+    @pytest.mark.parametrize("bad_row", ["1,2,3.0\n", "5,13,1.0,0.5\n", "0,0,nan,0.5\n"])
+    def test_bad_row_raises_its_error(self, tmp_path, kind, bad_row):
+        path = tmp_path / "profile.csv"
+        self.shuffled_profile(path, bad_row)
+        with pytest.raises(ValueError, match=f"^{path}:40: ") as from_file:
+            load_profile(path)
+        with piped(kind, tmp_path, path.read_bytes()) as pipe, deadline(30):
+            with pytest.raises(ValueError) as from_pipe:
+                load_profile(pipe)
+        assert str(from_pipe.value) == str(from_file.value).replace(str(path), str(pipe), 1)
