@@ -299,14 +299,29 @@ def _with_child(here, there):
 
 def _json_texts(values: np.ndarray) -> list[str]:
     """Each value as ``json.dumps`` writes it: ``repr``, or Infinity and NaN."""
-    return json.dumps(values.tolist())[1:-1].split(", ")
+    return json.dumps(values.tolist())[1:-1].split(", ") if values.size else []
+
+
+def group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal keys begins in a sorted array, its first entry included."""
+    starts = np.empty(sorted_keys.size, bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
 
 
 def distinct_texts(column: np.ndarray, prefix: str) -> tuple[np.ndarray, np.ndarray]:
     """``prefix`` plus the text of each of a column's distinct values, as an
-    object array, and each entry's index into it. Values are told apart by
-    their bits, so ``-0.0`` and ``0.0`` keep their own texts."""
-    values, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    object array, and each entry's index into it, in the smallest unsigned
+    dtype that can index the texts. Values are told apart by their bits, so
+    ``-0.0`` and ``0.0`` keep their own texts."""
+    bits = column.view(np.int64)
+    order = np.argsort(bits)
+    starts = group_starts(bits[order])
+    values = bits[order[starts]]
+    starts[:1] = False  # so the running count of starts is each entry's index from 0
+    inverse = np.empty(bits.size, np.min_scalar_type(max(values.size - 1, 0)))
+    inverse[order] = np.cumsum(starts, dtype=inverse.dtype)
     return np.array([prefix + text for text in _json_texts(values.view(column.dtype))], object), inverse
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ScoringMode
-from .core import SECONDS_PER_DAY, Decision, RsrEvent, Verdict, cell_keys
+from .core import SECONDS_PER_DAY, Decision, RsrEvent, Verdict, cell_keys, group_starts
 from .profiler import KpiProfile
 
 
@@ -154,13 +154,25 @@ def score_events(
         raise ValueError(f"sigma_floor must be positive, got {sigma_floor!r}")
     if np.any(times[1:] < times[:-1]):
         raise ValueError("trace must be sorted by time")
+    # Peak memory grows with the trace-length arrays alive at once, so each
+    # is freed at its last use and the arithmetic reuses the buffers it has.
     cells = cell_keys(times, tas, profile.interval_seconds, profile.max_ta, horizon_days)
     order = np.argsort(cells, kind="stable")
-    sorted_cells = cells[order]
-    ends = np.arange(1, len(cells) + 1) if per_rsr else np.searchsorted(sorted_cells, sorted_cells, "right")
+    starts = np.flatnonzero(group_starts(cells[order]))
+    sizes = np.diff(starts, append=cells.size)
+    if per_rsr:  # ranks 1, 2, ... in each cell: a running sum of ones, less the previous cell's size at each start
+        ranked = np.ones_like(cells)
+        ranked[starts[1:]] = np.subtract(1, sizes[:-1], out=sizes[:-1])
+        np.cumsum(ranked, out=ranked)
+    else:
+        ranked = np.repeat(sizes, sizes)
+    del starts, sizes
     counts = np.empty_like(cells)
-    counts[order] = ends - np.searchsorted(sorted_cells, sorted_cells)
-    del order, sorted_cells, ends  # peak memory grows with the trace-length arrays alive at once
+    counts[order] = ranked
+    del order, ranked
     table = cells % profile.mean.size  # the cell's (slot, TA) position in the profile
-    denom = np.maximum(profile.std, sigma_floor).ravel()[table]
-    return cells, (counts - profile.mean.ravel()[table]) / denom
+    scores = profile.mean.ravel()[table]
+    np.subtract(counts, scores, out=scores)
+    del counts
+    scores /= np.maximum(profile.std, sigma_floor).ravel()[table]
+    return cells, scores

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ScoringMode
-from .core import Trace, Verdicts
+from .core import Trace, Verdicts, group_starts
 from .detector import DetectorConfig, Policy, score_events
 from .profiler import KpiProfile
 
@@ -124,11 +124,11 @@ def score_cache(trace: Trace, cells: np.ndarray, scores: np.ndarray, n_ta: int, 
 def group_max(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys in ascending order and the largest value of each."""
     order = np.argsort(keys)  # one sort, whose order also lines the values up by group
-    sorted_keys = keys[order]
-    starts = np.ones(keys.size, bool)  # True where a group begins in sorted order
-    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(starts)
-    return sorted_keys[starts], np.maximum.reduceat(values[order], starts)
+    keys = keys[order]  # each rebound in turn, so a caller's temporaries are freed here
+    values = values[order]
+    del order
+    starts = np.flatnonzero(group_starts(keys))
+    return keys[starts], np.maximum.reduceat(values, starts)
 
 
 def build_score_cache(

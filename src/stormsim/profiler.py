@@ -15,7 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from .config import MAX_TABLE_BYTES, _check_types
-from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Adoptable, Trace, _columns, cell_keys, distinct_texts, slots_per_day
+from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Adoptable, Trace, _columns, cell_keys, distinct_texts
+from .core import group_starts, slots_per_day
 
 FOLD_CELLS = 2**15  # table cells that train folds at a time
 
@@ -33,7 +34,12 @@ def count_per_interval(
     to 127 requests a cell), so the difference of two counts never wraps;
     the sum over the whole table equals the trace length.
     """
-    cells, counts = np.unique(cell_keys(trace.time_s, trace.ta, interval_seconds, max_ta, days), return_counts=True)
+    keys = cell_keys(trace.time_s, trace.ta, interval_seconds, max_ta, days)
+    keys.sort()  # in place: the keys are this call's own
+    starts = np.flatnonzero(group_starts(keys))
+    cells = keys[starts]
+    del keys  # freed before the counts are built
+    counts = np.diff(starts, append=len(trace))
     shape = (days, slots_per_day(interval_seconds), max_ta + 1)
     # the smallest signed dtype that holds -max - 1 also holds max
     table = np.zeros(math.prod(shape), np.min_scalar_type(-int(counts.max(initial=0)) - 1))

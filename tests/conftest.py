@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def make_profile(
         mean=np.zeros(shape) if mean is None else mean,
         std=np.zeros(shape) if std is None else std,
     )
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def trace_of(events) -> Trace:

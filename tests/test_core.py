@@ -445,6 +445,52 @@ class TestWriteTraceOracle:
             assert path.read_bytes() == reference.read_bytes()
 
 
+class TestDistinctTexts:
+    """``distinct_texts`` formats each distinct value once and gives each
+    entry's index into those texts in the smallest unsigned dtype that can
+    index them, the working set of ``write_trace`` and ``save_profile``."""
+
+    @pytest.mark.parametrize(
+        "distinct, dtype",
+        [(1, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16), (2**16, np.uint16), (2**16 + 1, np.uint32)],
+    )
+    def test_index_dtype(self, distinct, dtype):
+        column = np.random.default_rng(distinct).permutation(np.repeat(np.arange(distinct) * 3 - 7, 2))
+        texts, inverse = core.distinct_texts(column, ',"x":')
+        assert inverse.dtype == dtype and texts.size == distinct
+        assert texts[inverse].tolist() == [',"x":' + json.dumps(value) for value in column.tolist()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3), max_size=60))
+    def test_integer_texts(self, values):
+        texts, inverse = core.distinct_texts(np.array(values, np.int64), ",")
+        assert texts.size == len(set(values))
+        assert texts[inverse].tolist() == ["," + json.dumps(value) for value in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]), max_size=60))
+    def test_float_texts(self, values):
+        column = np.array(values, np.float64)
+        texts, inverse = core.distinct_texts(column, ",")
+        assert texts.size == len(set(column.view(np.int64).tolist()))  # told apart by their bits
+        assert texts[inverse].tolist() == ["," + json.dumps(value) for value in values]
+
+    def test_signed_zero_infinity_and_nan_keep_their_texts(self):
+        column = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 0.0, -0.0, math.inf])
+        texts, inverse = core.distinct_texts(column, "")
+        assert texts.size == 5
+        assert texts[inverse].tolist() == ["0.0", "-0.0", "Infinity", "-Infinity", "NaN", "0.0", "-0.0", "Infinity"]
+
+    @pytest.mark.parametrize(
+        "column", [np.array([], np.int64), np.array([], np.float64), np.full(5, 7), np.full(3, -0.0)], ids=str
+    )
+    def test_empty_and_one_value_columns(self, column):
+        texts, inverse = core.distinct_texts(column, "")
+        assert inverse.dtype == np.uint8 and inverse.size == column.size
+        assert texts.size == min(column.size, 1)
+        assert texts[inverse].tolist() == [json.dumps(value) for value in column.tolist()]
+
+
 def random_columns(n: int, seed: int = 0) -> tuple[Trace, Verdicts]:
     """``n`` sorted random rows, a third of them attack ones, with verdicts."""
     rng = np.random.default_rng(seed)

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import random
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +25,7 @@ from stormsim import profiler
 from stormsim.core import ROWS_PER_WRITE, SECONDS_PER_DAY
 from stormsim.profiler import KpiProfile
 
-from conftest import day_slot, deadline, needs_pipes, piped, trace_of
+from conftest import day_slot, deadline, needs_pipes, piped, trace_of, traced_peak
 
 
 def legit(t, ta, device=0):
@@ -356,15 +355,6 @@ class TestProfileValidation:
     def test_tables_of_another_kind_rejected(self, table, match, make):
         with pytest.raises(ValueError, match=match):
             make(300, 10, 2, table, np.zeros((288, 11)))
-
-
-def traced_peak(call, *args):
-    """``call(*args)`` and the peak of the memory that tracemalloc saw it allocate."""
-    tracemalloc.start()
-    try:
-        return call(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestWorkingSet:

@@ -1,0 +1,82 @@
+"""Working-set bounds of the steps that scale with the trace.
+
+Each bound is the step's tracemalloc peak in units of one trace-length int64
+array (``A``), on a synthetic trace of 2**18 events shaped like the default
+eval trace: legit requests spread so that about 0.6 distinct (interval, TA)
+cells come per event, and about one in ten events in bursts of 100 RSRs on
+one TA. At that size the fixed overheads (profile tables, one write block)
+stay near a tenth of ``A``.
+"""
+
+import numpy as np
+import pytest
+
+from stormsim import DetectorConfig, ScoringMode, Trace, build_score_cache, count_per_interval, run
+from stormsim import core
+from stormsim.detector import score_events
+
+from conftest import make_profile, traced_peak
+
+EVENTS = 2**18
+A = 8 * EVENTS
+DAYS, MAX_TA, BURSTS, BURST_RSRS = 7, 102, 250, 100
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    """The synthetic trace and a profile of few distinct means and stds."""
+    rng = np.random.default_rng(22)
+    horizon = DAYS * 86400.0
+    legit = EVENTS - BURSTS * BURST_RSRS
+    burst_times = rng.random(BURSTS)[:, None] * (horizon - 5.0) + 5.0 * rng.random((BURSTS, BURST_RSRS))
+    times = np.concatenate([rng.random(legit) * horizon, burst_times.ravel()])
+    burst_tas = rng.integers(0, MAX_TA + 1, BURSTS)
+    tas = np.concatenate([rng.integers(0, MAX_TA + 1, legit), np.repeat(burst_tas, BURST_RSRS)])
+    bursts = np.concatenate([np.full(legit, -1), np.repeat(np.arange(BURSTS), BURST_RSRS)])
+    devices = np.where(bursts < 0, rng.integers(0, 100, EVENTS), 100 + bursts // 50)
+    order = np.argsort(times, kind="stable")
+    trace = Trace(times[order], devices[order], tas[order], bursts[order])
+    shape = (288, MAX_TA + 1)
+    profile = make_profile(
+        300, MAX_TA, mean=rng.choice((0.0, 0.5, 1.0, 2.5), shape), std=rng.choice((0.0, 0.25, 1.0, 1.75, 3.0), shape)
+    )
+    return trace, profile
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_score_events_peak(scenario, mode):
+    trace, profile = scenario
+    (cells, scores), peak = traced_peak(score_events, trace.time_s, trace.ta, profile, 1.0, DAYS, mode)
+    assert cells.size == scores.size == EVENTS
+    assert peak <= 4.5 * A
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_run_peak(scenario, mode):
+    trace, profile = scenario
+    report, peak = traced_peak(run, trace, profile, DetectorConfig(gamma=6.5), DAYS, mode)
+    assert len(report.verdicts) == EVENTS
+    assert peak <= 6.5 * A
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_build_score_cache_peak(scenario, mode):
+    trace, profile = scenario
+    cache, peak = traced_peak(build_score_cache, trace, profile, 1.0, DAYS, mode)
+    assert cache.attack_scores.size == BURSTS * BURST_RSRS
+    assert peak <= 6.3 * A
+
+
+def test_serial_write_trace_peak(scenario, tmp_path, monkeypatch):
+    trace, profile = scenario
+    verdicts = run(trace, profile, DetectorConfig(gamma=6.5), DAYS).verdicts
+    monkeypatch.setattr(core, "SPLIT_ROWS", 2 * EVENTS)  # one process, so the whole write is traced here
+    _, peak = traced_peak(core.write_trace, tmp_path / "trace.jsonl", trace, verdicts)
+    assert peak <= 3.0 * A
+
+
+def test_count_per_interval_peak(scenario):
+    trace, _profile = scenario
+    table, peak = traced_peak(count_per_interval, trace, 300, MAX_TA, DAYS)
+    assert table.sum() == EVENTS
+    assert peak <= 2.6 * A
