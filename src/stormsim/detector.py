@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ScoringMode
 from .core import SECONDS_PER_DAY, Decision, RsrEvent, Verdict, cell_keys, group_starts
 from .profiler import KpiProfile
 
@@ -136,20 +135,17 @@ def score_events(
     profile: KpiProfile,
     sigma_floor: float,
     horizon_days: int,
-    scoring_mode: ScoringMode = ScoringMode.PER_RSR,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score a whole time-sorted trace, given as ``time_s`` and ``ta`` arrays.
 
-    Returns each event's flat cell key (``core.cell_keys``) and its score
-    ``(count - mean) / max(std, sigma_floor)``. ``per_rsr`` counts an event
-    at its rank within its cell under a stable argsort of the keys, as
-    ``on_rsr`` does; ``interval_end`` at its cell's full interval count.
-    Within a cell per-RSR scores never decrease, so a cell is flagged at the
-    first event whose own score exceeds gamma, and its interval-end score is
-    its highest per-RSR score. ``scoring_mode`` may also be given by its
-    value; any other value raises ``ValueError``.
+    Returns the trace's distinct flat cell keys (``core.cell_keys``) in
+    ascending order, each event's index into them in the smallest unsigned
+    dtype, and each event's per-RSR score ``(count - mean) / max(std,
+    sigma_floor)``, the event counted at its rank within its cell under a
+    stable argsort of the keys, as ``on_rsr`` does. Within a cell the scores
+    never decrease: a cell is flagged at the first event whose score exceeds
+    gamma, and its last score, its interval-end score, is its highest.
     """
-    per_rsr = ScoringMode(scoring_mode) is ScoringMode.PER_RSR
     if not sigma_floor > 0:
         raise ValueError(f"sigma_floor must be positive, got {sigma_floor!r}")
     if np.any(times[1:] < times[:-1]):
@@ -158,21 +154,27 @@ def score_events(
     # is freed at its last use and the arithmetic reuses the buffers it has.
     cells = cell_keys(times, tas, profile.interval_seconds, profile.max_ta, horizon_days)
     order = np.argsort(cells, kind="stable")
-    starts = np.flatnonzero(group_starts(cells[order]))
+    first = group_starts(cells[order])
+    starts = np.flatnonzero(first)
     sizes = np.diff(starts, append=cells.size)
-    if per_rsr:  # ranks 1, 2, ... in each cell: a running sum of ones, less the previous cell's size at each start
-        ranked = np.ones_like(cells)
-        ranked[starts[1:]] = np.subtract(1, sizes[:-1], out=sizes[:-1])
-        np.cumsum(ranked, out=ranked)
-    else:
-        ranked = np.repeat(sizes, sizes)
+    ranked = np.ones_like(cells)  # ranks 1, 2, ... in each cell: a running sum of ones, less the previous size at each start
+    ranked[starts[1:]] = np.subtract(1, sizes[:-1], out=sizes[:-1])
+    n_keys = starts.size
     del starts, sizes
+    np.cumsum(ranked, out=ranked)
     counts = np.empty_like(cells)
     counts[order] = ranked
-    del order, ranked
-    table = cells % profile.mean.size  # the cell's (slot, TA) position in the profile
+    del ranked
+    first[:1] = False  # so the running count of starts is each event's index from 0, as in ``distinct_texts``
+    sorted_index = first.astype(np.min_scalar_type(max(n_keys - 1, 0)))  # summed in place: a cumsum to a new dtype copies
+    index = np.empty_like(sorted_index)
+    index[order] = np.cumsum(sorted_index, out=sorted_index)
+    del order, first, sorted_index
+    keys = np.empty(n_keys, cells.dtype)
+    keys[index] = cells
+    table = np.remainder(cells, profile.mean.size, out=cells)  # the cell's (slot, TA) position in the profile
     scores = profile.mean.ravel()[table]
     np.subtract(counts, scores, out=scores)
     del counts
     scores /= np.maximum(profile.std, sigma_floor).ravel()[table]
-    return cells, scores
+    return keys, index, scores

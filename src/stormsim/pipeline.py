@@ -85,50 +85,48 @@ def run(
     interval end in (day, slot, TA) order. ``scoring_mode`` may also be given
     by its value (``"per_rsr"``); any other value raises ``ValueError``.
     """
-    scoring_mode = ScoringMode(scoring_mode)
-    cells, anomalies = score_events(trace.time_s, trace.ta, profile, config.sigma_floor, horizon_days, scoring_mode)
+    per_rsr = ScoringMode(scoring_mode) is ScoringMode.PER_RSR
+    cache, keys, index, anomalies = score_cache(trace, profile, config.sigma_floor, horizon_days, scoring_mode)
     verdicts = Verdicts._adopt(anomalies > config.gamma, anomalies)
     crossings = np.flatnonzero(verdicts.rejected)
-    policy_cells, first = np.unique(cells[crossings], return_index=True)
-    n_ta = profile.max_ta + 1
-    if scoring_mode is ScoringMode.PER_RSR:
-        issued = np.sort(crossings[first])
-        policy_cells, issued_at_s = cells[issued], trace.time_s[issued].tolist()
-    else:
-        issued_at_s = ((policy_cells // n_ta + 1) * profile.interval_seconds).astype(float).tolist()
+    issued = crossings[np.unique(index[crossings], return_index=True)[1]]  # each flagged cell's first crossing
+    issued = np.sort(issued) if per_rsr else issued  # per_rsr issues in trace order, interval_end in key order
+    policy_cells, n_ta = keys[index[issued]], profile.max_ta + 1
+    issued_at_s = trace.time_s[issued] if per_rsr else ((policy_cells // n_ta + 1) * profile.interval_seconds).astype(float)
     day_slot, policy_tas = np.divmod(policy_cells, n_ta)
     days, slots = np.divmod(day_slot, profile.n_slots)
-    policies = list(map(Policy, policy_tas.tolist(), days.tolist(), slots.tolist(), issued_at_s))
-    cache = score_cache(trace, cells, verdicts.anomaly, n_ta, horizon_days * profile.n_slots)
+    policies = list(map(Policy, policy_tas.tolist(), days.tolist(), slots.tolist(), issued_at_s.tolist()))
     return RunReport(verdicts, policies, metrics_at(cache, config.gamma))
 
 
-def score_cache(trace: Trace, cells: np.ndarray, scores: np.ndarray, n_ta: int, intervals_total: int) -> ScoreCache:
-    """Aggregate each event's score, keyed by its flat cell, per burst, per clean cell and per interval."""
+def score_cache(
+    trace: Trace, profile: KpiProfile, sigma_floor: float, horizon_days: int, scoring_mode: ScoringMode
+) -> tuple[ScoreCache, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``ScoreCache`` of every event's score in ``scoring_mode``, with ``score_events``' cell keys, each
+    event's index into them and each event's score. A cell's highest per-RSR score is its last one, and so,
+    bit for bit, the interval-end score of each of its events."""
+    interval_end = ScoringMode(scoring_mode) is ScoringMode.INTERVAL_END
+    keys, index, scores = score_events(trace.time_s, trace.ta, profile, sigma_floor, horizon_days)
+    cell_max = np.full(keys.size, -np.inf)
+    np.maximum.at(cell_max, index, scores)
+    if interval_end:
+        scores = cell_max[index]
     attack = trace.attack
-    clean = ~np.isin(cells, cells[attack])
-    clean_cells, clean_last = group_max(cells[clean], scores[clean])
-    _intervals, interval_clean_max = group_max(clean_cells // n_ta, clean_last)
+    clean = np.ones(keys.size, bool)
+    clean[index[attack]] = False  # a cell is clean when no attack event falls in it
+    clean_last = cell_max[clean]
+    n_ta, intervals_total = profile.max_ta + 1, horizon_days * profile.n_slots
+    intervals = keys[clean]
+    intervals //= n_ta  # ascending, as the keys are
+    interval_clean_max = np.maximum.reduceat(clean_last, np.flatnonzero(group_starts(intervals)))
+    del clean, intervals
     attack_scores = scores[attack]
-    _bursts, burst_max = group_max(trace.burst_id[attack], attack_scores)
-    return ScoreCache(
-        attack_scores=attack_scores,
-        burst_max=burst_max,
-        interval_clean_max=interval_clean_max,
-        clean_cell_last=clean_last,
-        intervals_total=intervals_total,
-        cells_total=intervals_total * n_ta,
-    )
-
-
-def group_max(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in ascending order and the largest value of each."""
-    order = np.argsort(keys)  # one sort, whose order also lines the values up by group
-    keys = keys[order]  # each rebound in turn, so a caller's temporaries are freed here
-    values = values[order]
-    del order
-    starts = np.flatnonzero(group_starts(keys))
-    return keys[starts], np.maximum.reduceat(values, starts)
+    bursts = trace.burst_id[attack]
+    order = np.argsort(bursts)
+    bursts.sort()  # in place, the same values as ``bursts[order]``
+    burst_max = np.maximum.reduceat(attack_scores[order], np.flatnonzero(group_starts(bursts)))
+    cache = ScoreCache(attack_scores, burst_max, interval_clean_max, clean_last, intervals_total, intervals_total * n_ta)
+    return cache, keys, index, scores
 
 
 def build_score_cache(
@@ -139,8 +137,7 @@ def build_score_cache(
     scoring_mode: ScoringMode = ScoringMode.PER_RSR,
 ) -> ScoreCache:
     """Score every event once, as ``run`` does in that mode, and aggregate per burst, per cell and per interval."""
-    cells, scores = score_events(trace.time_s, trace.ta, profile, sigma_floor, horizon_days, scoring_mode)
-    return score_cache(trace, cells, scores, profile.max_ta + 1, horizon_days * profile.n_slots)
+    return score_cache(trace, profile, sigma_floor, horizon_days, scoring_mode)[0]
 
 
 def metrics_at(cache: ScoreCache, gamma: float) -> Metrics:

@@ -264,7 +264,7 @@ def test_criterion_8_cached_scores_equal_replay(default_config, eval_artifacts):
     profile, trace, bursts, cache = eval_artifacts
     events = list(trace)  # the rows on_rsr takes, built once for every replay
     horizon = default_config.eval_days
-    _cells, scores = score_events(trace.time_s, trace.ta, profile, default_config.sigma_floor, horizon)
+    _keys, _index, scores = score_events(trace.time_s, trace.ta, profile, default_config.sigma_floor, horizon)
     all_ok = True
     details = []
     for gamma in (2.0, 6.5):

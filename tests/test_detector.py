@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stormsim import (
@@ -16,6 +16,8 @@ from stormsim import (
     anomaly_score,
     on_rsr,
 )
+from stormsim.core import cell_keys
+from stormsim.detector import score_events
 
 from conftest import make_profile
 
@@ -284,3 +286,34 @@ class TestDetectorConfig:
     def test_nan_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma must not be NaN"):
             DetectorConfig(gamma=float("nan"))
+
+
+class TestScoreEvents:
+    """The batch kernel's cells: the distinct keys ascending and each event's index into them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 2 * 86400.0, exclude_max=True), st.integers(0, 10)), max_size=60))
+    def test_keys_ascend_and_index_gives_each_events_cell(self, rows):
+        rows.sort()
+        times = np.array([t for t, _ in rows], float)
+        tas = np.array([ta for _, ta in rows], np.int64)
+        keys, index, scores = score_events(times, tas, make_profile(), 1.0, 2)
+        assert np.all(keys[1:] > keys[:-1])
+        assert np.array_equal(keys[index], cell_keys(times, tas, 300, 10, 2))
+        assert scores.size == times.size
+
+    @pytest.mark.parametrize(
+        "cells, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)]
+    )
+    def test_index_dtype_is_the_smallest_that_indexes_the_keys(self, cells, dtype):
+        # TA varies fastest and every cell gets two events, so the keys are 0 .. cells - 1
+        slot_ta = np.repeat(np.arange(cells), 2)
+        times, tas = (slot_ta // 256) * 300.0, slot_ta % 256
+        keys, index, _scores = score_events(times, tas, make_profile(max_ta=255), 1.0, 1)
+        assert index.dtype == dtype
+        assert np.array_equal(keys, np.arange(cells))
+        assert np.array_equal(index, slot_ta)
+
+    def test_empty_trace_gives_three_empty_arrays(self):
+        keys, index, scores = score_events(np.empty(0), np.empty(0, np.int64), make_profile(), 1.0, 1)
+        assert keys.size == index.size == scores.size == 0

@@ -105,7 +105,7 @@ def test_batch_paths_equal_on_rsr_replay(scenario):
     trace, bursts, profile, horizon, floor, gammas = scenario
     cache = build_score_cache(trace, profile, floor, horizon)
     end_cache = build_score_cache(trace, profile, floor, horizon, ScoringMode.INTERVAL_END)
-    _cells, scores = score_events(trace.time_s, trace.ta, profile, floor, horizon)
+    _keys, _index, scores = score_events(trace.time_s, trace.ta, profile, floor, horizon)
 
     def oracle_metrics(verdicts, policies, gamma):
         return replay_metrics(

@@ -80,7 +80,7 @@ class TestSingleBurstRun:
 
         monkeypatch.setattr(pipeline, "score_events", keeping)
         report = run(trace_of(burst_events(ta=5, start=10.0, burst_id=0)), make_profile(), DetectorConfig(gamma=6.5), 1)
-        assert report.verdicts.anomaly is scored[0][1]
+        assert report.verdicts.anomaly is scored[0][2]
         assert not report.verdicts.anomaly.flags.writeable
 
     def test_infinite_gamma(self):

@@ -61,7 +61,7 @@ class TestCacheVsReplay:
             small_config, seed=small_config.seed_eval, days=2, include_attacks=True
         )
         cache = build_score_cache(trace, profile, small_config.sigma_floor, 2)
-        _cells, scores = score_events(trace.time_s, trace.ta, profile, small_config.sigma_floor, 2)
+        _keys, _index, scores = score_events(trace.time_s, trace.ta, profile, small_config.sigma_floor, 2)
         for gamma in (0.0, 2.0, 6.5):
             config = DetectorConfig(gamma=gamma)
             verdicts, policies = replay(trace, profile, config)

@@ -43,11 +43,10 @@ def scenario():
     return trace, profile
 
 
-@pytest.mark.parametrize("mode", list(ScoringMode))
-def test_score_events_peak(scenario, mode):
+def test_score_events_peak(scenario):
     trace, profile = scenario
-    (cells, scores), peak = traced_peak(score_events, trace.time_s, trace.ta, profile, 1.0, DAYS, mode)
-    assert cells.size == scores.size == EVENTS
+    (_keys, index, scores), peak = traced_peak(score_events, trace.time_s, trace.ta, profile, 1.0, DAYS)
+    assert index.size == scores.size == EVENTS
     assert peak <= 4.5 * A
 
 
@@ -56,7 +55,7 @@ def test_run_peak(scenario, mode):
     trace, profile = scenario
     report, peak = traced_peak(run, trace, profile, DetectorConfig(gamma=6.5), DAYS, mode)
     assert len(report.verdicts) == EVENTS
-    assert peak <= 6.5 * A
+    assert peak <= 4.6 * A
 
 
 @pytest.mark.parametrize("mode", list(ScoringMode))
@@ -64,7 +63,7 @@ def test_build_score_cache_peak(scenario, mode):
     trace, profile = scenario
     cache, peak = traced_peak(build_score_cache, trace, profile, 1.0, DAYS, mode)
     assert cache.attack_scores.size == BURSTS * BURST_RSRS
-    assert peak <= 6.3 * A
+    assert peak <= 4.6 * A
 
 
 def test_serial_write_trace_peak(scenario, tmp_path, monkeypatch):
