@@ -338,26 +338,26 @@ def read_trace(path) -> tuple[Trace, Verdicts]:
     byte: this process reads the bytes before the cut while a forked child
     opens the file and reads those after it, and the chunks' columns are
     joined. A child whose bytes fail a check, and so cannot number their
-    lines, sends None, and this process reads the file again from its own
-    handle. A FIFO has no size, so it is read in order, once, here.
+    lines, sends None, and this process reads them on from the cut, where
+    its handle stands. A FIFO has no size, so it is read in order, once, here.
     """
     with open(path, "rb") as fh:
         # the most rows the file can hold, its last line perhaps without a \n
         rows = (os.fstat(fh.fileno()).st_size + 1) // SHORTEST_LINE_BYTES
-        if _split_row(rows) != rows:
-            cut = _cut(fh)
+        if _split_row(rows) == rows:
+            return _joined(_read_columns(fh, path=path)[0])
+        cut = _cut(fh)
 
-            def read_rest():
-                with open(path, "rb") as rest:
-                    rest.seek(cut)
-                    return _read_columns(rest)
+        def read_rest():
+            with open(path, "rb") as rest:
+                rest.seek(cut)
+                return _read_columns(rest)
 
-            fh.seek(0)
-            mine, theirs = _with_child(lambda: _read_columns(fh, cut, path), read_rest)
-            if theirs is not None:
-                return _joined(mine + theirs)
-            fh.seek(0)
-        return _joined(_read_columns(fh, path=path))
+        fh.seek(0)
+        (mine, lineno), theirs = _with_child(lambda: _read_columns(fh, cut, path), read_rest)
+        if theirs is None:
+            theirs = _read_columns(fh, path=path, lineno=lineno)
+        return _joined(mine + theirs[0])
 
 
 def _cut(fh) -> int:
@@ -374,20 +374,21 @@ def _cut(fh) -> int:
     return at
 
 
-def _read_columns(fh, size: Optional[int] = None, path=None) -> Optional[list[tuple[Trace, Verdicts]]]:
+def _read_columns(fh, size: Optional[int] = None, path=None, lineno: int = 1) -> Optional[tuple[list, int]]:
     """The trace and verdicts held in the next ``size`` bytes of an open
-    binary file (all the rest when None), one part per chunk.
+    binary file (all the rest when None), one part per chunk, and the
+    number of the line after them, the first being line ``lineno``.
 
     The bytes are read ``CHUNK_BYTES`` at a time and decoded as text mode
     decodes them with ``errors="surrogateescape"``, CR and CRLF line ends
     read as ``\\n``. Each chunk's complete lines are parsed together by
     :func:`_parse_columns`; its last, partial line is carried into the next
     chunk, so no process holds more than a chunk of text. A chunk that
-    parse refuses makes this return None, or, given the ``path`` of a file
-    read from its first line, is read line by line by :func:`_read_rows`.
+    parse refuses makes this return None, or, given the ``path`` of the
+    file, is read line by line by :func:`_read_rows`.
     """
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
-    parts, tail, left, lineno = [], "", math.inf if size is None else size, 1
+    parts, tail, left = [], "", math.inf if size is None else size
     while True:
         block = fh.read(min(CHUNK_BYTES, left))
         left -= len(block)
@@ -403,8 +404,8 @@ def _read_columns(fh, size: Optional[int] = None, path=None) -> Optional[list[tu
             part = _read_rows(path, lineno, map(str.__add__, lines, ends))
         parts.append(part)
         lineno += len(lines)
-        if not block:
-            return parts
+        if not block:  # lines[-1] has no line end: "" when the bytes end one, on the line after them
+            return parts, lineno - 1
 
 
 def _joined(parts: list[tuple[Trace, Verdicts]]) -> tuple[Trace, Verdicts]:

@@ -186,24 +186,20 @@ def load_profile(path) -> KpiProfile:
     The file is read as text with universal newlines, so lines end only at
     ``"\\n"``, ``"\\r\\n"`` or ``"\\r"`` (``str.splitlines`` would also break
     at U+2028, U+0085 and the like, and so misnumber every row after one).
-    :func:`_read_columns` reads the rows ``ROWS_PER_WRITE`` lines at a time
-    from the open file, so neither the whole text nor a list of its lines
-    is ever held; a file it refuses is rewound and read by the line loop of
-    :func:`_read_rows`, which raises the first bad row's error. A file that
-    cannot seek (a pipe, say) can be read only once, so the line loop reads
-    it. A byte that is not UTF-8 raises ``ValueError`` naming the path,
-    whichever of the two readers meets it first.
+    Its rows are read once and in order, so a pipe reads as a file does:
+    :func:`_read_columns` reads them ``ROWS_PER_WRITE`` lines at a time, and
+    hands the first block it refuses and the rest of the file to the line
+    loop of :func:`_read_rows`, which raises the first bad row's error.
+    Neither the whole text nor a list of its lines is ever held. A byte
+    that is not UTF-8 raises ``ValueError`` naming the path, whichever of
+    the two readers meets it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             metadata = _read_metadata(path, *(fh.readline().removesuffix("\n") for _ in range(2)))
             shape = (slots_per_day(metadata[0]), metadata[1] + 1)
             mean, std = np.zeros(shape), np.zeros(shape)
-            if not fh.seekable():
-                _read_rows(path, fh, mean, std)
-            elif not _read_columns(fh, mean, std):
-                fh.seek(0)
-                _read_rows(path, islice(fh, 2, None), mean, std)
+            _read_columns(path, fh, mean, std)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
     return KpiProfile._adopt(*metadata, mean, std)
@@ -241,25 +237,25 @@ def _read_metadata(path, first: str, header: str) -> tuple[int, int, int]:
     return metadata
 
 
-def _read_columns(lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> bool:
-    """Fill the zeroed tables ``mean`` and ``std`` from the rows of
-    ``lines`` by column and return True; return False, with both tables
-    zeroed again, when a row would fail a check of :func:`_read_rows` or the
-    rows are not in ascending cell order.
+def _read_columns(path, lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> None:
+    """Fill the zeroed tables ``mean`` and ``std`` from ``lines``, the lines
+    of the file at ``path`` from its third on, read once and in order.
 
-    The non-blank lines are taken ``ROWS_PER_WRITE`` at a time, joined and
-    split on commas. Each holds exactly three commas, so its fields are the
-    substrings ``line.split(",")`` gives, and ``int`` and ``float`` read
-    them as the line loop does, each distinct text of a block once. A line
-    read from a file keeps its ``"\\n"``, which only its last field holds,
-    and ``float`` reads that field as it reads it without one. Cells
-    strictly ascending, across blocks too, rule out duplicates. Each block
-    is put in the tables once it passes.
+    The lines are taken ``ROWS_PER_WRITE`` at a time, and a block's
+    non-blank ones are joined and split on commas. Each holds exactly three
+    commas, so its fields are the substrings ``line.split(",")`` gives, and
+    ``int`` and ``float`` read them as the line loop does, each distinct
+    text of a block once. A line read from a file keeps its ``"\\n"``, which
+    only its last field holds, and ``float`` reads that field as it reads
+    it without one. A block whose rows pass every check of the line loop,
+    run in strictly ascending cell order, across blocks too, and each hold
+    a non-zero moment is put in the tables; the first that does not goes,
+    with the rest of the lines, to the line loop of :func:`_read_rows`.
     """
     n_slots, n_ta = mean.shape
-    rows, last = filter(str.strip, lines), -1
-    while block := list(islice(rows, ROWS_PER_WRITE)):
-        columns = _block_columns(block)
+    lines, lineno, last = iter(lines), 3, -1
+    while block := list(islice(lines, ROWS_PER_WRITE)):
+        columns = _block_columns(list(filter(str.strip, block)))
         if columns is None:
             break
         slots, tas, means, stds = columns
@@ -267,16 +263,16 @@ def _read_columns(lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> bo
             break
         cells = slots * n_ta + tas
         valid = np.isfinite(means) & np.isfinite(stds) & (means >= 0.0) & (stds >= 0.0)
+        valid &= (means != 0.0) | (stds != 0.0)  # save_profile writes no all-zero row
         if not (np.all(np.diff(cells, prepend=last) > 0) and valid.all()):
             break
         np.put(mean, cells, means)
         np.put(std, cells, stds)
-        last = cells[-1]
+        lineno, last = lineno + len(block), int(cells[-1])
     else:
-        return True
-    mean.fill(0.0)  # a refused file fills nothing
-    std.fill(0.0)
-    return False
+        return
+    lines, block = chain(iter(block), lines), None  # so the refused block is freed once the line loop has read it
+    _read_rows(path, lineno, lines, mean, std, last)
 
 
 def _block_columns(block: list[str]):
@@ -297,13 +293,15 @@ def _block_columns(block: list[str]):
     return columns
 
 
-def _read_rows(path, lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> None:
-    """Fill ``mean`` and ``std`` from ``lines``, the rows of the file at
-    ``path`` from its third line on, one line at a time, raising the first
-    bad row's error with its ``path:line``."""
+def _read_rows(path, lineno: int, lines: Iterable[str], mean: np.ndarray, std: np.ndarray, last: int) -> None:
+    """Fill ``mean`` and ``std`` from ``lines``, the lines of the file at
+    ``path`` from line ``lineno`` on, one at a time, raising the first bad
+    row's error with its ``path:line``. A row's cell is a duplicate if this
+    loop has seen it, or if it is at most ``last`` and holds a non-zero
+    moment, as each cell that :func:`_read_columns` put does."""
     n_slots, n_ta = mean.shape
     seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(lines, start=3):
+    for lineno, line in enumerate(lines, start=lineno):
         line = line.removesuffix("\n")
         if not line.strip():
             continue
@@ -317,7 +315,7 @@ def _read_rows(path, lines: Iterable[str], mean: np.ndarray, std: np.ndarray) ->
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
         if not (0 <= slot < n_slots and 0 <= ta < n_ta):
             raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
-        if (slot, ta) in seen:
+        if (slot, ta) in seen or slot * n_ta + ta <= last and (mean[slot, ta] or std[slot, ta]):
             raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
         # the chained comparisons are False for nan, so this also rejects it
         if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):

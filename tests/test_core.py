@@ -558,6 +558,38 @@ class TestTwoCoreTraceIO:
             read_trace(path)
         assert outcome(read_trace, path) == outcome(read_trace_rows, path)
 
+    @pytest.mark.parametrize("fault", ["bad label", "indent"])
+    def test_refused_child_half_read_from_the_cut(self, tmp_path, two_cpus, monkeypatch, fault):
+        # the child cannot number its lines, so this process reads its half,
+        # once, from the cut where its handle stands, and numbers on from its own
+        path = tmp_path / "t.jsonl"
+        trace, verdicts = random_columns(SPLIT_ROWS + 5000)
+        write_trace(path, trace, verdicts)
+        lines = path.read_text().split("\n")
+        if fault == "bad label":
+            lines[SPLIT_ROWS] = lines[SPLIT_ROWS].replace('"label":"legit"', '"label":"weird"')
+            lines[SPLIT_ROWS] = lines[SPLIT_ROWS].replace('"label":"attack"', '"label":"weird"')
+        else:  # a good line the column parse leaves to the line loop
+            lines[SPLIT_ROWS] = " " + lines[SPLIT_ROWS]
+        path.write_text("\n".join(lines))
+        with open(path, "rb") as fh:
+            cut = core._cut(fh)
+        assert path.read_bytes()[:cut].count(b"\n") < SPLIT_ROWS
+        parent, read_columns, starts = os.getpid(), core._read_columns, []
+
+        def recorded(fh, *args, **kwargs):
+            if os.getpid() == parent:
+                starts.append(fh.tell())
+            return read_columns(fh, *args, **kwargs)
+
+        monkeypatch.setattr(core, "_read_columns", recorded)
+        if fault == "bad label":
+            with pytest.raises(ValueError, match=f"^{path}:{SPLIT_ROWS + 1}: bad label"):
+                read_trace(path)
+        else:
+            assert bits(*read_trace(path)) == bits(trace, verdicts)
+        assert starts == [0, cut]
+
     @pytest.mark.parametrize("verdict_half", [0, 1])
     def test_verdicts_in_one_half_only(self, tmp_path, two_cpus, verdict_half):
         # only one half's records carry their verdict keys; the first line

@@ -547,8 +547,13 @@ class TestPersistence:
 
 def load_by_lines(path):
     """Oracle: ``load_profile`` with its columnar parse switched off, so the line loop reads every row."""
-    with mock.patch.object(profiler, "_read_columns", return_value=False):
+    with mock.patch.object(profiler, "_block_columns", return_value=None):
         return load_profile(path)
+
+
+def no_line_loop():
+    """``_read_rows`` patched to fail the test, for a file the columnar parse must read whole."""
+    return mock.patch.object(profiler, "_read_rows", side_effect=AssertionError("the line loop read a row"))
 
 
 def int_texts(value):
@@ -571,7 +576,9 @@ def float_texts(value):
 
 @st.composite
 def profile_files(draw):
-    """A valid profile file: rows in any order, blank and whitespace-only lines, LF or CRLF ends."""
+    """A valid profile file: rows in any order, blank and whitespace-only
+    lines, LF or CRLF ends; with whether its rows ascend and whether each
+    holds a non-zero moment."""
     interval_seconds = draw(st.sampled_from([3600, 7200, 43200]))
     max_ta = draw(st.integers(0, 12))
     n_cells = SECONDS_PER_DAY // interval_seconds * (max_ta + 1)
@@ -579,16 +586,17 @@ def profile_files(draw):
     if draw(st.booleans()):
         cells.sort()
     moments = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 12.0]), st.floats(0.0, 1e6))
-    lines = []
+    lines, nonzero = [], True
     for cell in cells:
         slot, ta = divmod(cell, max_ta + 1)
-        fields = [draw(int_texts(slot)), draw(int_texts(ta)), draw(float_texts(draw(moments))), draw(float_texts(draw(moments)))]
-        lines.append(",".join(fields))
+        mean, std = draw(moments), draw(moments)
+        nonzero = nonzero and (mean != 0.0 or std != 0.0)
+        lines.append(",".join([draw(int_texts(slot)), draw(int_texts(ta)), draw(float_texts(mean)), draw(float_texts(std))]))
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", " ", "\t", "  \t "])))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     head = [f"#interval_seconds={interval_seconds},max_ta={max_ta},training_days=3", "slot,ta,mean,std"]
-    return end.join(head + lines) + end * draw(st.booleans()), cells == sorted(cells)
+    return end.join(head + lines) + end * draw(st.booleans()), cells == sorted(cells), nonzero
 
 
 # (bad row, start of the message the line loop raises for it), formatted with
@@ -620,23 +628,25 @@ class TestLoadProfileOracle:
     @settings(max_examples=60, deadline=None)
     @given(profile_files())
     def test_columnar_parse_matches_line_loop(self, tmp_path_factory, drawn):
-        text, ascending = drawn
+        text, ascending, nonzero = drawn
         path = tmp_path_factory.mktemp("profile") / "profile.csv"
         path.write_bytes(text.encode())
-        fast, slow = load_profile(path), load_by_lines(path)
+        with mock.patch.object(profiler, "_read_rows", wraps=profiler._read_rows) as read_rows:
+            fast = load_profile(path)
+        slow = load_by_lines(path)
         assert np.array_equal(fast.mean.view(np.int64), slow.mean.view(np.int64))
         assert np.array_equal(fast.std.view(np.int64), slow.std.view(np.int64))
-        # ascending rows are read by the columnar parse itself, not by its fallback
-        mean, std = np.zeros(fast.mean.shape), np.zeros(fast.std.shape)
-        assert profiler._read_columns(text.splitlines()[2:], mean, std) == ascending
-        assert ascending or not (mean.any() or std.any())  # a refused file fills nothing
+        # ascending rows that each hold a non-zero moment are read by the
+        # columnar parse itself; any other file reaches the line loop
+        assert read_rows.called != (ascending and nonzero)
 
     @staticmethod
     def write_rows(path, rows_at):
-        """A 288 x 103 profile of 5,000 rows at cells 1, 5, 9, ..., with each
+        """A 288 x 103 profile of 5,000 rows at cells 1, 5, 9, ..., each with
+        a non-zero mean as ``save_profile`` writes them, with each
         ``{place: row}`` of ``rows_at`` before row ``place``, formatted with
         the free cell ``4 * place - 1``."""
-        rows = [f"{cell // 103},{cell % 103},{cell % 7 * 0.5},{cell % 3 * 0.25}" for cell in range(1, 20_000, 4)]
+        rows = [f"{cell // 103},{cell % 103},{cell % 7 * 0.5 + 0.5},{cell % 3 * 0.25}" for cell in range(1, 20_000, 4)]
         for place in sorted(rows_at, reverse=True):
             slot, ta = divmod(4 * place - 1, 103)
             rows.insert(place, rows_at[place].format(slot=slot, ta=ta))
@@ -697,9 +707,9 @@ class TestLoadProfileOracle:
         path = tmp_path / "profile.csv"
         self.write_rows(path, {at: "{slot},{ta},4.0,2.0" for at in PLACES})
         profile = self.assert_same_tables(path)
-        mean, std = np.zeros(profile.mean.shape), np.zeros(profile.std.shape)
-        assert profiler._read_columns(path.read_text().splitlines()[2:], mean, std)
-        assert np.array_equal(mean, profile.mean) and np.array_equal(std, profile.std)
+        with no_line_loop():
+            columnar = load_profile(path)
+        assert np.array_equal(columnar.mean, profile.mean) and np.array_equal(columnar.std, profile.std)
         assert np.count_nonzero(profile.mean == 4.0) == len(PLACES)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -714,20 +724,24 @@ class TestLoadProfileOracle:
         profile = self.assert_same_tables(path)
         assert np.count_nonzero(profile.mean) == rows
         mean, std = np.zeros(profile.mean.shape), np.zeros(profile.std.shape)
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, no_line_loop():
             fh.readline(), fh.readline()
-            assert profiler._read_columns(fh, mean, std)
+            profiler._read_columns(path, fh, mean, std)
         assert np.array_equal(mean, profile.mean) and np.array_equal(std, profile.std)
 
-    def test_descending_step_at_block_boundary_fills_nothing(self, tmp_path):
+    def test_descending_step_at_block_boundary_hands_off_there(self, tmp_path):
         # the first row of the second block has a lower cell than the last of the first
         path = tmp_path / "profile.csv"
         self.write_rows(path, {ROWS_PER_WRITE: "0,0,4.0,2.0"})
-        profile = self.assert_same_tables(path)
+        with mock.patch.object(profiler, "_read_rows", wraps=profiler._read_rows) as read_rows:
+            profile = self.assert_same_tables(path)
         assert profile.mean[0, 0] == 4.0
-        mean, std = np.zeros(profile.mean.shape), np.zeros(profile.std.shape)
-        assert not profiler._read_columns(path.read_text().split("\n")[2:], mean, std)
-        assert not (mean.any() or std.any())  # the first block was put, then taken back
+        # load_profile hands the second block on at its first line, after the
+        # first block's last cell; load_by_lines reads from line 3
+        assert [(call.args[1], call.args[5]) for call in read_rows.call_args_list] == [
+            (ROWS_PER_WRITE + 3, 4 * ROWS_PER_WRITE - 3),
+            (3, -1),
+        ]
 
     @pytest.mark.parametrize("at", [ROWS_PER_WRITE - 1, ROWS_PER_WRITE])
     @pytest.mark.parametrize("bad_row, message", [BAD_ROWS[0], BAD_ROWS[2], BAD_ROWS[6], BAD_ROWS[9]])
@@ -744,6 +758,56 @@ class TestLoadProfileOracle:
         self.write_rows(path, {ROWS_PER_WRITE: f"{slot},{ta},9.0,1.0"})
         self.assert_line_loop_error(path, ROWS_PER_WRITE + 3, rf"duplicate cell \({slot}, {ta}\)")
 
+    @staticmethod
+    def last_line_of(path, row):
+        """The number of the last line of the file at ``path`` that is ``row``."""
+        lines = path.read_text().split("\n")
+        return len(lines) - lines[::-1].index(row)
+
+    @pytest.mark.parametrize("again", ["9.0,1.0", "0.0,0.0"])
+    @pytest.mark.parametrize("cell", [(0, 9), (0, 29)])  # read by columns with a zero std, and with both moments non-zero
+    def test_repeat_of_a_column_read_cell_after_a_refused_block(self, tmp_path, cell, again):
+        # the first block is read by columns, the second is refused at its first
+        # row, and the repeat comes 900 rows later, where the tables show it
+        path, row = tmp_path / "profile.csv", f"{cell[0]},{cell[1]},{again}"
+        self.write_rows(path, {ROWS_PER_WRITE: "0,0,4.0,2.0", 4999: row})
+        self.assert_line_loop_error(path, self.last_line_of(path, row), rf"duplicate cell \({cell[0]}, {cell[1]}\)")
+
+    @pytest.mark.parametrize("again", ["0.0,0.0", "9.0,1.0"])
+    @pytest.mark.parametrize("zero", ["0.0,0.0", "-0.0,-0.0", "0.0,-0.0"])
+    @pytest.mark.parametrize("at", [2, ROWS_PER_WRITE + 10])
+    def test_repeat_of_an_all_zero_row(self, tmp_path, at, zero, again):
+        # an all-zero row, in the first block or the second, goes to the line
+        # loop, which sees its cell when the second block repeats it
+        path = tmp_path / "profile.csv"
+        slot, ta = divmod(4 * at - 1, 103)
+        self.write_rows(path, {at: f"{{slot}},{{ta}},{zero}", ROWS_PER_WRITE + 400: f"{slot},{ta},{again}"})
+        line = self.last_line_of(path, f"{slot},{ta},{again}")
+        assert line == ROWS_PER_WRITE + 404
+        self.assert_line_loop_error(path, line, rf"duplicate cell \({slot}, {ta}\)")
+
+    def test_negative_zero_moments_keep_their_sign(self, tmp_path):
+        # rows with one -0.0 moment are read by columns, all-zero ones by the line loop
+        path = tmp_path / "profile.csv"
+        rows_at = {10: "-0.0,0.5", 20: "0.5,-0.0", ROWS_PER_WRITE + 10: "-0.0,-0.0", ROWS_PER_WRITE + 20: "-0.0,0.0"}
+        self.write_rows(path, {at: "{slot},{ta}," + moments for at, moments in rows_at.items()})
+        profile = self.assert_same_tables(path)
+        assert np.count_nonzero(np.signbit(profile.mean)) == 3 and np.count_nonzero(np.signbit(profile.std)) == 2
+
+    @pytest.mark.parametrize("blank", ["", " \t"])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_all_blank_block(self, tmp_path, blank, repeat):
+        # the second ROWS_PER_WRITE-line block holds no row, and goes to the line loop
+        path = tmp_path / "profile.csv"
+        slot, ta = divmod(4 * ROWS_PER_WRITE - 3, 103)  # the cell of the first block's last row
+        lines = [blank] * ROWS_PER_WRITE + [f"{slot},{ta},9.0,1.0"] * repeat
+        self.write_rows(path, {ROWS_PER_WRITE: "\n".join(lines)})
+        assert set(path.read_text().split("\n")[ROWS_PER_WRITE + 2 : 2 * ROWS_PER_WRITE + 2]) == {blank}
+        if repeat:
+            self.assert_line_loop_error(path, 2 * ROWS_PER_WRITE + 3, rf"duplicate cell \({slot}, {ta}\)")
+        else:
+            assert np.count_nonzero(self.assert_same_tables(path).mean) == 5000
+
     @pytest.mark.parametrize("ascending", [True, False])
     def test_invalid_utf8_past_the_first_block_names_the_path(self, tmp_path, ascending):
         # read by columns up to the bad byte, or refused at the first block and read by the line loop
@@ -759,8 +823,9 @@ class TestLoadProfileOracle:
 @needs_pipes
 @pytest.mark.parametrize("kind", ["fifo", "pipe"])
 class TestLoadFromAPipe:
-    """A pipe gives its bytes once: ``load_profile`` reads it with the line
-    loop alone and never goes back to its path."""
+    """A pipe gives its bytes once, and ``load_profile`` reads any file once
+    and in order: a pipe's rows load as the file's do, by columns while they
+    ascend, and a bad row raises the file's error."""
 
     @staticmethod
     def shuffled_profile(path, bad_row=None):
@@ -777,6 +842,17 @@ class TestLoadFromAPipe:
             rows.insert(37, bad_row)
         path.write_text("".join(lines[:2] + rows))
         return profile
+
+    def test_ascending_rows_never_reach_the_line_loop(self, tmp_path, kind):
+        path = tmp_path / "profile.csv"
+        rng = np.random.default_rng(4)
+        mean = rng.random((24, 13)) * (rng.random((24, 13)) < 0.8)
+        profile = KpiProfile(3600, 12, 3, mean, mean * 0.5)
+        save_profile(profile, path)
+        with piped(kind, tmp_path, path.read_bytes()) as pipe, deadline(30), no_line_loop():
+            loaded = load_profile(pipe)
+        assert np.array_equal(loaded.mean.view(np.int64), profile.mean.view(np.int64))
+        assert np.array_equal(loaded.std.view(np.int64), profile.std.view(np.int64))
 
     def test_shuffled_rows_give_the_file_tables(self, tmp_path, kind):
         path = tmp_path / "profile.csv"
