@@ -186,20 +186,17 @@ def load_profile(path) -> KpiProfile:
     The file is read as text with universal newlines, so lines end only at
     ``"\\n"``, ``"\\r\\n"`` or ``"\\r"`` (``str.splitlines`` would also break
     at U+2028, U+0085 and the like, and so misnumber every row after one).
-    Its rows are read once and in order, so a pipe reads as a file does:
-    :func:`_read_columns` reads them ``ROWS_PER_WRITE`` lines at a time, and
-    hands the first block it refuses and the rest of the file to the line
-    loop of :func:`_read_rows`, which raises the first bad row's error.
-    Neither the whole text nor a list of its lines is ever held. A byte
-    that is not UTF-8 raises ``ValueError`` naming the path, whichever of
-    the two readers meets it.
+    Its lines are read once and in order, so a pipe reads as a file does,
+    and its rows may come in any order: :func:`_read_columns` reads them
+    ``ROWS_PER_WRITE`` lines at a time, and a block it refuses goes by
+    itself to the line loop of :func:`_read_rows`, which raises the first
+    bad row's error. Neither the whole text nor a list of its lines is ever
+    held. A byte that is not UTF-8 raises ``ValueError`` naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             metadata = _read_metadata(path, *(fh.readline().removesuffix("\n") for _ in range(2)))
-            shape = (slots_per_day(metadata[0]), metadata[1] + 1)
-            mean, std = np.zeros(shape), np.zeros(shape)
-            _read_columns(path, fh, mean, std)
+            mean, std = _read_columns(path, fh, (slots_per_day(metadata[0]), metadata[1] + 1))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
     return KpiProfile._adopt(*metadata, mean, std)
@@ -237,51 +234,36 @@ def _read_metadata(path, first: str, header: str) -> tuple[int, int, int]:
     return metadata
 
 
-def _read_columns(path, lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> None:
-    """Fill the zeroed tables ``mean`` and ``std`` from ``lines``, the lines
-    of the file at ``path`` from its third on, read once and in order.
-
-    The lines are taken ``ROWS_PER_WRITE`` at a time, and a block's
-    non-blank ones are joined and split on commas. Each holds exactly three
-    commas, so its fields are the substrings ``line.split(",")`` gives, and
-    ``int`` and ``float`` read them as the line loop does, each distinct
-    text of a block once. A line read from a file keeps its ``"\\n"``, which
-    only its last field holds, and ``float`` reads that field as it reads
-    it without one. A block whose rows pass every check of the line loop,
-    run in strictly ascending cell order, across blocks too, and each hold
-    a non-zero moment is put in the tables; the first that does not goes,
-    with the rest of the lines, to the line loop of :func:`_read_rows`.
-    """
-    n_slots, n_ta = mean.shape
-    lines, lineno, last = iter(lines), 3, -1
+def _read_columns(path, lines: Iterable[str], shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and std tables of ``shape`` held in ``lines``, the lines of
+    the file at ``path`` from its third on, read once and in order,
+    ``ROWS_PER_WRITE`` at a time: a block that :func:`_put_block` refuses is
+    read by the line loop of :func:`_read_rows`, and the next by columns
+    again. A cell's mean is NaN, which no valid row holds, until a row puts
+    the cell, so both readers tell a repeated cell from the tables; cells no
+    row puts are zero in the tables returned."""
+    mean, std = np.full(shape, np.nan), np.zeros(shape)
+    lines, lineno = iter(lines), 3
     while block := list(islice(lines, ROWS_PER_WRITE)):
-        columns = _block_columns(list(filter(str.strip, block)))
-        if columns is None:
-            break
-        slots, tas, means, stds = columns
-        if not (np.all((0 <= slots) & (slots < n_slots)) and np.all((0 <= tas) & (tas < n_ta))):
-            break
-        cells = slots * n_ta + tas
-        valid = np.isfinite(means) & np.isfinite(stds) & (means >= 0.0) & (stds >= 0.0)
-        valid &= (means != 0.0) | (stds != 0.0)  # save_profile writes no all-zero row
-        if not (np.all(np.diff(cells, prepend=last) > 0) and valid.all()):
-            break
-        np.put(mean, cells, means)
-        np.put(std, cells, stds)
-        lineno, last = lineno + len(block), int(cells[-1])
-    else:
-        return
-    lines, block = chain(iter(block), lines), None  # so the refused block is freed once the line loop has read it
-    _read_rows(path, lineno, lines, mean, std, last)
+        if not _put_block(block, mean, std):
+            _read_rows(path, lineno, block, mean, std)
+        lineno += len(block)
+    np.copyto(mean, 0.0, where=np.isnan(mean))
+    return mean, std
 
 
-def _block_columns(block: list[str]):
-    """The slot, TA, mean and std columns of a block of non-blank rows, or
-    None when a row does not hold exactly three commas or a field does not
-    parse or fit its column."""
-    if list(map(str.count, block, repeat(","))).count(3) != len(block):
-        return None
-    fields = ",".join(block).split(",")
+def _put_block(block: list[str], mean: np.ndarray, std: np.ndarray) -> bool:
+    """Put the rows of ``block`` in the tables and return True if they pass
+    every check of the line loop; else return False and leave the tables be.
+    The non-blank lines are joined and split on commas. Each holds exactly
+    three commas, so its fields are the substrings ``line.split(",")``
+    gives, and ``int`` and ``float`` read them as the line loop does, each
+    distinct text once; only the last field holds a line's ``"\\n"``, which
+    ``float`` ignores."""
+    rows = list(filter(str.strip, block))
+    if list(map(str.count, rows, repeat(","))).count(3) != len(rows):
+        return False
+    fields = ",".join(rows).split(",") if rows else []  # "".split(",") is [""]
     columns = []
     for i, (parse, dtype) in enumerate(((int, np.int64), (int, np.int64), (float, float), (float, float))):
         texts = fields[i::4]
@@ -289,18 +271,25 @@ def _block_columns(block: list[str]):
             values = {text: parse(text) for text in set(texts)}
             columns.append(np.array(list(map(values.__getitem__, texts)), dtype))
         except (ValueError, OverflowError):
-            return None
-    return columns
-
-
-def _read_rows(path, lineno: int, lines: Iterable[str], mean: np.ndarray, std: np.ndarray, last: int) -> None:
-    """Fill ``mean`` and ``std`` from ``lines``, the lines of the file at
-    ``path`` from line ``lineno`` on, one at a time, raising the first bad
-    row's error with its ``path:line``. A row's cell is a duplicate if this
-    loop has seen it, or if it is at most ``last`` and holds a non-zero
-    moment, as each cell that :func:`_read_columns` put does."""
+            return False
+    slots, tas, means, stds = columns
     n_slots, n_ta = mean.shape
-    seen: set[tuple[int, int]] = set()
+    cells = slots * n_ta + tas
+    valid = (0 <= slots) & (slots < n_slots) & (0 <= tas) & (tas < n_ta)
+    valid &= np.isfinite(means) & np.isfinite(stds) & (means >= 0.0) & (stds >= 0.0)
+    if not (valid.all() and np.isnan(mean.take(cells)).all() and np.all(np.diff(np.sort(cells)) > 0)):
+        return False
+    np.put(mean, cells, means)
+    np.put(std, cells, stds)
+    return True
+
+
+def _read_rows(path, lineno: int, lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> None:
+    """Put the rows of ``lines``, the lines of the file at ``path`` from line
+    ``lineno`` on, in ``mean`` and ``std`` one at a time, raising the first
+    bad row's error with its ``path:line``. A row's cell is a duplicate if
+    its mean is no longer NaN."""
+    n_slots, n_ta = mean.shape
     for lineno, line in enumerate(lines, start=lineno):
         line = line.removesuffix("\n")
         if not line.strip():
@@ -315,13 +304,12 @@ def _read_rows(path, lineno: int, lines: Iterable[str], mean: np.ndarray, std: n
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
         if not (0 <= slot < n_slots and 0 <= ta < n_ta):
             raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
-        if (slot, ta) in seen or slot * n_ta + ta <= last and (mean[slot, ta] or std[slot, ta]):
+        if not math.isnan(mean[slot, ta]):
             raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
         # the chained comparisons are False for nan, so this also rejects it
         if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):
             raise ValueError(
                 f"{path}:{lineno}: mean and std must be finite and non-negative, got {line!r}"
             )
-        seen.add((slot, ta))
         mean[slot, ta] = cell_mean
         std[slot, ta] = cell_std

@@ -375,14 +375,18 @@ class TestWorkingSet:
         assert profile.mean.shape == self.SHAPE
         assert peak <= profile.mean.nbytes + profile.std.nbytes + self.MARGIN
 
+    @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("rows", [1, ROWS_PER_WRITE, 5 * ROWS_PER_WRITE + 7])
-    def test_load_profile_peak(self, tmp_path, rows):
+    def test_load_profile_peak(self, tmp_path, rows, shuffled):
         rng = np.random.default_rng(rows)
         mean, std = np.zeros(self.SHAPE), np.zeros(self.SHAPE)
         cells = rng.choice(mean.size, rows, replace=False)
         mean.flat[cells], std.flat[cells] = rng.random(rows) * 9.0, rng.random(rows)  # values all distinct
         path = tmp_path / "profile.csv"
         save_profile(KpiProfile(30, 204, 3, mean, std), path)
+        if shuffled:
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[:2] + random.Random(rows).sample(lines[2:], rows)))
         loaded, peak = traced_peak(load_profile, path)
         assert np.array_equal(loaded.mean, mean) and np.array_equal(loaded.std, std)
         assert peak <= loaded.mean.nbytes + loaded.std.nbytes + self.MARGIN
@@ -547,7 +551,7 @@ class TestPersistence:
 
 def load_by_lines(path):
     """Oracle: ``load_profile`` with its columnar parse switched off, so the line loop reads every row."""
-    with mock.patch.object(profiler, "_block_columns", return_value=None):
+    with mock.patch.object(profiler, "_put_block", return_value=False):
         return load_profile(path)
 
 
@@ -577,8 +581,7 @@ def float_texts(value):
 @st.composite
 def profile_files(draw):
     """A valid profile file: rows in any order, blank and whitespace-only
-    lines, LF or CRLF ends; with whether its rows ascend and whether each
-    holds a non-zero moment."""
+    lines, LF or CRLF ends, all-zero and ``-0.0`` moments."""
     interval_seconds = draw(st.sampled_from([3600, 7200, 43200]))
     max_ta = draw(st.integers(0, 12))
     n_cells = SECONDS_PER_DAY // interval_seconds * (max_ta + 1)
@@ -586,17 +589,16 @@ def profile_files(draw):
     if draw(st.booleans()):
         cells.sort()
     moments = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 12.0]), st.floats(0.0, 1e6))
-    lines, nonzero = [], True
+    lines = []
     for cell in cells:
         slot, ta = divmod(cell, max_ta + 1)
         mean, std = draw(moments), draw(moments)
-        nonzero = nonzero and (mean != 0.0 or std != 0.0)
         lines.append(",".join([draw(int_texts(slot)), draw(int_texts(ta)), draw(float_texts(mean)), draw(float_texts(std))]))
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", " ", "\t", "  \t "])))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     head = [f"#interval_seconds={interval_seconds},max_ta={max_ta},training_days=3", "slot,ta,mean,std"]
-    return end.join(head + lines) + end * draw(st.booleans()), cells == sorted(cells), nonzero
+    return end.join(head + lines) + end * draw(st.booleans())
 
 
 # (bad row, start of the message the line loop raises for it), formatted with
@@ -627,18 +629,10 @@ class TestLoadProfileOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(profile_files())
-    def test_columnar_parse_matches_line_loop(self, tmp_path_factory, drawn):
-        text, ascending, nonzero = drawn
+    def test_columnar_parse_matches_line_loop(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("profile") / "profile.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(profiler, "_read_rows", wraps=profiler._read_rows) as read_rows:
-            fast = load_profile(path)
-        slow = load_by_lines(path)
-        assert np.array_equal(fast.mean.view(np.int64), slow.mean.view(np.int64))
-        assert np.array_equal(fast.std.view(np.int64), slow.std.view(np.int64))
-        # ascending rows that each hold a non-zero moment are read by the
-        # columnar parse itself; any other file reaches the line loop
-        assert read_rows.called != (ascending and nonzero)
+        self.assert_same_tables(path)
 
     @staticmethod
     def write_rows(path, rows_at):
@@ -662,7 +656,11 @@ class TestLoadProfileOracle:
 
     @staticmethod
     def assert_same_tables(path):
-        fast, slow = load_profile(path), load_by_lines(path)
+        """The profile of a valid file, which the columnar parse reads alone,
+        in any row order, into the line loop's tables bit for bit."""
+        with no_line_loop():
+            fast = load_profile(path)
+        slow = load_by_lines(path)
         assert np.array_equal(fast.mean.view(np.int64), slow.mean.view(np.int64))
         assert np.array_equal(fast.std.view(np.int64), slow.std.view(np.int64))
         return fast
@@ -707,9 +705,6 @@ class TestLoadProfileOracle:
         path = tmp_path / "profile.csv"
         self.write_rows(path, {at: "{slot},{ta},4.0,2.0" for at in PLACES})
         profile = self.assert_same_tables(path)
-        with no_line_loop():
-            columnar = load_profile(path)
-        assert np.array_equal(columnar.mean, profile.mean) and np.array_equal(columnar.std, profile.std)
         assert np.count_nonzero(profile.mean == 4.0) == len(PLACES)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -723,25 +718,17 @@ class TestLoadProfileOracle:
         path.write_bytes(end.join(["#interval_seconds=300,max_ta=102,training_days=3", "slot,ta,mean,std", *lines, ""]).encode())
         profile = self.assert_same_tables(path)
         assert np.count_nonzero(profile.mean) == rows
-        mean, std = np.zeros(profile.mean.shape), np.zeros(profile.std.shape)
         with open(path, encoding="utf-8") as fh, no_line_loop():
             fh.readline(), fh.readline()
-            profiler._read_columns(path, fh, mean, std)
+            mean, std = profiler._read_columns(path, fh, profile.mean.shape)
         assert np.array_equal(mean, profile.mean) and np.array_equal(std, profile.std)
 
-    def test_descending_step_at_block_boundary_hands_off_there(self, tmp_path):
+    def test_descending_step_at_block_boundary_is_read_by_columns(self, tmp_path):
         # the first row of the second block has a lower cell than the last of the first
         path = tmp_path / "profile.csv"
         self.write_rows(path, {ROWS_PER_WRITE: "0,0,4.0,2.0"})
-        with mock.patch.object(profiler, "_read_rows", wraps=profiler._read_rows) as read_rows:
-            profile = self.assert_same_tables(path)
+        profile = self.assert_same_tables(path)
         assert profile.mean[0, 0] == 4.0
-        # load_profile hands the second block on at its first line, after the
-        # first block's last cell; load_by_lines reads from line 3
-        assert [(call.args[1], call.args[5]) for call in read_rows.call_args_list] == [
-            (ROWS_PER_WRITE + 3, 4 * ROWS_PER_WRITE - 3),
-            (3, -1),
-        ]
 
     @pytest.mark.parametrize("at", [ROWS_PER_WRITE - 1, ROWS_PER_WRITE])
     @pytest.mark.parametrize("bad_row, message", [BAD_ROWS[0], BAD_ROWS[2], BAD_ROWS[6], BAD_ROWS[9]])
@@ -766,9 +753,10 @@ class TestLoadProfileOracle:
 
     @pytest.mark.parametrize("again", ["9.0,1.0", "0.0,0.0"])
     @pytest.mark.parametrize("cell", [(0, 9), (0, 29)])  # read by columns with a zero std, and with both moments non-zero
-    def test_repeat_of_a_column_read_cell_after_a_refused_block(self, tmp_path, cell, again):
-        # the first block is read by columns, the second is refused at its first
-        # row, and the repeat comes 900 rows later, where the tables show it
+    def test_repeat_of_a_column_read_cell_in_a_later_block(self, tmp_path, cell, again):
+        # the first block is read by columns; the second, which starts with a
+        # descending step, is refused for the repeat 900 rows in, and its line
+        # loop finds the cell read where the tables show it
         path, row = tmp_path / "profile.csv", f"{cell[0]},{cell[1]},{again}"
         self.write_rows(path, {ROWS_PER_WRITE: "0,0,4.0,2.0", 4999: row})
         self.assert_line_loop_error(path, self.last_line_of(path, row), rf"duplicate cell \({cell[0]}, {cell[1]}\)")
@@ -777,8 +765,8 @@ class TestLoadProfileOracle:
     @pytest.mark.parametrize("zero", ["0.0,0.0", "-0.0,-0.0", "0.0,-0.0"])
     @pytest.mark.parametrize("at", [2, ROWS_PER_WRITE + 10])
     def test_repeat_of_an_all_zero_row(self, tmp_path, at, zero, again):
-        # an all-zero row, in the first block or the second, goes to the line
-        # loop, which sees its cell when the second block repeats it
+        # an all-zero row, in the first block or the second, is read by columns
+        # and marks its cell, so the line loop sees it when the second block repeats it
         path = tmp_path / "profile.csv"
         slot, ta = divmod(4 * at - 1, 103)
         self.write_rows(path, {at: f"{{slot}},{{ta}},{zero}", ROWS_PER_WRITE + 400: f"{slot},{ta},{again}"})
@@ -787,7 +775,7 @@ class TestLoadProfileOracle:
         self.assert_line_loop_error(path, line, rf"duplicate cell \({slot}, {ta}\)")
 
     def test_negative_zero_moments_keep_their_sign(self, tmp_path):
-        # rows with one -0.0 moment are read by columns, all-zero ones by the line loop
+        # rows with one -0.0 moment and all-zero ones alike are read by columns
         path = tmp_path / "profile.csv"
         rows_at = {10: "-0.0,0.5", 20: "0.5,-0.0", ROWS_PER_WRITE + 10: "-0.0,-0.0", ROWS_PER_WRITE + 20: "-0.0,0.0"}
         self.write_rows(path, {at: "{slot},{ta}," + moments for at, moments in rows_at.items()})
@@ -797,7 +785,7 @@ class TestLoadProfileOracle:
     @pytest.mark.parametrize("blank", ["", " \t"])
     @pytest.mark.parametrize("repeat", [False, True])
     def test_all_blank_block(self, tmp_path, blank, repeat):
-        # the second ROWS_PER_WRITE-line block holds no row, and goes to the line loop
+        # the second ROWS_PER_WRITE-line block holds no row, and is read by columns
         path = tmp_path / "profile.csv"
         slot, ta = divmod(4 * ROWS_PER_WRITE - 3, 103)  # the cell of the first block's last row
         lines = [blank] * ROWS_PER_WRITE + [f"{slot},{ta},9.0,1.0"] * repeat
@@ -810,7 +798,7 @@ class TestLoadProfileOracle:
 
     @pytest.mark.parametrize("ascending", [True, False])
     def test_invalid_utf8_past_the_first_block_names_the_path(self, tmp_path, ascending):
-        # read by columns up to the bad byte, or refused at the first block and read by the line loop
+        # read by columns up to the bad byte, its rows ascending or not
         path = tmp_path / "profile.csv"
         self.write_rows(path, {} if ascending else {2: "0,0,4.0,2.0"})
         data = path.read_bytes()
@@ -824,8 +812,8 @@ class TestLoadProfileOracle:
 @pytest.mark.parametrize("kind", ["fifo", "pipe"])
 class TestLoadFromAPipe:
     """A pipe gives its bytes once, and ``load_profile`` reads any file once
-    and in order: a pipe's rows load as the file's do, by columns while they
-    ascend, and a bad row raises the file's error."""
+    and in order: a pipe's rows load as the file's do, by columns in any
+    order, and a bad row raises the file's error."""
 
     @staticmethod
     def shuffled_profile(path, bad_row=None):
@@ -858,18 +846,29 @@ class TestLoadFromAPipe:
         path = tmp_path / "profile.csv"
         profile = self.shuffled_profile(path)
         from_file = load_profile(path)
-        with piped(kind, tmp_path, path.read_bytes()) as pipe, deadline(30):
+        with piped(kind, tmp_path, path.read_bytes()) as pipe, deadline(30), no_line_loop():
             from_pipe = load_profile(pipe)
         for loaded in (from_file, from_pipe):
             assert (loaded.interval_seconds, loaded.max_ta, loaded.training_days) == (3600, 12, 3)
             assert np.array_equal(loaded.mean.view(np.int64), profile.mean.view(np.int64))
             assert np.array_equal(loaded.std.view(np.int64), profile.std.view(np.int64))
 
-    @pytest.mark.parametrize("bad_row", ["1,2,3.0\n", "5,13,1.0,0.5\n", "0,0,nan,0.5\n"])
-    def test_bad_row_raises_its_error(self, tmp_path, kind, bad_row):
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("1,2,3.0\n", "expected 4 fields"),
+            ("5,13,1.0,0.5\n", r"cell \(5, 13\) outside table bounds"),
+            ("0,0,nan,0.5\n", r"duplicate cell \(0, 0\)"),  # the cell of line 3
+            ("11,1,1.0,0.5\n", r"duplicate cell \(11, 1\)"),  # the cell of line 4
+            ("0,1,nan,0.5\n", "mean and std must be finite"),  # a cell the file leaves out
+        ],
+    )
+    def test_bad_row_raises_its_error(self, tmp_path, kind, bad_row, message):
         path = tmp_path / "profile.csv"
-        self.shuffled_profile(path, bad_row)
-        with pytest.raises(ValueError, match=f"^{path}:40: ") as from_file:
+        profile = self.shuffled_profile(path, bad_row)
+        lines = path.read_text().split("\n")
+        assert lines[2].startswith("0,0,") and lines[3].startswith("11,1,") and profile.mean[0, 1] == 0.0
+        with pytest.raises(ValueError, match=f"^{path}:40: {message}") as from_file:
             load_profile(path)
         with piped(kind, tmp_path, path.read_bytes()) as pipe, deadline(30):
             with pytest.raises(ValueError) as from_pipe:
