@@ -19,7 +19,6 @@ from .config import (
 from .core import (
     SECONDS_PER_DAY,
     Decision,
-    Label,
     RsrEvent,
     Trace,
     Verdict,
@@ -40,7 +39,6 @@ from .pipeline import (
     write_policy_log,
 )
 from .profiler import (
-    CountAccumulator,
     KpiProfile,
     count_per_interval,
     load_profile,
@@ -62,12 +60,10 @@ __all__ = [
     "AttackSpec",
     "Burst",
     "ConfigError",
-    "CountAccumulator",
     "Decision",
     "DetectorConfig",
     "DetectorState",
     "KpiProfile",
-    "Label",
     "LegitTrafficSpec",
     "Metrics",
     "Policy",

@@ -30,13 +30,6 @@ import numpy as np
 SECONDS_PER_DAY = 86400
 
 
-class Label(str, Enum):
-    """Ground-truth origin of an RRC Setup Request."""
-
-    LEGIT = "legit"
-    ATTACK = "attack"
-
-
 class Decision(str, Enum):
     """Detector verdict for a single request."""
 
@@ -81,17 +74,13 @@ class RsrEvent(NamedTuple):
     ``detector.on_rsr`` checks the fields it reads.
 
     ``burst_id`` is the attack burst the event belongs to, None for a legit
-    request; the ground-truth ``label`` derives from it.
+    request.
     """
 
     time_s: float
     device_id: int
     ta: int
     burst_id: Optional[int] = None
-
-    @property
-    def label(self) -> Label:
-        return Label.LEGIT if self.burst_id is None else Label.ATTACK
 
 
 class Verdict(NamedTuple):

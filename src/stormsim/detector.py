@@ -46,10 +46,6 @@ class Policy:
     slot_of_day: int
     issued_at_s: float
 
-    @property
-    def text(self) -> str:
-        return f"Reject all requests of TA={self.ta}"
-
 
 def anomaly_score(count: int, mean: float, std: float, sigma_floor: float) -> float:
     """Deviation of the observed count from the profile, in floored-sigma units.
@@ -176,5 +172,6 @@ def score_events(
     scores = profile.mean.ravel()[table]
     np.subtract(counts, scores, out=scores)
     del counts
-    scores /= np.maximum(profile.std, sigma_floor).ravel()[table]
+    with np.errstate(over="ignore"):  # a subnormal floor scores inf, as ``on_rsr``'s division does
+        scores /= np.maximum(profile.std, sigma_floor).ravel()[table]
     return keys, index, scores

@@ -8,7 +8,7 @@ rows on disk, behind a one-line metadata header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterable
 
@@ -45,39 +45,6 @@ def count_per_interval(
     table = np.zeros(math.prod(shape), np.min_scalar_type(-int(counts.max(initial=0)) - 1))
     table[cells] = counts
     return table.reshape(shape)
-
-
-@dataclass
-class CountAccumulator:
-    """Streaming per-cell moments over day samples (Welford's update).
-
-    After k days the cell mean equals the sample mean and m2 the sum of
-    squared deviations, matching a two-pass computation to rounding error.
-    """
-
-    shape: tuple[int, ...]
-    days_seen: int = 0
-    mean: np.ndarray = field(init=False)
-    m2: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.mean = np.zeros(self.shape, dtype=float)
-        self.m2 = np.zeros(self.shape, dtype=float)
-
-    def add_day(self, day_counts: np.ndarray) -> None:
-        day_counts = np.asarray(day_counts, dtype=float)
-        if day_counts.shape != self.shape:
-            raise ValueError(f"expected day table of shape {self.shape}, got {day_counts.shape}")
-        self.days_seen += 1
-        delta = day_counts - self.mean
-        self.mean += delta / self.days_seen
-        self.m2 += delta * (day_counts - self.mean)
-
-    def std(self) -> np.ndarray:
-        """Sample standard deviation (denominator n-1); zero below two days."""
-        if self.days_seen < 2:
-            return np.zeros(self.shape, dtype=float)
-        return np.sqrt(self.m2 / (self.days_seen - 1))
 
 
 def _check_metadata(interval_seconds: int, max_ta: int, training_days: int) -> int:
@@ -141,21 +108,27 @@ def train(day_counts: np.ndarray) -> KpiProfile:
         raise ValueError("training requires at least one day of counts")
     if n_slots < 1 or SECONDS_PER_DAY % n_slots != 0:
         raise ValueError(f"slot axis of length {n_slots} does not divide the day")
-    # Only the cells with a count on some day are folded. The fold keeps any
-    # other cell at exactly 0.0, so the zeroed tables below are bit-identical
-    # to a fold over every cell. The table is folded FOLD_CELLS cells at a
-    # time, each cell by itself, so that besides the two tables only one
-    # block's gathered counts and moments ever exist.
+    # Each cell's days are folded by Welford's update: after k days
+    # ``block_mean`` is their sample mean and ``m2`` their sum of squared
+    # deviations. Only the cells with a count on some day are folded. The
+    # fold keeps any other cell at exactly 0.0, so the zeroed tables below
+    # are bit-identical to a fold over every cell. The table is folded
+    # FOLD_CELLS cells at a time, each cell by itself, so that besides the
+    # two tables only one block's gathered counts and moments ever exist.
     flat = day_counts.reshape(days, -1)
     mean, std = np.zeros((n_slots, n_ta)), np.zeros((n_slots, n_ta))
     for start in range(0, flat.shape[1], FOLD_CELLS):
         block = flat[:, start : start + FOLD_CELLS]
         cells = np.flatnonzero(block.any(axis=0))
-        accumulator = CountAccumulator((cells.size,))
-        for day in block:
-            accumulator.add_day(day[cells])
-        np.put(mean, start + cells, accumulator.mean)
-        np.put(std, start + cells, accumulator.std())
+        block_mean, m2 = np.zeros(cells.size), np.zeros(cells.size)
+        for k, day in enumerate(block, start=1):
+            counts = day[cells].astype(float)
+            delta = counts - block_mean
+            block_mean += delta / k
+            m2 += delta * (counts - block_mean)
+        np.put(mean, start + cells, block_mean)
+        if days > 1:  # the sample std (denominator days - 1); zero for one day
+            np.put(std, start + cells, np.sqrt(m2 / (days - 1)))
     return KpiProfile._adopt(SECONDS_PER_DAY // n_slots, n_ta - 1, days, mean, std)
 
 

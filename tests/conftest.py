@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from stormsim import (
     Decision,
     DetectorState,
     KpiProfile,
-    Label,
     LegitTrafficSpec,
     Metrics,
     Policy,
@@ -138,6 +138,39 @@ def interval_end_replay(trace, profile, config):
     return verdicts, policies
 
 
+@dataclass
+class CountAccumulator:
+    """Streaming per-cell moments over day samples (Welford's update).
+
+    After k days the cell mean equals the sample mean and m2 the sum of
+    squared deviations, matching a two-pass computation to rounding error.
+    """
+
+    shape: tuple[int, ...]
+    days_seen: int = 0
+    mean: np.ndarray = field(init=False)
+    m2: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.mean = np.zeros(self.shape, dtype=float)
+        self.m2 = np.zeros(self.shape, dtype=float)
+
+    def add_day(self, day_counts: np.ndarray) -> None:
+        day_counts = np.asarray(day_counts, dtype=float)
+        if day_counts.shape != self.shape:
+            raise ValueError(f"expected day table of shape {self.shape}, got {day_counts.shape}")
+        self.days_seen += 1
+        delta = day_counts - self.mean
+        self.mean += delta / self.days_seen
+        self.m2 += delta * (day_counts - self.mean)
+
+    def std(self) -> np.ndarray:
+        """Sample standard deviation (denominator n-1); zero below two days."""
+        if self.days_seen < 2:
+            return np.zeros(self.shape, dtype=float)
+        return np.sqrt(self.m2 / (self.days_seen - 1))
+
+
 def flagged_cells(policies):
     """The (day, slot_of_day, ta) cells the policies flag."""
     return {(p.day, p.slot_of_day, p.ta) for p in policies}
@@ -149,7 +182,7 @@ def replay_metrics(trace, verdicts, policies, bursts, gamma, interval_seconds, m
     attack_cells, detected = set(), set()
     attack_events = rejected_attack_events = 0
     for event, verdict in zip(trace, verdicts):
-        if event.label is not Label.ATTACK:
+        if event.burst_id is None:
             continue
         attack_events += 1
         attack_cells.add((*day_slot(event.time_s, interval_seconds), event.ta))

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from conftest import bits, deadline, needs_pipes, piped, read_trace_rows, write_trace_rows
 from stormsim import (
     Decision,
-    Label,
     RsrEvent,
     Trace,
     Verdict,
@@ -50,12 +49,6 @@ class TestSlotArithmetic:
             slots_per_day(bad)
 
 
-class TestRsrEvent:
-    def test_label_derives_from_burst_id(self):
-        assert RsrEvent(time_s=1.0, device_id=0, ta=0).label is Label.LEGIT
-        assert RsrEvent(time_s=1.0, device_id=0, ta=0, burst_id=0).label is Label.ATTACK
-
-
 class TestColumns:
     def test_trace_iterates_as_events(self):
         trace = Trace([0.5, 2.0], [1, 7], [3, 9], [-1, 4])
@@ -67,7 +60,6 @@ class TestColumns:
         ]
         assert {type(e) for e in events} == {RsrEvent}
         assert [type(e.burst_id) for e in events] == [type(None), int]  # Python values, not NumPy scalars
-        assert [e.label for e in events] == [Label.LEGIT, Label.ATTACK]
         assert trace.attack.tolist() == [False, True]
         assert trace.time_s.dtype == np.float64 and trace.burst_id.dtype == np.int64
 

@@ -116,7 +116,6 @@ class TestOnRsr:
         policy = state.policy_log[0]
         assert (policy.day, policy.slot_of_day, policy.ta) == (0, 0, 5)
         assert policy.issued_at_s == pytest.approx(10.06)
-        assert policy.text == "Reject all requests of TA=5"
 
     def test_infinite_gamma_accepts_everything(self):
         profile = make_profile()

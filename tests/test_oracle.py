@@ -32,7 +32,7 @@ from conftest import flagged_cells, interval_end_replay, make_profile, replay, r
 # std values straddle every sigma_floor below, so both sides of the floor occur
 MEANS = (0.0, 0.5, 1.0, 2.5)
 STDS = (0.0, 0.25, 1.0, 1.75, 3.0)
-FLOORS = (0.5, 1.0, 2.0)
+FLOORS = (0.5, 1.0, 2.0, 5e-324)
 GAMMAS = (0.0, 0.5, 1.0, 2.0, 6.5, math.inf)
 
 

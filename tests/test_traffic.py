@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stormsim import (
     AttackSpec,
-    Label,
     LegitTrafficSpec,
     ScenarioConfig,
     Verdicts,
@@ -134,12 +133,11 @@ class TestBuildTrace:
     def test_label_soundness(self, small_config):
         events, bursts, _ = build_trace(small_config, seed=5, days=2)
         by_id = {b.burst_id: b for b in bursts}
-        for event in events:
-            if event.label is Label.ATTACK:
+        for event, attack in zip(events, events.attack):
+            assert attack == (event.burst_id is not None)
+            if attack:
                 burst = by_id[event.burst_id]
                 assert burst.start_s <= event.time_s <= burst.start_s + burst.window_s
-            else:
-                assert event.burst_id is None
 
     def test_ta_is_stable_per_device(self, small_config):
         events, _bursts, layout = build_trace(small_config, seed=5, days=2)
@@ -152,7 +150,7 @@ class TestBuildTrace:
 
     def test_attack_event_total_matches_burst_counts(self, small_config):
         events, bursts, _ = build_trace(small_config, seed=5, days=2)
-        n_attack = sum(1 for e in events if e.label is Label.ATTACK)
+        n_attack = sum(1 for e in events if e.burst_id is not None)
         assert n_attack == sum(b.count for b in bursts)
         assert [b.burst_id for b in bursts] == list(range(len(bursts)))
 
@@ -178,14 +176,14 @@ class TestBuildTrace:
         more = replace(small_config, attack=replace(small_config.attack, adversary_count=4))
         events_a, _, _ = build_trace(small_config, seed=5, days=2)
         events_b, _, _ = build_trace(more, seed=5, days=2)
-        legit_a = [e for e in events_a if e.label is Label.LEGIT]
-        legit_b = [e for e in events_b if e.label is Label.LEGIT]
+        legit_a = [e for e in events_a if e.burst_id is None]
+        legit_b = [e for e in events_b if e.burst_id is None]
         assert legit_a == legit_b
 
     def test_clean_build_has_no_adversaries(self, small_config):
         events, bursts, layout = build_trace(small_config, seed=5, days=2, include_attacks=False)
         assert bursts == [] and layout.adversaries == ()
-        assert all(e.label is Label.LEGIT for e in events)
+        assert all(e.burst_id is None for e in events)
 
     def test_jsonl_bytes_deterministic(self, small_config, tmp_path):
         events, _, _ = build_trace(small_config, seed=5, days=2)
