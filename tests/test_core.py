@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, deadline, needs_pipes, piped, read_trace_rows, write_trace_rows
+from conftest import bits, deadline, needs_pipes, piped, read_trace_rows, trace_of, write_trace_rows
 from stormsim import (
     Decision,
     RsrEvent,
@@ -47,6 +47,19 @@ class TestSlotArithmetic:
     def test_interval_must_divide_day(self, bad):
         with pytest.raises(ValueError):
             slots_per_day(bad)
+
+
+class TestRsrEvent:
+    def test_label_derives_from_burst_id(self, tmp_path):
+        # An event without a burst is legit; the "label" a trace file holds
+        # comes from burst_id alone.
+        assert RsrEvent(time_s=1.0, device_id=0, ta=0).burst_id is None
+        events = [RsrEvent(time_s=1.0, device_id=0, ta=0), RsrEvent(time_s=2.0, device_id=0, ta=0, burst_id=0)]
+        path = tmp_path / "t.jsonl"
+        write_trace(path, trace_of(events), Verdicts([False, False], [0.0, 0.0]))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["label"] for r in records] == ["legit", "attack"]
+        assert [r.get("burst_id") for r in records] == [None, 0]
 
 
 class TestColumns:

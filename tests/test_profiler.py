@@ -229,6 +229,11 @@ class TestTraining:
         wide = train(table.astype(np.int64))
         assert_bit_identical(train(table), (wide.mean, wide.std))
 
+    def test_accumulator_shape_guard(self):
+        acc = CountAccumulator((2, 3))
+        with pytest.raises(ValueError):
+            acc.add_day(np.zeros((3, 2)))
+
     def test_slot_sum_tracks_expected_rate(self):
         # with many training days the slot totals approach
         # device_count * rate(slot) * interval
