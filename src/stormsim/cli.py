@@ -11,8 +11,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, ScenarioConfig, config_to_dict, parse_config
 from .core import write_json, write_trace
 from .detector import DetectorConfig
@@ -41,8 +39,7 @@ def cmd_train(config: ScenarioConfig, out_path: str) -> int:
     del trace  # each input is freed once used, so the peak holds only what is still needed
     profile = train(counts)
     del counts
-    save_profile(profile, out_path)
-    populated = int(np.count_nonzero((profile.mean != 0.0) | (profile.std != 0.0)))
+    populated = save_profile(profile, out_path)
     print(
         f"trained on {events} events over {config.training_days} days; "
         f"{populated} populated cells -> {out_path}"

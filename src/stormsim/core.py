@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -320,8 +320,8 @@ def read_trace(path) -> tuple[Trace, Verdicts]:
     Every record is checked, and a bad one raises ``ValueError`` naming its
     ``path:line``, a line that is not valid UTF-8 included. The file is read
     and parsed a chunk at a time (:func:`_read_columns`) and checked by
-    column; a chunk that fails a check is read where it stands by the line
-    loop of :func:`_read_rows`, which raises the first bad line's error.
+    column; a chunk that fails a check holds a bad line, and the line loop
+    of :func:`_check_lines` raises the first one's error where it stands.
     When :func:`_split_row` splits the most rows the file's size can hold,
     the file is cut just past the first ``\\n`` at or after its middle
     byte: this process reads the bytes before the cut while a forked child
@@ -373,8 +373,9 @@ def _read_columns(fh, size: Optional[int] = None, path=None, lineno: int = 1) ->
     read as ``\\n``. Each chunk's complete lines are parsed together by
     :func:`_parse_columns`; its last, partial line is carried into the next
     chunk, so no process holds more than a chunk of text. A chunk that
-    parse refuses makes this return None, or, given the ``path`` of the
-    file, is read line by line by :func:`_read_rows`.
+    parse refuses holds a bad line: this returns None, or, given the
+    ``path`` of the file, raises the first bad line's error with its
+    ``path:line`` from the line loop of :func:`_check_lines`.
     """
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
     parts, tail, left = [], "", math.inf if size is None else size
@@ -390,7 +391,8 @@ def _read_columns(fh, size: Optional[int] = None, path=None, lineno: int = 1) ->
             ends = ["\n"] * len(lines)
             if not block:
                 ends[-1] = ""  # the file's last line, which has no line end
-            part = _read_rows(path, lineno, map(str.__add__, lines, ends))
+            _check_lines(path, lineno, map(str.__add__, lines, ends), _parse_record)
+            raise AssertionError(f"{path}: the column parse refused lines that each pass _parse_record")
         parts.append(part)
         lineno += len(lines)
         if not block:  # lines[-1] has no line end: "" when the bytes end one, on the line after them
@@ -412,14 +414,17 @@ def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Verdicts]]:
 
     The kept lines are joined and parsed with one ``json.loads``, and the
     columns are held to the rules of :func:`_parse_record`. Each kept line
-    starts with ``{``, the text holds one ``{`` per line and every value is
-    a scalar, so each line is exactly one record: none spans two lines and
-    no two share one. A line that starts with whitespace is left to the
-    line loop.
+    starts with ``{``, after any spaces and tabs (JSON's whitespace, where
+    ``str.lstrip`` would also strip characters ``json.loads`` refuses), the
+    text holds one ``{`` per line and every value is a scalar, so each line
+    is exactly one record: none spans two lines and no two share one.
     """
     kept = list(filter(str.strip, lines))
     text = "[" + ",".join(kept) + "]"
-    if text.count("{") != len(kept) or not set(map(itemgetter(0), kept)) <= {"{"}:
+    firsts = set(map(itemgetter(0), kept))
+    if not firsts <= {"{"}:  # indented lines
+        firsts = set(map(itemgetter(0), map(str.lstrip, kept, repeat(" \t"))))
+    if text.count("{") != len(kept) or not firsts <= {"{"}:
         return None
     try:
         records = json.loads(text)
@@ -458,23 +463,16 @@ def _numbers(column: list) -> bool:
     return types <= {int, float} and (int not in types or all(abs(v) <= sys.float_info.max for v in column if type(v) is int))
 
 
-def _read_rows(path, lineno: int, lines: Iterable[str]) -> tuple[Trace, Verdicts]:
-    """The trace held in ``lines``, consecutive lines of the file at ``path``
-    from line ``lineno`` on, each with its line end, read one at a time by
-    :func:`_parse_record`; the first bad line's error is raised with its
-    ``path:line``."""
-    rows: list[tuple[float, int, int, int, bool, float]] = []
+def _check_lines(path, lineno: int, lines: Iterable[str], check: Callable[[str], object]) -> None:
+    """Call ``check`` on each line of ``lines``, the lines of the file at
+    ``path`` from line ``lineno`` on, skipping blank ones, and raise the
+    first ``ValueError`` it raises as ``path:line: message``."""
     for lineno, line in enumerate(lines, start=lineno):
-        if not line.strip():
-            continue
-        try:
-            record = _parse_record(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        burst_id, rejected = record.get("burst_id", -1), record["verdict"] == "reject"
-        rows.append((float(record["time_s"]), record["device_id"], record["ta"], burst_id, rejected, float(record["anomaly"])))
-    columns = list(zip(*rows)) or [[]] * 6
-    return Trace._adopt(*columns[:4]), Verdicts._adopt(*columns[4:])
+        if line.strip():
+            try:
+                check(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
 
 
 def _parse_record(line: str) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 from typing import Iterable
 
@@ -16,9 +17,11 @@ import numpy as np
 
 from .config import MAX_TABLE_BYTES, _check_types
 from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Adoptable, Trace, _columns, cell_keys, distinct_texts
-from .core import group_starts, slots_per_day
+from .core import _check_lines, group_starts, slots_per_day
 
 FOLD_CELLS = 2**15  # table cells that train folds at a time
+# the keys of a profile file's metadata line, in KpiProfile's field order
+METADATA_KEYS = ("interval_seconds", "max_ta", "training_days")
 
 
 def count_per_interval(
@@ -132,8 +135,9 @@ def train(day_counts: np.ndarray) -> KpiProfile:
     return KpiProfile._adopt(SECONDS_PER_DAY // n_slots, n_ta - 1, days, mean, std)
 
 
-def save_profile(profile: KpiProfile, path) -> None:
-    """Write a profile as CSV: metadata comment, header, non-zero cells only.
+def save_profile(profile: KpiProfile, path) -> int:
+    """Write a profile as CSV: metadata comment, header, non-zero cells
+    only; return the number of cells written.
 
     Each column's distinct values are formatted once, and the rows are
     joined and written ``ROWS_PER_WRITE`` at a time.
@@ -142,15 +146,12 @@ def save_profile(profile: KpiProfile, path) -> None:
     columns = (slots, tas, profile.mean[slots, tas], profile.std[slots, tas])
     fields = [distinct_texts(column, prefix) for column, prefix in zip(columns, ("", ",", ",", ","))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            f"#interval_seconds={profile.interval_seconds},"
-            f"max_ta={profile.max_ta},training_days={profile.training_days}\n"
-            "slot,ta,mean,std\n"
-        )
+        fh.write("#" + ",".join(f"{key}={getattr(profile, key)}" for key in METADATA_KEYS) + "\nslot,ta,mean,std\n")
         for start in range(0, slots.size, ROWS_PER_WRITE):
             block = slice(start, start + ROWS_PER_WRITE)
             texts = (field_texts[index[block]].tolist() for field_texts, index in fields)
             fh.write("".join(chain.from_iterable(zip(*texts, repeat("\n")))))
+    return slots.size
 
 
 def load_profile(path) -> KpiProfile:
@@ -162,9 +163,10 @@ def load_profile(path) -> KpiProfile:
     Its lines are read once and in order, so a pipe reads as a file does,
     and its rows may come in any order: :func:`_read_columns` reads them
     ``ROWS_PER_WRITE`` lines at a time, and a block it refuses goes by
-    itself to the line loop of :func:`_read_rows`, which raises the first
-    bad row's error. Neither the whole text nor a list of its lines is ever
-    held. A byte that is not UTF-8 raises ``ValueError`` naming the path.
+    itself to the line loop of ``core._check_lines``, where :func:`_put_row`
+    puts each row or raises the first bad row's error. Neither the whole
+    text nor a list of its lines is ever held. A byte that is not UTF-8
+    raises ``ValueError`` naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -175,31 +177,30 @@ def load_profile(path) -> KpiProfile:
     return KpiProfile._adopt(*metadata, mean, std)
 
 
-def _read_metadata(path, first: str, header: str) -> tuple[int, int, int]:
-    """The ``interval_seconds``, ``max_ta`` and ``training_days`` of a
-    profile file's metadata line ``first``; ``ValueError`` naming ``path``
-    unless that line, the column ``header`` and the metadata are valid."""
+def _read_metadata(path, first: str, header: str) -> tuple[int, ...]:
+    """The values of ``METADATA_KEYS``, in order, in a profile file's
+    metadata line ``first``; ``ValueError`` naming ``path`` unless that
+    line, the column ``header`` and the metadata are valid."""
     if not first.startswith("#"):
         raise ValueError(f"{path}: missing metadata line")
     meta: dict[str, int] = {}
-    keys = ("interval_seconds", "max_ta", "training_days")
     for part in first[1:].split(","):
         key, _, value = part.partition("=")
         key = key.strip()
         if not value:
             raise ValueError(f"{path}: malformed metadata entry {part!r}")
-        if key not in keys or key in meta:
+        if key not in METADATA_KEYS or key in meta:
             raise ValueError(f"{path}: {'repeated' if key in meta else 'unknown'} metadata key {key!r}")
         try:
             meta[key] = int(value)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed metadata entry {part!r}") from exc
-    missing = set(keys) - set(meta)
+    missing = set(METADATA_KEYS) - set(meta)
     if missing:
         raise ValueError(f"{path}: metadata missing {sorted(missing)}")
     if header != "slot,ta,mean,std":
         raise ValueError(f"{path}: missing or bad header line")
-    metadata = meta["interval_seconds"], meta["max_ta"], meta["training_days"]
+    metadata = tuple(map(meta.__getitem__, METADATA_KEYS))
     try:
         _check_metadata(*metadata)
     except ValueError as exc:
@@ -211,15 +212,15 @@ def _read_columns(path, lines: Iterable[str], shape: tuple[int, int]) -> tuple[n
     """The mean and std tables of ``shape`` held in ``lines``, the lines of
     the file at ``path`` from its third on, read once and in order,
     ``ROWS_PER_WRITE`` at a time: a block that :func:`_put_block` refuses is
-    read by the line loop of :func:`_read_rows`, and the next by columns
-    again. A cell's mean is NaN, which no valid row holds, until a row puts
-    the cell, so both readers tell a repeated cell from the tables; cells no
-    row puts are zero in the tables returned."""
+    read by :func:`_put_row` in the line loop of ``core._check_lines``, and
+    the next by columns again. A cell's mean is NaN, which no valid row
+    holds, until a row puts the cell, so both readers tell a repeated cell
+    from the tables; cells no row puts are zero in the tables returned."""
     mean, std = np.full(shape, np.nan), np.zeros(shape)
     lines, lineno = iter(lines), 3
     while block := list(islice(lines, ROWS_PER_WRITE)):
         if not _put_block(block, mean, std):
-            _read_rows(path, lineno, block, mean, std)
+            _check_lines(path, lineno, block, partial(_put_row, mean, std))
         lineno += len(block)
     np.copyto(mean, 0.0, where=np.isnan(mean))
     return mean, std
@@ -257,32 +258,27 @@ def _put_block(block: list[str], mean: np.ndarray, std: np.ndarray) -> bool:
     return True
 
 
-def _read_rows(path, lineno: int, lines: Iterable[str], mean: np.ndarray, std: np.ndarray) -> None:
-    """Put the rows of ``lines``, the lines of the file at ``path`` from line
-    ``lineno`` on, in ``mean`` and ``std`` one at a time, raising the first
-    bad row's error with its ``path:line``. A row's cell is a duplicate if
-    its mean is no longer NaN."""
+def _put_row(mean: np.ndarray, std: np.ndarray, line: str) -> None:
+    """Put one non-blank row of a profile file, with or without its line
+    end, in ``mean`` and ``std``; ``ValueError`` unless it is well-formed,
+    in the tables' bounds, finite and non-negative, and of a cell whose mean
+    is still NaN, which no row has put."""
+    line = line.removesuffix("\n")
+    parts = line.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 fields, got {len(parts)}")
+    try:
+        slot, ta = int(parts[0]), int(parts[1])
+        cell_mean, cell_std = float(parts[2]), float(parts[3])
+    except ValueError as exc:
+        raise ValueError(f"malformed row {line!r}") from exc
     n_slots, n_ta = mean.shape
-    for lineno, line in enumerate(lines, start=lineno):
-        line = line.removesuffix("\n")
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            slot, ta = int(parts[0]), int(parts[1])
-            cell_mean, cell_std = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-        if not (0 <= slot < n_slots and 0 <= ta < n_ta):
-            raise ValueError(f"{path}:{lineno}: cell ({slot}, {ta}) outside table bounds")
-        if not math.isnan(mean[slot, ta]):
-            raise ValueError(f"{path}:{lineno}: duplicate cell ({slot}, {ta})")
-        # the chained comparisons are False for nan, so this also rejects it
-        if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):
-            raise ValueError(
-                f"{path}:{lineno}: mean and std must be finite and non-negative, got {line!r}"
-            )
-        mean[slot, ta] = cell_mean
-        std[slot, ta] = cell_std
+    if not (0 <= slot < n_slots and 0 <= ta < n_ta):
+        raise ValueError(f"cell ({slot}, {ta}) outside table bounds")
+    if not math.isnan(mean[slot, ta]):
+        raise ValueError(f"duplicate cell ({slot}, {ta})")
+    # the chained comparisons are False for nan, so this also rejects it
+    if not (0.0 <= cell_mean < math.inf and 0.0 <= cell_std < math.inf):
+        raise ValueError(f"mean and std must be finite and non-negative, got {line!r}")
+    mean[slot, ta] = cell_mean
+    std[slot, ta] = cell_std

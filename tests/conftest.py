@@ -249,8 +249,9 @@ def bits(trace: Trace, verdicts: Verdicts | None = None) -> list[tuple]:
 
 
 def read_trace_rows(path):
-    """Reference reader: one ``_parse_record`` per line, as ``read_trace`` read
-    before it parsed the whole file at once, with the same ``path:line`` errors."""
+    """Reference reader: one ``_parse_record`` and one row per line, with
+    the ``path:line`` errors ``read_trace`` must raise. It shares neither the
+    chunk parse nor the line loop of ``read_trace``, which builds no rows."""
     rows = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -1,22 +1,30 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import random
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stormsim.cli
 import stormsim.core
 import stormsim.sweep
+from stormsim import DetectorConfig, build_trace, read_trace, run
 from stormsim.cli import main
+from stormsim.config import config_from_dict
+from stormsim.profiler import load_profile
 
-from conftest import deadline, needs_pipes, piped
+from conftest import bits, deadline, needs_pipes, piped
 
 SMALL_CONFIG = {
     "legit": {"device_count": 15},
@@ -62,7 +70,52 @@ def test_train_writes_profile(config_path, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "#interval_seconds=300,max_ta=102,training_days=2"
     assert lines[1] == "slot,ta,mean,std"
-    assert "populated cells" in capsys.readouterr().out
+    assert f"; {len(lines) - 2} populated cells -> {out}\n" in capsys.readouterr().out
+
+
+small_configs = st.fixed_dictionaries(
+    {
+        "training_days": st.integers(1, 3),
+        "eval_days": st.integers(1, 2),
+        "legit": st.fixed_dictionaries({"device_count": st.integers(0, 20)}),
+        "attack": st.fixed_dictionaries({"adversary_count": st.integers(0, 3), "rsrs_per_burst": st.integers(1, 50)}),
+        "interval_seconds": st.sampled_from([300, 3600, 86400]),
+        "numerology_mu": st.integers(0, 3),
+        "scoring_mode": st.sampled_from(["per_rsr", "interval_end"]),
+        "seed_train": st.integers(0, 2**64 - 1),
+        "seed_eval": st.integers(0, 2**64 - 1),
+    }
+)
+
+
+def exit_status(*argv) -> int:
+    """``main(argv)``'s exit status, held to the CLI's contract: 0, or 2 with exactly one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(list(argv))
+    lines = err.getvalue().splitlines()
+    assert status == 0 and not lines or status == 2 and len(lines) == 1 and lines[0].startswith("error: "), (status, lines)
+    return status
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=small_configs)
+def test_small_configs_run_end_to_end(doc):
+    # train, then run --profile, on a drawn config: the trace the run wrote
+    # reads back bit for bit as the same config built and run in-process
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config_path, profile, out = tmp / "config.json", tmp / "profile.csv", tmp / "out"
+        config_path.write_text(json.dumps(doc))
+        if exit_status("train", "--config", str(config_path), "--out", str(profile)) or exit_status(
+            "run", "--config", str(config_path), "--profile", str(profile), "--out", str(out)
+        ):
+            return
+        config = config_from_dict(doc)
+        trace, _bursts, _layout = build_trace(config, seed=config.seed_eval, days=config.eval_days, include_attacks=True)
+        detector = DetectorConfig(gamma=config.gamma, sigma_floor=config.sigma_floor)
+        report = run(trace, load_profile(profile), detector, config.eval_days, config.scoring_mode)
+        assert bits(*read_trace(out / "trace.jsonl")) == bits(trace, report.verdicts)
 
 
 def test_train_single_day_has_zero_std(tmp_path):
@@ -342,7 +395,7 @@ def test_train_frees_each_input_once_used(config_path, tmp_path, monkeypatch):
         def wrapper(*args, **kwargs):
             assert freed is None or made[freed]() is None, f"{freed}'s result still alive at {name}"
             result = original(*args, **kwargs)
-            if result is not None:
+            if name in ("build_trace", "count_per_interval"):
                 made[name] = weakref.ref(result[0] if name == "build_trace" else result)
             return result
 

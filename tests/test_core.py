@@ -332,6 +332,11 @@ class TestReadTraceOracle:
         edits=st.lists(edit_strategy, max_size=3),
         crlf=st.booleans(),
     )
+    @example(  # the second line indented by a tab and a space, JSON's own whitespace
+        rows=[(1.0, 5, 3, -1, False, 0.5), (2.0, 6, 4, 7, True, -1.5)],
+        edits=[("insert", "\n", 0, " "), ("insert", "\n", 0, "\t")],
+        crlf=True,
+    )
     def test_matches_line_loop(self, rows, edits, crlf):
         trace, verdicts = columns_of(rows)
         with tempfile.TemporaryDirectory() as tmp:
@@ -343,10 +348,9 @@ class TestReadTraceOracle:
             path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode("utf-8"))
             expected = outcome(read_trace_rows, path)
             assert outcome(read_trace, path) == expected
-            # The chunked parse takes every good file whose lines start with
-            # "{", so the line loop only reports errors for such files.
-            lines = path.read_text(encoding="utf-8").split("\n")
-            if not isinstance(expected, str) and all(line[0] == "{" for line in lines if line.strip()):
+            # The chunked parse takes every good file, indented or not, so
+            # the line loop only reports errors.
+            if not isinstance(expected, str):
                 with open(path, "rb") as fh:
                     assert _read_columns(fh) is not None
 
@@ -377,9 +381,19 @@ class TestReadTraceOracle:
             read_trace(path)
         assert outcome(read_trace, path) == outcome(read_trace_rows, path)
 
-    def test_indented_line_read_by_line_loop(self, tmp_path):
+    def test_good_chunk_refused_is_an_error(self, tmp_path, monkeypatch):
+        # the line loop returns no rows, so good lines the column parse
+        # refused never pass for data
+        path = tmp_path / "t.jsonl"
+        write_trace(path, *random_columns(3))
+        monkeypatch.setattr(core, "_parse_columns", lambda lines: None)
+        with pytest.raises(AssertionError, match="the column parse refused lines that each pass"):
+            read_trace(path)
+
+    def test_indented_line_read_by_columns(self, tmp_path, monkeypatch):
         path = tmp_path / "t.jsonl"
         path.write_text(' {"time_s":1.0,"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS + "}\n\n")
+        monkeypatch.setattr(core, "_check_lines", None)
         assert bits(*read_trace(path)) == bits(Trace([1.0], [0], [0], [-1]), Verdicts([False], [0.0]))
 
     @pytest.mark.parametrize(
@@ -566,7 +580,8 @@ class TestTwoCoreTraceIO:
     @pytest.mark.parametrize("fault", ["bad label", "indent"])
     def test_refused_child_half_read_from_the_cut(self, tmp_path, two_cpus, monkeypatch, fault):
         # the child cannot number its lines, so this process reads its half,
-        # once, from the cut where its handle stands, and numbers on from its own
+        # once, from the cut where its handle stands, and numbers on from its
+        # own; an indented line in the child's half is read by the child
         path = tmp_path / "t.jsonl"
         trace, verdicts = random_columns(SPLIT_ROWS + 5000)
         write_trace(path, trace, verdicts)
@@ -574,8 +589,8 @@ class TestTwoCoreTraceIO:
         if fault == "bad label":
             lines[SPLIT_ROWS] = lines[SPLIT_ROWS].replace('"label":"legit"', '"label":"weird"')
             lines[SPLIT_ROWS] = lines[SPLIT_ROWS].replace('"label":"attack"', '"label":"weird"')
-        else:  # a good line the column parse leaves to the line loop
-            lines[SPLIT_ROWS] = " " + lines[SPLIT_ROWS]
+        else:
+            lines[SPLIT_ROWS] = " \t" + lines[SPLIT_ROWS]
         path.write_text("\n".join(lines))
         with open(path, "rb") as fh:
             cut = core._cut(fh)
@@ -591,9 +606,10 @@ class TestTwoCoreTraceIO:
         if fault == "bad label":
             with pytest.raises(ValueError, match=f"^{path}:{SPLIT_ROWS + 1}: bad label"):
                 read_trace(path)
+            assert starts == [0, cut]
         else:
             assert bits(*read_trace(path)) == bits(trace, verdicts)
-        assert starts == [0, cut]
+            assert starts == [0]
 
     @pytest.mark.parametrize("verdict_half", [0, 1])
     def test_verdicts_in_one_half_only(self, tmp_path, two_cpus, verdict_half):
@@ -713,9 +729,7 @@ class TestChunkedReadOracle:
             expected = outcome(read_trace_rows, path)
             with chunked(chunk):
                 assert outcome(read_trace, path) == expected
-                # a good file whose lines start with "{" never falls back to the line loop
-                lines = [] if isinstance(expected, str) else path.read_text(encoding="utf-8").split("\n")
-                if lines and all(line[0] == "{" for line in lines if line.strip()):
+                if not isinstance(expected, str):  # a good file, indented or not, is read by columns
                     with open(path, "rb") as fh:
                         assert _read_columns(fh) is not None
 
@@ -758,7 +772,7 @@ class TestChunkedReadOracle:
         expected = outcome(read_trace_rows, path)
         with chunked(chunk) as mp:
             if fault in (None, "blank"):  # a good file is never read again line by line
-                mp.setattr(core, "_read_rows", None)
+                mp.setattr(core, "_check_lines", None)
                 kept = np.ones(len(trace), bool)
                 kept[data.count(end, 0, start)] = fault is None
                 assert outcome(read_trace, path) == expected == bits(*rows_of(trace, verdicts, kept))
@@ -844,9 +858,10 @@ class TestOnePassRead:
     @pytest.mark.parametrize("kind", ["fifo", "pipe"])
     @pytest.mark.parametrize("chunk", [core.CHUNK_BYTES, 1000])
     def test_indented_lines_from_a_pipe(self, tmp_path, monkeypatch, kind, chunk):
-        # the column parse leaves indented lines to the line loop, which reads
-        # them where they stand
+        # lines indented by spaces and tabs are read by columns, from a pipe
+        # as from a file
         monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
+        monkeypatch.setattr(core, "_check_lines", None)
         path = tmp_path / "t.jsonl"
         trace, verdicts = random_columns(40)
         write_trace(path, trace, verdicts)

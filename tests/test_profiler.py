@@ -555,8 +555,8 @@ def load_by_lines(path):
 
 
 def no_line_loop():
-    """``_read_rows`` patched to fail the test, for a file the columnar parse must read whole."""
-    return mock.patch.object(profiler, "_read_rows", side_effect=AssertionError("the line loop read a row"))
+    """The line loop patched to fail the test, for a file the columnar parse must read whole."""
+    return mock.patch.object(profiler, "_check_lines", side_effect=AssertionError("the line loop read a row"))
 
 
 def int_texts(value):
