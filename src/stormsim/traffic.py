@@ -148,9 +148,9 @@ def build_trace(
 ) -> tuple[Trace, list[Burst], CellLayout]:
     """Generate the merged, time-ordered labeled trace for one scenario seed.
 
-    Events are ordered by (time, device_id, per-device sequence), so the
-    order is a deterministic function of seed and configuration. Burst ids
-    are global, assigned by (start time, adversary id).
+    Events are ordered by (time, device_id, burst_id), so the order is a
+    deterministic function of seed and configuration. Burst ids are global,
+    assigned by (start time, adversary id).
     """
     if days < 0:
         raise ValueError(f"days must be non-negative, got {days!r}")
@@ -161,14 +161,15 @@ def build_trace(
     device_ids = np.array([dev.device_id for dev in devices], dtype=np.int64)
     device_tas = np.array([dev.ta for dev in devices], dtype=np.int64)
 
-    # time_s runs in one stretch per legit device, then one per burst: sizes,
-    # owner (index in devices) and owner_burst (-1 for legit) describe them.
+    # time_s runs in one stretch per owner, each legit device and then each
+    # burst: sizes, owner_device (index in devices) and owner_burst (-1 for
+    # legit) describe them.
     time_blocks = [
         gen_legit_events(config.legit, horizon_s, substream(seed, _STREAM_LEGIT_TRAFFIC, dev.device_id))
         for dev in layout.legit
     ]
     sizes = np.array([times.size for times in time_blocks], dtype=np.int64)
-    owner = np.arange(len(layout.legit))
+    owner_device = np.arange(len(layout.legit))
     owner_burst = np.full(len(layout.legit), -1, dtype=np.int64)
 
     bursts: list[Burst] = []
@@ -187,7 +188,7 @@ def build_trace(
         counts = np.count_nonzero(in_horizon, axis=1)
         time_blocks.append(times[in_horizon])  # row-major: burst by burst, each ascending
         sizes = np.concatenate([sizes, counts])
-        owner = np.concatenate([owner, adversary])
+        owner_device = np.concatenate([owner_device, adversary])
         owner_burst = np.concatenate([owner_burst, np.arange(starts.size)])
         window = repeat(config.attack.burst_window_s)
         bursts = list(
@@ -196,13 +197,18 @@ def build_trace(
 
     time_s = np.concatenate([np.empty(0), *time_blocks])
     del time_blocks  # copied into time_s; freed before the columns below are built
-    device_id = np.repeat(device_ids[owner], sizes)
-    ta = np.repeat(device_tas[owner], sizes)
-    burst_id = np.repeat(owner_burst, sizes)
-    # A device's sequence runs in time order, and in burst id order among
-    # equal times, so rows tied on (time, device_id, burst_id) are identical.
-    order = np.lexsort((burst_id, device_id, time_s))
-    columns = (time_s, device_id, ta, burst_id)
-    for column in columns:  # in place, so no second set of columns outlives the sort
-        column[:] = column[order]
+    # each row's owner in the smallest unsigned dtype; sorted with the times,
+    # it picks each row's device_id, ta and burst_id from the owners' tables
+    row_owner = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(max(sizes.size - 1, 0))), sizes)
+    order = np.argsort(time_s)  # unique when no two times tie, whatever the sort kernel
+    time_s, row_owner = time_s[order], row_owner[order]
+    del order
+    columns = (time_s, device_ids[owner_device][row_owner], device_tas[owner_device][row_owner], owner_burst[row_owner])
+    del row_owner
+    if np.any(time_s[1:] == time_s[:-1]):
+        # tied times go by (device_id, burst_id); rows tied on all three are
+        # identical, since a device has one ta
+        order = np.lexsort((columns[3], columns[1], time_s))
+        for column in columns:  # in place, so no second set of columns outlives the sort
+            column[:] = column[order]
     return Trace._adopt(*columns), bursts, layout

@@ -13,7 +13,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stormsim.cli
@@ -86,6 +86,18 @@ small_configs = st.fixed_dictionaries(
         "seed_eval": st.integers(0, 2**64 - 1),
     }
 )
+# no device and no adversary: every owner table of build_trace is empty
+EMPTY_CONFIG = {
+    "training_days": 1,
+    "eval_days": 1,
+    "legit": {"device_count": 0},
+    "attack": {"adversary_count": 0, "rsrs_per_burst": 1},
+    "interval_seconds": 300,
+    "numerology_mu": 0,
+    "scoring_mode": "per_rsr",
+    "seed_train": 0,
+    "seed_eval": 0,
+}
 
 
 def exit_status(*argv) -> int:
@@ -100,17 +112,26 @@ def exit_status(*argv) -> int:
 
 @settings(max_examples=60, deadline=None)
 @given(doc=small_configs)
+@example(doc=EMPTY_CONFIG)
+@example(doc=dict(EMPTY_CONFIG, legit={"device_count": 1}))  # one owner
+@example(doc=dict(EMPTY_CONFIG, attack={"adversary_count": 1, "rsrs_per_burst": 1}))
 def test_small_configs_run_end_to_end(doc):
     # train, then run --profile, on a drawn config: the trace the run wrote
-    # reads back bit for bit as the same config built and run in-process
+    # reads back bit for bit as the same config built and run in-process, and
+    # sweep writes the same rows from the trained profile as when it trains
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config_path, profile, out = tmp / "config.json", tmp / "profile.csv", tmp / "out"
         config_path.write_text(json.dumps(doc))
-        if exit_status("train", "--config", str(config_path), "--out", str(profile)) or exit_status(
-            "run", "--config", str(config_path), "--profile", str(profile), "--out", str(out)
+        config_file = str(config_path)
+        if (
+            exit_status("train", "--config", config_file, "--out", str(profile))
+            or exit_status("run", "--config", config_file, "--profile", str(profile), "--out", str(out))
+            or exit_status("sweep", "--config", config_file, "--profile", str(profile), "--out", str(tmp / "profiled.csv"))
+            or exit_status("sweep", "--config", config_file, "--out", str(tmp / "trained.csv"))
         ):
             return
+        assert (tmp / "profiled.csv").read_text() == (tmp / "trained.csv").read_text()
         config = config_from_dict(doc)
         trace, _bursts, _layout = build_trace(config, seed=config.seed_eval, days=config.eval_days, include_attacks=True)
         detector = DetectorConfig(gamma=config.gamma, sigma_floor=config.sigma_floor)

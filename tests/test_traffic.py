@@ -18,8 +18,10 @@ from stormsim import (
     write_json,
     write_trace,
 )
+from stormsim import traffic
 from stormsim.traffic import substream
 
+import conftest
 from conftest import bits, build_trace_rows
 
 DAY = 86400.0
@@ -225,6 +227,45 @@ def test_build_trace_equals_row_by_row_assembly(config, seed, days, include_atta
     assert bits(trace) == bits(ref_trace)
     assert bursts == ref_bursts
     assert layout == ref_layout
+
+
+@pytest.mark.parametrize("include_attacks", [True, False])
+def test_build_trace_orders_tied_times_like_row_by_row_assembly(monkeypatch, include_attacks):
+    # every time floored to a whole second, so times tie across devices,
+    # across bursts and across the two labels (the horizon is a whole second,
+    # so flooring keeps each time on its side of it)
+    def floored(gen):
+        def call(*args):
+            times = gen(*args)
+            return tuple(map(np.floor, times)) if isinstance(times, tuple) else np.floor(times)
+
+        return call
+
+    for module in (traffic, conftest):
+        for gen in (gen_legit_events, gen_attack_bursts):
+            monkeypatch.setattr(module, gen.__name__, floored(gen))
+    lexsort, lexsorts = np.lexsort, []
+
+    def spy(keys):
+        lexsorts.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    config = ScenarioConfig(
+        legit=LegitTrafficSpec(base_rate_per_hour=100.0, device_count=10),
+        attack=AttackSpec(adversary_count=3, bursts_per_day=400.0, rsrs_per_burst=20),
+    )
+    trace, bursts, layout = build_trace(config, seed=28, days=1, include_attacks=include_attacks)
+    assert len(trace) in lexsorts  # the tie branch ran
+    ref_trace, ref_bursts, ref_layout = build_trace_rows(config, 28, 1, include_attacks)
+    assert bits(trace) == bits(ref_trace)
+    assert (bursts, layout) == (ref_bursts, ref_layout)
+    tied = np.flatnonzero(np.diff(trace.time_s) == 0)
+    assert np.any(trace.device_id[tied] != trace.device_id[tied + 1])
+    if include_attacks:
+        same_device = trace.device_id[tied] == trace.device_id[tied + 1]
+        assert np.any(same_device & (trace.burst_id[tied] != trace.burst_id[tied + 1]))
+        assert np.any(trace.attack[tied] != trace.attack[tied + 1])
 
 
 class TestBurstJson:

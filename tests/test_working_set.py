@@ -5,13 +5,14 @@ array (``A``), on a synthetic trace of 2**18 events shaped like the default
 eval trace: legit requests spread so that about 0.6 distinct (interval, TA)
 cells come per event, and about one in ten events in bursts of 100 RSRs on
 one TA. At that size the fixed overheads (profile tables, one write block)
-stay near a tenth of ``A``.
+stay near a tenth of ``A``. ``build_trace``'s bound is in units of the trace
+it generates: the default scenario's eval trace, about 2**18 events too.
 """
 
 import numpy as np
 import pytest
 
-from stormsim import DetectorConfig, ScoringMode, Trace, build_score_cache, count_per_interval, run
+from stormsim import DetectorConfig, ScenarioConfig, ScoringMode, Trace, build_score_cache, build_trace, count_per_interval, run
 from stormsim import core
 from stormsim.detector import score_events
 
@@ -79,3 +80,11 @@ def test_count_per_interval_peak(scenario):
     table, peak = traced_peak(count_per_interval, trace, 300, MAX_TA, DAYS)
     assert table.sum() == EVENTS
     assert peak <= 2.6 * A
+
+
+def test_build_trace_peak():
+    config = ScenarioConfig()
+    (trace, _bursts, _layout), peak = traced_peak(
+        lambda: build_trace(config, seed=config.seed_eval, days=config.eval_days)
+    )
+    assert peak <= 5.0 * 8 * len(trace)
