@@ -205,21 +205,25 @@ def write_trace(path, trace: Trace, verdicts: Verdicts) -> None:
     Columns are formatted in C by ``json.dumps``, the id, TA and anomaly
     columns once per distinct value, and the rows are joined and written
     ``ROWS_PER_WRITE`` at a time. From :func:`_split_row` on, a forked child
-    formats the rest into a temporary file while this process writes the
-    first rows, then appends that file.
+    formats the rest into a temporary file while this process formats the
+    first rows, then appends that file. Each process builds the texts of its
+    own rows only.
     """
     if len(verdicts) != len(trace):
         raise ValueError("verdicts must align one-to-one with events")
-    labels, burst_of = distinct_texts(trace.burst_id, ',"label":"attack","burst_id":')
-    labels[labels == ',"label":"attack","burst_id":-1'] = ',"label":"legit"'  # burst_id -1 marks a legit request
-    fields = [distinct_texts(trace.device_id, ',"device_id":'), distinct_texts(trace.ta, ',"ta":'), (labels, burst_of)]
-    fields += [(_VERDICT_TEXTS, verdicts.rejected.view(np.uint8)), distinct_texts(verdicts.anomaly, ',"anomaly":')]
 
     def write_rows(fh, start: int, stop: int) -> None:
-        for begin in range(start, stop, ROWS_PER_WRITE):
-            block = slice(begin, min(begin + ROWS_PER_WRITE, stop))
+        rows = slice(start, stop)
+        labels, burst_of = distinct_texts(trace.burst_id[rows], ',"label":"attack","burst_id":')
+        labels[labels == ',"label":"attack","burst_id":-1'] = ',"label":"legit"'  # burst_id -1 marks a legit request
+        fields = [distinct_texts(trace.device_id[rows], ',"device_id":'), distinct_texts(trace.ta[rows], ',"ta":')]
+        fields += [(labels, burst_of), (_VERDICT_TEXTS, verdicts.rejected[rows].view(np.uint8))]
+        fields.append(distinct_texts(verdicts.anomaly[rows], ',"anomaly":'))
+        time_s = trace.time_s[rows]
+        for begin in range(0, stop - start, ROWS_PER_WRITE):
+            block = slice(begin, begin + ROWS_PER_WRITE)
             texts = (field_texts[index[block]].tolist() for field_texts, index in fields)
-            parts = (repeat('{"time_s":'), _json_texts(trace.time_s[block]), *texts, repeat("}\n"))
+            parts = (repeat('{"time_s":'), _json_texts(time_s[block]), *texts, repeat("}\n"))
             fh.write("".join(chain.from_iterable(zip(*parts))))
 
     n, split = len(trace), _split_row(len(trace))

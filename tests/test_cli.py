@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import importlib.util
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import stormsim.cli
 import stormsim.core
 import stormsim.sweep
-from stormsim import DetectorConfig, build_trace, read_trace, run
+from stormsim import DetectorConfig, ScoringMode, build_trace, read_trace, run
 from stormsim.cli import main
 from stormsim.config import config_from_dict
 from stormsim.profiler import load_profile
@@ -36,6 +37,12 @@ SMALL_CONFIG = {
     "seed_train": 31,
     "seed_eval": 32,
 }
+
+REPO = Path(__file__).resolve().parents[1]
+# perfbench's independent recomputation of a run's outputs, loaded read-only
+_check_spec = importlib.util.spec_from_file_location("perfbench_check", REPO / "perfbench" / "check.py")
+check = importlib.util.module_from_spec(_check_spec)
+_check_spec.loader.exec_module(check)
 
 RUN_FILES = ["trace.jsonl", "bursts.json", "policies.jsonl", "summary.json", "scenario.json"]
 
@@ -118,7 +125,9 @@ def exit_status(*argv) -> int:
 def test_small_configs_run_end_to_end(doc):
     # train, then run --profile, on a drawn config: the trace the run wrote
     # reads back bit for bit as the same config built and run in-process, and
-    # sweep writes the same rows from the trained profile as when it trains
+    # sweep writes the same rows from the trained profile as when it trains;
+    # per RSR, the outputs pass perfbench's exact checks (not its 4-sigma
+    # traffic and profile counts, which a 1-3 day run misses by chance)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config_path, profile, out = tmp / "config.json", tmp / "profile.csv", tmp / "out"
@@ -136,7 +145,22 @@ def test_small_configs_run_end_to_end(doc):
         trace, _bursts, _layout = build_trace(config, seed=config.seed_eval, days=config.eval_days, include_attacks=True)
         detector = DetectorConfig(gamma=config.gamma, sigma_floor=config.sigma_floor)
         report = run(trace, load_profile(profile), detector, config.eval_days, config.scoring_mode)
-        assert bits(*read_trace(out / "trace.jsonl")) == bits(trace, report.verdicts)
+        read, verdicts = read_trace(out / "trace.jsonl")
+        assert bits(read, verdicts) == bits(trace, report.verdicts)
+        if config.scoring_mode is not ScoringMode.PER_RSR:
+            return
+        full = json.loads((out / "scenario.json").read_text())["config"]
+        texts = {name: (out / name).read_text() for name in ("trace.jsonl", "bursts.json", "policies.jsonl", "summary.json")}
+        parsed, summary = check.parse_trace(texts["trace.jsonl"]), json.loads(texts["summary.json"])
+        scored = check.Scored(parsed, check.parse_profile(profile.read_text()), full)
+        policies = check.parse_policies(texts["policies.jsonl"])
+        failures = check.check_run(full, scored, json.loads(texts["bursts.json"]), policies, summary)
+        for name in ("profiled.csv", "trained.csv"):
+            failures += check.check_sweep(full, scored, check.parse_sweep((tmp / name).read_text()))
+        attack, rejected = read.attack, verdicts.rejected
+        counts = {"events": len(read), "rejects": int(rejected.sum())}
+        counts.update(attack_events=int(attack.sum()), rejected_attack_events=int((attack & rejected).sum()))
+        assert failures + check.check_readback(parsed, summary, counts) == []
 
 
 def test_train_single_day_has_zero_std(tmp_path):
@@ -429,25 +453,32 @@ def test_train_frees_each_input_once_used(config_path, tmp_path, monkeypatch):
     assert main(["train", "--config", config_path, "--out", str(tmp_path / "profile.csv")]) == 0
 
 
-def test_dead_write_trace_child_exits_2(config_path, tmp_path, capsys, monkeypatch):
-    # the child that formats the second half of the trace dies without a word
+@pytest.mark.parametrize("written", [False, True], ids=["before_any_row", "after_a_block"])
+def test_dead_write_trace_child_exits_2(config_path, tmp_path, capsys, monkeypatch, written):
+    # the child that formats the second half of the trace dies without a
+    # word: while it builds its texts, or once a block of its rows is in the
+    # temporary file (it formats its time column a block at a time)
     profile = str(tmp_path / "profile.csv")
     assert main(["train", "--config", config_path, "--out", profile]) == 0
-    parent, json_texts = os.getpid(), stormsim.core._json_texts
+    parent, json_texts, temporary_file, rests = os.getpid(), stormsim.core._json_texts, tempfile.TemporaryFile, []
+
+    def recorded(*args, **kwargs):
+        rests.append(temporary_file(*args, **kwargs))
+        return rests[-1]
 
     def die_in_child(values):
-        if os.getpid() != parent:
+        if os.getpid() != parent and (not written or os.fstat(rests[-1].fileno()).st_size):
             os.kill(os.getpid(), signal.SIGKILL)
         return json_texts(values)
 
     monkeypatch.setattr(stormsim.core, "_split_row", lambda n: n // 2)
+    monkeypatch.setattr(stormsim.core, "ROWS_PER_WRITE", 1024)  # so the child's half takes several blocks
+    monkeypatch.setattr(stormsim.core.tempfile, "TemporaryFile", recorded)
     monkeypatch.setattr(stormsim.core, "_json_texts", die_in_child)
     assert main(["run", "--config", config_path, "--profile", profile, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == "error: the forked child was killed by signal 9 before sending its result\n"
-
-
-REPO = Path(__file__).resolve().parents[1]
+    assert len(rests) == 1
 
 
 def test_benchmark_step_runner_smoke(tmp_path):

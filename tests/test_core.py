@@ -566,6 +566,42 @@ class TestTwoCoreTraceIO:
         assert split.read_bytes() == serial.read_bytes()
         assert read_split == bits(*read_trace(serial)) == bits(trace, verdicts)
 
+    def test_halves_that_share_no_value(self, tmp_path, two_cpus, monkeypatch):
+        # each process formats the distinct values of its own rows: the
+        # first half is all legit and the second all attack, on their own
+        # devices and TAs, with -0.0 in one half and 0.0, inf and nan in the other
+        n = SPLIT_ROWS + 5000
+        split = _split_row(n)
+        assert 0 < split < n
+        rng = np.random.default_rng(29)
+        first, second = rng.random(n) < 0.5, rng.random(n) < 0.5
+        half = np.arange(n) >= split
+        trace = Trace(
+            np.sort(rng.uniform(0.0, 86400.0, n)),
+            np.where(half, 1000 + rng.integers(0, 100, n), rng.integers(0, 100, n)),
+            np.where(half, 50 + rng.integers(0, 50, n), rng.integers(0, 50, n)),
+            np.where(half, rng.integers(0, 20, n), -1),
+        )
+        anomaly = np.where(half, rng.choice([0.0, math.inf, math.nan, 2.5], n), np.where(first, -0.0, -1.5))
+        verdicts = Verdicts(np.where(half, second, first), anomaly)
+        parent, distinct_texts, sizes = os.getpid(), core.distinct_texts, []
+
+        def spied(column, prefix):
+            if os.getpid() == parent:
+                sizes.append(column.size)
+            return distinct_texts(column, prefix)
+
+        monkeypatch.setattr(core, "distinct_texts", spied)
+        paths = [tmp_path / name for name in ("split.jsonl", "serial.jsonl", "rows.jsonl")]
+        write_trace(paths[0], trace, verdicts)
+        assert sizes and max(sizes) <= split
+        monkeypatch.setattr(core, "_split_row", lambda n: n)
+        write_trace(paths[1], trace, verdicts)
+        write_trace_rows(paths[2], trace, verdicts)
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+        text = paths[0].read_text(encoding="utf-8")
+        assert all(f'"anomaly":{value}}}' in text for value in ("-0.0", "0.0", "Infinity", "NaN"))
+
     def test_bad_line_in_second_half(self, tmp_path, two_cpus):
         path = tmp_path / "t.jsonl"
         write_trace(path, *random_columns(SPLIT_ROWS + 5000))

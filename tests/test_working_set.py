@@ -75,6 +75,17 @@ def test_serial_write_trace_peak(scenario, tmp_path, monkeypatch):
     assert peak <= 3.0 * A
 
 
+def test_split_write_trace_parent_peak(scenario, tmp_path, monkeypatch):
+    # the forked child builds the texts of its own half, so the calling
+    # process holds the distinct texts and index columns of its half only
+    trace, profile = scenario
+    verdicts = run(trace, profile, DetectorConfig(gamma=6.5), DAYS).verdicts
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert core._split_row(EVENTS) < EVENTS
+    _, peak = traced_peak(core.write_trace, tmp_path / "trace.jsonl", trace, verdicts)
+    assert peak <= 1.5 * A
+
+
 def test_count_per_interval_peak(scenario):
     trace, _profile = scenario
     table, peak = traced_peak(count_per_interval, trace, 300, MAX_TA, DAYS)
