@@ -122,8 +122,8 @@ def score_cache(
     del clean, intervals
     attack_scores = scores[attack]
     bursts = trace.burst_id[attack]
-    order = np.argsort(bursts)
-    bursts.sort()  # in place, the same values as ``bursts[order]``
+    order = np.argsort(bursts, kind="stable")  # a radix sort of 8- and 16-bit ids, a merge of nearly sorted wider ones
+    bursts.sort(kind="stable")  # in place, the same values as ``bursts[order]``
     burst_max = np.maximum.reduceat(attack_scores[order], np.flatnonzero(group_starts(bursts)))
     cache = ScoreCache(attack_scores, burst_max, interval_clean_max, clean_last, intervals_total, intervals_total * n_ta)
     return cache, keys, index, scores

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import MAX_TABLE_BYTES, _check_types
 from .core import ROWS_PER_WRITE, SECONDS_PER_DAY, Adoptable, Trace, _columns, cell_keys, distinct_texts
-from .core import _check_lines, group_starts, slots_per_day
+from .core import _check_lines, group_starts, narrowed, slots_per_day
 
 FOLD_CELLS = 2**15  # table cells that train folds at a time
 # the keys of a profile file's metadata line, in KpiProfile's field order
@@ -42,10 +42,9 @@ def count_per_interval(
     starts = np.flatnonzero(group_starts(keys))
     cells = keys[starts]
     del keys  # freed before the counts are built
-    counts = np.diff(starts, append=len(trace))
+    counts = narrowed(np.diff(starts, append=len(trace)))
     shape = (days, slots_per_day(interval_seconds), max_ta + 1)
-    # the smallest signed dtype that holds -max - 1 also holds max
-    table = np.zeros(math.prod(shape), np.min_scalar_type(-int(counts.max(initial=0)) - 1))
+    table = np.zeros(math.prod(shape), counts.dtype)
     table[cells] = counts
     return table.reshape(shape)
 

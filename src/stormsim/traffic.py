@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .config import AttackSpec, LegitTrafficSpec, ScenarioConfig
-from .core import SECONDS_PER_DAY, Trace
+from .core import SECONDS_PER_DAY, Trace, narrowed
 from .geometry import TaQuantizer, place_devices, ta_index
 
 _TWO_PI = 2.0 * math.pi
@@ -203,7 +203,9 @@ def build_trace(
     order = np.argsort(time_s)  # unique when no two times tie, whatever the sort kernel
     time_s, row_owner = time_s[order], row_owner[order]
     del order
-    columns = (time_s, device_ids[owner_device][row_owner], device_tas[owner_device][row_owner], owner_burst[row_owner])
+    # the owners' tables narrowed first, so no id column is built wider than Trace keeps it
+    owners = (device_ids[owner_device], device_tas[owner_device], owner_burst)
+    columns = (time_s, *(narrowed(table)[row_owner] for table in owners))
     del row_owner
     if np.any(time_s[1:] == time_s[:-1]):
         # tied times go by (device_id, burst_id); rows tied on all three are

@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import signal
@@ -25,7 +26,7 @@ from stormsim.cli import main
 from stormsim.config import config_from_dict
 from stormsim.profiler import load_profile
 
-from conftest import bits, deadline, needs_pipes, piped
+from conftest import bits, deadline, interval_end_replay, needs_pipes, piped
 
 SMALL_CONFIG = {
     "legit": {"device_count": 15},
@@ -89,6 +90,7 @@ small_configs = st.fixed_dictionaries(
         "interval_seconds": st.sampled_from([300, 3600, 86400]),
         "numerology_mu": st.integers(0, 3),
         "scoring_mode": st.sampled_from(["per_rsr", "interval_end"]),
+        "gamma": st.sampled_from([6.5, math.inf, -math.inf]),
         "seed_train": st.integers(0, 2**64 - 1),
         "seed_eval": st.integers(0, 2**64 - 1),
     }
@@ -122,11 +124,17 @@ def exit_status(*argv) -> int:
 @example(doc=EMPTY_CONFIG)
 @example(doc=dict(EMPTY_CONFIG, legit={"device_count": 1}))  # one owner
 @example(doc=dict(EMPTY_CONFIG, attack={"adversary_count": 1, "rsrs_per_burst": 1}))
+# boundary values: day-long intervals, mu 3's TA bins past 127 (an int16
+# column), gammas that no score and every score crosses, legit-only and empty traces
+@example(doc=dict(EMPTY_CONFIG, legit={"device_count": 20}, interval_seconds=86400, numerology_mu=3, gamma=math.inf))
+@example(doc=dict(EMPTY_CONFIG, legit={"device_count": 3}, scoring_mode="interval_end", gamma=-math.inf))
+@example(doc=dict(EMPTY_CONFIG, numerology_mu=3, scoring_mode="interval_end", gamma=-math.inf))
 def test_small_configs_run_end_to_end(doc):
     # train, then run --profile, on a drawn config: the trace the run wrote
     # reads back bit for bit as the same config built and run in-process, and
     # sweep writes the same rows from the trained profile as when it trains;
-    # per RSR, the outputs pass perfbench's exact checks (not its 4-sigma
+    # at interval end, the verdicts and policies are the replay oracle's; per
+    # RSR, the outputs pass perfbench's exact checks (not its 4-sigma
     # traffic and profile counts, which a 1-3 day run misses by chance)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -147,7 +155,11 @@ def test_small_configs_run_end_to_end(doc):
         report = run(trace, load_profile(profile), detector, config.eval_days, config.scoring_mode)
         read, verdicts = read_trace(out / "trace.jsonl")
         assert bits(read, verdicts) == bits(trace, report.verdicts)
-        if config.scoring_mode is not ScoringMode.PER_RSR:
+        if config.scoring_mode is ScoringMode.INTERVAL_END:
+            end_verdicts, end_policies = interval_end_replay(trace, load_profile(profile), detector)
+            assert list(verdicts) == end_verdicts
+            logged = [(p["ta"], p["slot"], p["time_s"]) for p in check.parse_policies((out / "policies.jsonl").read_text())]
+            assert logged == [(p.ta, p.slot_of_day, p.issued_at_s) for p in end_policies]
             return
         full = json.loads((out / "scenario.json").read_text())["config"]
         texts = {name: (out / name).read_text() for name in ("trace.jsonl", "bursts.json", "policies.jsonl", "summary.json")}

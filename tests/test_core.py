@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestColumns:
         assert {type(e) for e in events} == {RsrEvent}
         assert [type(e.burst_id) for e in events] == [type(None), int]  # Python values, not NumPy scalars
         assert trace.attack.tolist() == [False, True]
-        assert trace.time_s.dtype == np.float64 and trace.burst_id.dtype == np.int64
+        assert trace.time_s.dtype == np.float64 and trace.burst_id.dtype == np.int8  # the narrowest that holds 4
 
     def test_verdicts_iterate_as_verdicts(self):
         verdicts = Verdicts([False, True], [-0.5, 7.25])
@@ -106,9 +107,9 @@ class TestColumns:
             (([math.nan], [0], [0], [-1]), "finite"),
             (([math.inf], [0], [0], [-1]), "finite"),
             (([-1.0], [0], [0], [-1]), "non-negative"),
-            (([0.0], [0.5], [0], [-1]), "device_id must be a 1-D int64 column"),
-            (([0.0], [0], ["a"], [-1]), "ta must be a 1-D int64 column"),
-            (([0.0], [0], [0], [[-1]]), "burst_id must be a 1-D int64 column"),
+            (([0.0], [0.5], [0], [-1]), "device_id must be a 1-D integer column"),
+            (([0.0], [0], ["a"], [-1]), "ta must be a 1-D integer column"),
+            (([0.0], [0], [0], [[-1]]), "burst_id must be a 1-D integer column"),
         ],
     )
     @pytest.mark.parametrize("make", [Trace, Trace._adopt])
@@ -117,11 +118,11 @@ class TestColumns:
             make(*columns)
 
     def test_adopted_columns_are_kept_read_only(self):
-        columns = (np.array([5.0, 6.0]), np.array([0, 0]), np.array([1, 1], np.int32), np.array([-1, 3]))
+        columns = (np.array([5.0, 6.0]), np.array([0, 0], np.int8), np.array([1, 1], np.int32), np.array([-1, 300], np.int16))
         trace = Trace._adopt(*columns)
         kept = (trace.time_s, trace.device_id, trace.burst_id)
         assert all(a is b for a, b in zip(kept, (columns[0], columns[1], columns[3])))
-        assert trace.ta.dtype == np.int64 and not np.shares_memory(trace.ta, columns[2])  # cast, so copied
+        assert trace.ta.dtype == np.int8 and not np.shares_memory(trace.ta, columns[2])  # narrowed, so copied
         assert not any(c.flags.writeable for c in (*kept, trace.ta))
         assert bits(trace) == bits(Trace(*columns))
 
@@ -905,3 +906,71 @@ class TestOnePassRead:
         data = b"".join(b" \t" + line if i % 7 == 3 else line for i, line in enumerate(lines))
         with piped(kind, tmp_path, data) as pipe, deadline(30):
             assert bits(*read_trace(pipe)) == bits(trace, verdicts)
+
+
+SIGNED = (np.int8, np.int16, np.int32, np.int64)
+ID_EDGES = [0, 127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1]  # each signed width's largest and one past it
+edge_ids = st.sampled_from(ID_EDGES) | st.integers(min_value=0, max_value=2**63 - 1)
+
+
+def rule_dtype(values) -> np.dtype:
+    """The narrowest of int8 to int64 that holds every id from -1 to the largest of ``values``."""
+    largest = max(values, default=0)
+    return np.dtype(next(t for t in SIGNED if largest <= np.iinfo(t).max))
+
+
+def assert_rule(trace: Trace, device_id, ta, burst_id) -> None:
+    """Each id column holds its values in ``rule_dtype`` of them: signed, never a float or unsigned column."""
+    for column, values in zip((trace.device_id, trace.ta, trace.burst_id), (device_id, ta, burst_id)):
+        assert column.dtype == rule_dtype(values) and column.dtype.kind == "i"
+        assert column.tolist() == list(values)
+
+
+class TestIdDtypes:
+    """``device_id``, ``ta`` and ``burst_id`` are held in the smallest signed
+    dtype that holds their values (``core.narrowed``), however a Trace is made."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(trace_times, edge_ids, edge_ids, st.just(-1) | edge_ids), max_size=12))
+    @example(rows=[])
+    @example(rows=[(0.0, 0, 0, -1)])  # every id fits int8, burst_id -1 included
+    @example(rows=[(0.0, 2**63 - 1, 128, 2**31)])
+    def test_every_way_a_trace_is_made(self, rows):
+        time_s, device_id, ta, burst_id = zip(*sorted(rows, key=itemgetter(0))) if rows else ([],) * 4
+        wide = [np.array(time_s, float)] + [np.array(c, np.int64) for c in (device_id, ta, burst_id)]
+        unsigned = wide[:1] + [np.array(c, np.uint64) for c in (device_id, ta)] + wide[3:]
+        made = [Trace(time_s, device_id, ta, burst_id), Trace(*wide), Trace(*unsigned), Trace._adopt(*wide)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "trace.jsonl"
+            write_trace(path, made[0], Verdicts(np.zeros(len(rows), bool), np.zeros(len(rows))))
+            made.append(read_trace(path)[0])
+        for trace in made:
+            assert_rule(trace, device_id, ta, burst_id)
+            assert bits(trace) == bits(made[0])
+        again = Trace._adopt(*(getattr(made[0], name) for name in ("time_s", "device_id", "ta", "burst_id")))
+        assert again.device_id is made[0].device_id  # a column already in its dtype is kept
+
+    @pytest.mark.parametrize("serial", [False, True])
+    def test_large_ids_in_the_last_chunk_only(self, tmp_path, two_cpus, monkeypatch, serial):
+        # every chunk before the last row's, on both sides of the cut, reads
+        # its TAs and burst ids as int8; the last row's ids widen whole columns
+        trace, verdicts = random_columns(SPLIT_ROWS + 5000)
+        columns = [trace.time_s] + [getattr(trace, name).tolist() for name in ("device_id", "ta", "burst_id")]
+        for column, large in zip(columns[1:], (2**63 - 1, 128, 2**31 - 1)):
+            column[-1] = large
+        trace = Trace(*columns)
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, trace, verdicts)
+        size = path.stat().st_size
+        assert size > 4 * core.CHUNK_BYTES and _split_row((size + 1) // SHORTEST_LINE_BYTES) < SPLIT_ROWS
+        if serial:
+            monkeypatch.setattr(core, "_split_row", lambda n: n)
+        joined, parts = core._joined, []
+        monkeypatch.setattr(core, "_joined", lambda p: parts.extend(p) or joined(p))
+        loaded, loaded_verdicts = read_trace(path)
+        assert_rule(loaded, *columns[1:])
+        assert [loaded.device_id.dtype, loaded.ta.dtype, loaded.burst_id.dtype] == [np.int64, np.int16, np.int32]
+        widths = [(t.ta.dtype, t.burst_id.dtype) for t, _v in parts if len(t)]
+        assert len(widths) > 4 and widths[-1] == (np.int16, np.int32)
+        assert set(widths[:-1]) == {(np.dtype(np.int8), np.dtype(np.int8))}
+        assert bits(loaded, loaded_verdicts) == bits(trace, verdicts)

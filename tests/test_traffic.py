@@ -229,6 +229,31 @@ def test_build_trace_equals_row_by_row_assembly(config, seed, days, include_atta
     assert layout == ref_layout
 
 
+@pytest.mark.parametrize(
+    "config, wide",
+    [
+        (ScenarioConfig(legit=LegitTrafficSpec(device_count=3), attack=AttackSpec(adversary_count=1)), None),
+        (  # the second adversary is device 128
+            ScenarioConfig(
+                legit=LegitTrafficSpec(device_count=127),
+                attack=AttackSpec(adversary_count=2, bursts_per_day=50.0, rsrs_per_burst=1),
+            ),
+            "device_id",
+        ),
+        (ScenarioConfig(numerology_mu=3, legit=LegitTrafficSpec(device_count=30)), "ta"),  # TA bins up to 204
+        (ScenarioConfig(attack=AttackSpec(adversary_count=1, bursts_per_day=300.0, rsrs_per_burst=1)), "burst_id"),
+    ],
+    ids=["int8", "device_id", "ta", "burst_id"],
+)
+def test_build_trace_ids_in_the_narrowest_signed_dtype(config, wide):
+    # build_trace gathers each id column from owner tables already narrowed to
+    # the dtype that Trace keeps, as the row-by-row reference's Trace(...) does
+    trace, _bursts, _layout = build_trace(config, seed=30, days=1)
+    for name in ("device_id", "ta", "burst_id"):
+        assert getattr(trace, name).dtype == (np.int16 if name == wide else np.int8), name
+    assert bits(trace) == bits(build_trace_rows(config, 30, 1)[0])
+
+
 @pytest.mark.parametrize("include_attacks", [True, False])
 def test_build_trace_orders_tied_times_like_row_by_row_assembly(monkeypatch, include_attacks):
     # every time floored to a whole second, so times tie across devices,

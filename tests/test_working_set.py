@@ -5,8 +5,9 @@ array (``A``), on a synthetic trace of 2**18 events shaped like the default
 eval trace: legit requests spread so that about 0.6 distinct (interval, TA)
 cells come per event, and about one in ten events in bursts of 100 RSRs on
 one TA. At that size the fixed overheads (profile tables, one write block)
-stay near a tenth of ``A``. ``build_trace``'s bound is in units of the trace
-it generates: the default scenario's eval trace, about 2**18 events too.
+stay near a tenth of ``A``. ``build_trace``'s bounds are in units of 8 bytes
+per row of the trace it generates: the default scenario's eval trace, about
+2**18 events too, and its training trace, about 360k events.
 """
 
 import numpy as np
@@ -98,4 +99,16 @@ def test_build_trace_peak():
     (trace, _bursts, _layout), peak = traced_peak(
         lambda: build_trace(config, seed=config.seed_eval, days=config.eval_days)
     )
-    assert peak <= 5.0 * 8 * len(trace)
+    assert peak <= 4.3 * 8 * len(trace)  # it peaks at 4.01, and at 4.79 with int64 id columns
+
+
+def test_training_trace_and_count_peak():
+    # stormsim train peaks in count_per_interval with the training trace
+    # alive, so the trace's own bytes count: 1.375 x 8 B per row with its id
+    # columns narrowed (int8 on this cell), 4 x 8 B with them int64
+    config = ScenarioConfig()
+    trace = build_trace(config, seed=config.seed_train, days=config.training_days, include_attacks=False)[0]
+    own = sum(getattr(trace, name).nbytes for name in ("time_s", "device_id", "ta", "burst_id"))
+    table, peak = traced_peak(count_per_interval, trace, config.interval_seconds, config.max_ta, config.training_days)
+    assert table.sum() == len(trace)
+    assert own + peak <= 4.3 * 8 * len(trace)  # 3.96, and 6.59 with int64 id columns
