@@ -172,6 +172,7 @@ def score_events(
     scores = profile.mean.ravel()[table]
     np.subtract(counts, scores, out=scores)
     del counts
+    stds = profile.std.ravel()[table]  # floored after the gather, so no table the size of the profile is built
     with np.errstate(over="ignore"):  # a subnormal floor scores inf, as ``on_rsr``'s division does
-        scores /= np.maximum(profile.std, sigma_floor).ravel()[table]
+        scores /= np.maximum(stds, sigma_floor, out=stds)
     return keys, index, scores

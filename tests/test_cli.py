@@ -14,6 +14,7 @@ import time
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -81,16 +82,36 @@ def test_train_writes_profile(config_path, tmp_path, capsys):
     assert f"; {len(lines) - 2} populated cells -> {out}\n" in capsys.readouterr().out
 
 
+# the float fields reach their extremes: a sub-nanometre cell, a burst window
+# of 30,000 years, a day profile whose trough is near zero, a floor below and
+# above every std, and gammas at the ends of the float range
+EXTREME_GAMMAS = [-1e308, 1e308]
 small_configs = st.fixed_dictionaries(
     {
+        "cell_radius_m": st.one_of(st.just(1e-9), st.floats(1e-9, 2000.0)),
         "training_days": st.integers(1, 3),
         "eval_days": st.integers(1, 2),
-        "legit": st.fixed_dictionaries({"device_count": st.integers(0, 20)}),
-        "attack": st.fixed_dictionaries({"adversary_count": st.integers(0, 3), "rsrs_per_burst": st.integers(1, 50)}),
+        "legit": st.fixed_dictionaries(
+            {
+                "device_count": st.integers(0, 20),
+                "base_rate_per_hour": st.floats(0.01, 10.0),
+                "diurnal_amplitude": st.one_of(st.just(0.999999), st.floats(0.0, 0.999999)),
+            }
+        ),
+        "attack": st.fixed_dictionaries(
+            {
+                "adversary_count": st.integers(0, 3),
+                "rsrs_per_burst": st.integers(1, 50),
+                "bursts_per_day": st.floats(0.01, 10.0),
+                "burst_window_s": st.one_of(st.just(1e12), st.floats(1e-3, 1e12)),
+            }
+        ),
         "interval_seconds": st.sampled_from([300, 3600, 86400]),
         "numerology_mu": st.integers(0, 3),
         "scoring_mode": st.sampled_from(["per_rsr", "interval_end"]),
-        "gamma": st.sampled_from([6.5, math.inf, -math.inf]),
+        "sigma_floor": st.sampled_from([5e-324, 1.0, 1e308]),
+        "gamma": st.sampled_from([6.5, math.inf, -math.inf, *EXTREME_GAMMAS]),
+        "gamma_grid": st.lists(st.sampled_from([0.0, 2.0, 6.5, *EXTREME_GAMMAS]), min_size=1, max_size=4),
         "seed_train": st.integers(0, 2**64 - 1),
         "seed_eval": st.integers(0, 2**64 - 1),
     }
@@ -129,6 +150,9 @@ def exit_status(*argv) -> int:
 @example(doc=dict(EMPTY_CONFIG, legit={"device_count": 20}, interval_seconds=86400, numerology_mu=3, gamma=math.inf))
 @example(doc=dict(EMPTY_CONFIG, legit={"device_count": 3}, scoring_mode="interval_end", gamma=-math.inf))
 @example(doc=dict(EMPTY_CONFIG, numerology_mu=3, scoring_mode="interval_end", gamma=-math.inf))
+# a floor above every std, which scores near zero, and one below them all, which scores 0 or inf
+@example(doc=dict(SMALL_CONFIG, sigma_floor=1e308, gamma=-1e308, gamma_grid=EXTREME_GAMMAS))
+@example(doc=dict(SMALL_CONFIG, scoring_mode="interval_end", sigma_floor=5e-324, gamma=1e308))
 def test_small_configs_run_end_to_end(doc):
     # train, then run --profile, on a drawn config: the trace the run wrote
     # reads back bit for bit as the same config built and run in-process, and
@@ -164,7 +188,8 @@ def test_small_configs_run_end_to_end(doc):
         full = json.loads((out / "scenario.json").read_text())["config"]
         texts = {name: (out / name).read_text() for name in ("trace.jsonl", "bursts.json", "policies.jsonl", "summary.json")}
         parsed, summary = check.parse_trace(texts["trace.jsonl"]), json.loads(texts["summary.json"])
-        scored = check.Scored(parsed, check.parse_profile(profile.read_text()), full)
+        with np.errstate(over="ignore"):  # a subnormal floor scores inf, as the detector does
+            scored = check.Scored(parsed, check.parse_profile(profile.read_text()), full)
         policies = check.parse_policies(texts["policies.jsonl"])
         failures = check.check_run(full, scored, json.loads(texts["bursts.json"]), policies, summary)
         for name in ("profiled.csv", "trained.csv"):
@@ -491,6 +516,41 @@ def test_dead_write_trace_child_exits_2(config_path, tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err == "error: the forked child was killed by signal 9 before sending its result\n"
     assert len(rests) == 1
+
+
+NUMPY_MA_PROBE = """
+import contextlib, io, json, sys
+from stormsim import read_trace
+from stormsim.cli import main
+loaded = {"import": "numpy.ma" in sys.modules}
+for name, argv in (
+    ("train", ["train", "--config", "config.json", "--out", "profile.csv"]),
+    ("run", ["run", "--config", "config.json", "--profile", "profile.csv", "--out", "out"]),
+    ("sweep --profile", ["sweep", "--config", "config.json", "--profile", "profile.csv", "--out", "profiled.csv"]),
+    ("sweep", ["sweep", "--config", "config.json", "--out", "trained.csv"]),
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, name
+    loaded[name] = "numpy.ma" in sys.modules
+read_trace("out/trace.jsonl")
+loaded["read_trace"] = "numpy.ma" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    """A plain ``np.unique`` imports ``numpy.ma`` on its first call (about
+    90 ms and 1.1 MiB); the ``return_index=True`` form ``pipeline.run`` uses
+    does not. No command, nor ``read_trace``, may load it, step by step in
+    one fresh interpreter."""
+    (tmp_path / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == dict.fromkeys(("import", "train", "run", "sweep --profile", "sweep", "read_trace"), False)
 
 
 def test_benchmark_step_runner_smoke(tmp_path):

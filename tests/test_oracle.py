@@ -29,10 +29,11 @@ from stormsim.detector import score_events
 
 from conftest import flagged_cells, interval_end_replay, make_profile, replay, replay_metrics, trace_of
 
-# std values straddle every sigma_floor below, so both sides of the floor occur
+# std values straddle every sigma_floor below but 1e308, which lies above
+# them all, so both sides of the floor occur; -0.0 is a std no floor may keep
 MEANS = (0.0, 0.5, 1.0, 2.5)
-STDS = (0.0, 0.25, 1.0, 1.75, 3.0)
-FLOORS = (0.5, 1.0, 2.0, 5e-324)
+STDS = (0.0, -0.0, 0.25, 1.0, 1.75, 3.0)
+FLOORS = (0.5, 1.0, 2.0, 5e-324, 1e308)
 GAMMAS = (0.0, 0.5, 1.0, 2.0, 6.5, math.inf)
 
 

@@ -8,6 +8,13 @@ one TA. At that size the fixed overheads (profile tables, one write block)
 stay near a tenth of ``A``. ``build_trace``'s bounds are in units of 8 bytes
 per row of the trace it generates: the default scenario's eval trace, about
 2**18 events too, and its training trace, about 360k events.
+
+Scoring also reads the profile, so its bounds hold in one more unit: one
+profile table (``T``), on a profile of fine_profile's shape (2,880 slots of
+30 s by 205 TA bins, 4.5 MiB a float64 table) scored by a 2-day trace of
+12,500 events, which touches about 10k of its 590k cells. There the
+trace-length arrays are small beside ``T``, and no step that scores the
+trace may build a temporary the size of the profile.
 """
 
 import numpy as np
@@ -66,6 +73,57 @@ def test_build_score_cache_peak(scenario, mode):
     cache, peak = traced_peak(build_score_cache, trace, profile, 1.0, DAYS, mode)
     assert cache.attack_scores.size == BURSTS * BURST_RSRS
     assert peak <= 4.6 * A
+
+
+FINE_SHAPE = (2880, 205)  # mu=3 and 30 s intervals, as in fine_profile
+T = 8 * FINE_SHAPE[0] * FINE_SHAPE[1]
+FINE_DAYS, FINE_LEGIT, FINE_BURSTS = 2, 10_000, 25
+
+
+@pytest.fixture(scope="module")
+def fine_scenario():
+    """A 2-day trace of about 12k events and a profile of fine_profile's shape."""
+    rng = np.random.default_rng(31)
+    horizon = FINE_DAYS * 86400.0
+    max_ta = FINE_SHAPE[1] - 1
+    burst_times = rng.random(FINE_BURSTS)[:, None] * (horizon - 5.0) + 5.0 * rng.random((FINE_BURSTS, BURST_RSRS))
+    times = np.concatenate([rng.random(FINE_LEGIT) * horizon, burst_times.ravel()])
+    tas = np.concatenate(
+        [rng.integers(0, max_ta + 1, FINE_LEGIT), np.repeat(rng.integers(0, max_ta + 1, FINE_BURSTS), BURST_RSRS)]
+    )
+    bursts = np.concatenate([np.full(FINE_LEGIT, -1), np.repeat(np.arange(FINE_BURSTS), BURST_RSRS)])
+    order = np.argsort(times, kind="stable")
+    trace = Trace(times[order], np.zeros(times.size, np.int64), tas[order], bursts[order])
+    profile = make_profile(
+        30,
+        max_ta,
+        mean=rng.choice((0.0, 0.5, 1.0, 2.5), FINE_SHAPE),
+        std=rng.choice((0.0, 0.25, 1.0, 1.75, 3.0), FINE_SHAPE),
+    )
+    return trace, profile
+
+
+def test_fine_profile_score_events_peak(fine_scenario):
+    trace, profile = fine_scenario
+    (_keys, index, _scores), peak = traced_peak(score_events, trace.time_s, trace.ta, profile, 1.0, FINE_DAYS)
+    assert index.size == len(trace)
+    assert peak <= 0.25 * T  # it peaks at 0.10, and at 1.09 with the floor taken over the whole std table
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_fine_profile_run_peak(fine_scenario, mode):
+    trace, profile = fine_scenario
+    report, peak = traced_peak(run, trace, profile, DetectorConfig(gamma=6.5), FINE_DAYS, mode)
+    assert len(report.verdicts) == len(trace)
+    assert peak <= 0.25 * T
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_fine_profile_build_score_cache_peak(fine_scenario, mode):
+    trace, profile = fine_scenario
+    cache, peak = traced_peak(build_score_cache, trace, profile, 1.0, FINE_DAYS, mode)
+    assert cache.attack_scores.size == FINE_BURSTS * BURST_RSRS
+    assert peak <= 0.25 * T
 
 
 def test_serial_write_trace_peak(scenario, tmp_path, monkeypatch):
