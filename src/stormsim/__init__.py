@@ -29,7 +29,7 @@ from .core import (
     write_trace,
 )
 from .detector import DetectorConfig, DetectorState, Policy, anomaly_score, on_rsr
-from .geometry import TaQuantizer, max_ta_index, place_devices, ta_index
+from .geometry import place_devices, ta_index, ta_step_m
 from .pipeline import (
     Metrics,
     build_score_cache,
@@ -71,7 +71,6 @@ __all__ = [
     "ScenarioConfig",
     "ScoringMode",
     "SECONDS_PER_DAY",
-    "TaQuantizer",
     "Trace",
     "Verdict",
     "Verdicts",
@@ -86,7 +85,6 @@ __all__ = [
     "gen_attack_bursts",
     "gen_legit_events",
     "load_profile",
-    "max_ta_index",
     "metrics_at",
     "on_rsr",
     "parse_config",
@@ -97,6 +95,7 @@ __all__ = [
     "save_profile",
     "slots_per_day",
     "ta_index",
+    "ta_step_m",
     "train",
     "train_profile_for",
     "write_json",

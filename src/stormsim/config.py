@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Any, Mapping
 
 from .core import slots_per_day
-from .geometry import TaQuantizer, max_ta_index
+from .geometry import ta_index
 
 MAX_SEED = 2**64 - 1
 MAX_TABLE_BYTES = 2**30  # cap on one dense count or profile table, a workload's request times at 8 bytes each, or its devices
@@ -100,10 +100,6 @@ class AttackSpec:
             raise ConfigError("attack.burst_window_s must be positive and finite")
 
 
-def default_gamma_grid() -> tuple[float, ...]:
-    return tuple(i * 0.5 for i in range(21))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Every knob of a simulation run, including both named seeds."""
@@ -117,7 +113,7 @@ class ScenarioConfig:
     eval_days: int = 20
     sigma_floor: float = 1.0
     gamma: float = 6.5
-    gamma_grid: tuple[float, ...] = field(default_factory=default_gamma_grid)
+    gamma_grid: tuple[float, ...] = tuple(i * 0.5 for i in range(21))
     seed_train: int = 101
     seed_eval: int = 202
     scoring_mode: ScoringMode = ScoringMode.PER_RSR
@@ -188,7 +184,7 @@ class ScenarioConfig:
     @property
     def max_ta(self) -> int:
         """The cell's largest TA index: the last TA bin of its count table and profile."""
-        return max_ta_index(self.cell_radius_m, TaQuantizer(self.numerology_mu))
+        return ta_index(self.cell_radius_m, self.numerology_mu)
 
 
 def _keyword_arguments(cls: type, doc: Mapping[str, Any], where: str) -> dict:

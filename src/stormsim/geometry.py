@@ -9,8 +9,6 @@ command covers the round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -18,26 +16,11 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 BASIC_TIME_UNIT_S = 1.0 / (480_000.0 * 4096.0)
 
 
-@dataclass(frozen=True)
-class TaQuantizer:
-    """Maps gNB-device distance to an integer timing-advance index."""
-
-    numerology_mu: int = 2
-
-    def __post_init__(self) -> None:
-        if self.numerology_mu not in (0, 1, 2, 3):
-            raise ValueError(f"numerology_mu must be one of 0..3, got {self.numerology_mu!r}")
-
-    @property
-    def step_m(self) -> float:
-        """One TA step in metres: ~78 m at mu=0, halving per numerology increment."""
-        return (
-            SPEED_OF_LIGHT_M_S
-            * 16.0
-            * 64.0
-            * BASIC_TIME_UNIT_S
-            / (2.0 * 2.0**self.numerology_mu)
-        )
+def ta_step_m(numerology_mu: int) -> float:
+    """One TA step in metres: ~78 m at mu=0, halving per numerology increment."""
+    if numerology_mu not in (0, 1, 2, 3):
+        raise ValueError(f"numerology_mu must be one of 0..3, got {numerology_mu!r}")
+    return SPEED_OF_LIGHT_M_S * 16.0 * 64.0 * BASIC_TIME_UNIT_S / (2.0 * 2.0**numerology_mu)
 
 
 def place_devices(count: int, cell_radius_m: float, rng: np.random.Generator) -> np.ndarray:
@@ -53,15 +36,12 @@ def place_devices(count: int, cell_radius_m: float, rng: np.random.Generator) ->
     return cell_radius_m * np.sqrt(rng.random(count))
 
 
-def ta_index(distance_m: float, quantizer: TaQuantizer) -> int:
-    """Quantize a distance to its TA index: floor(distance / step). Noiseless."""
+def ta_index(distance_m: float, numerology_mu: int) -> int:
+    """Quantize a distance to its TA index: floor(distance / step). Noiseless.
+
+    Exact Python integer arithmetic, so a huge distance gives its true bin
+    count rather than a wrapped one; the cell radius gives the last TA bin.
+    """
     if distance_m < 0:
         raise ValueError(f"distance_m must be non-negative, got {distance_m!r}")
-    return int(distance_m // quantizer.step_m)
-
-
-def max_ta_index(cell_radius_m: float, quantizer: TaQuantizer) -> int:
-    """Largest TA index reachable inside the cell; sizes the profile tables."""
-    if cell_radius_m <= 0:
-        raise ValueError(f"cell_radius_m must be positive, got {cell_radius_m!r}")
-    return ta_index(cell_radius_m, quantizer)
+    return int(distance_m // ta_step_m(numerology_mu))

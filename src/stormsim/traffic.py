@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import AttackSpec, LegitTrafficSpec, ScenarioConfig
 from .core import SECONDS_PER_DAY, Trace, narrowed
-from .geometry import TaQuantizer, place_devices, ta_index
+from .geometry import place_devices, ta_index
 
 _TWO_PI = 2.0 * math.pi
 
@@ -124,11 +124,9 @@ def gen_attack_bursts(
 
 def derive_layout(config: ScenarioConfig, seed: int, include_attacks: bool = True) -> CellLayout:
     """Place all devices for a trace seed and fix their TA bins."""
-    quantizer = TaQuantizer(config.numerology_mu)
-
     def placed(count: int, stream: int, first_id: int) -> tuple[PlacedDevice, ...]:
         radii = place_devices(count, config.cell_radius_m, substream(seed, stream)).tolist()
-        return tuple(PlacedDevice(first_id + i, r, ta_index(r, quantizer)) for i, r in enumerate(radii))
+        return tuple(PlacedDevice(first_id + i, r, ta_index(r, config.numerology_mu)) for i, r in enumerate(radii))
 
     legit = placed(config.legit.device_count, _STREAM_LEGIT_PLACEMENT, 0)
     adversaries: tuple[PlacedDevice, ...] = ()

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,13 @@ from stormsim.traffic import (
     gen_legit_events,
     substream,
 )
+
+# perfbench's independent recomputation of a run's outputs, loaded read-only
+_check_spec = importlib.util.spec_from_file_location(
+    "perfbench_check", Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+)
+check = importlib.util.module_from_spec(_check_spec)
+_check_spec.loader.exec_module(check)
 
 
 @pytest.fixture(autouse=True)

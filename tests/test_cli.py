@@ -1,6 +1,5 @@
 import contextlib
 import functools
-import importlib.util
 import io
 import json
 import math
@@ -27,7 +26,7 @@ from stormsim.cli import main
 from stormsim.config import config_from_dict
 from stormsim.profiler import load_profile
 
-from conftest import bits, deadline, interval_end_replay, needs_pipes, piped
+from conftest import bits, check, deadline, interval_end_replay, needs_pipes, piped
 
 SMALL_CONFIG = {
     "legit": {"device_count": 15},
@@ -41,10 +40,6 @@ SMALL_CONFIG = {
 }
 
 REPO = Path(__file__).resolve().parents[1]
-# perfbench's independent recomputation of a run's outputs, loaded read-only
-_check_spec = importlib.util.spec_from_file_location("perfbench_check", REPO / "perfbench" / "check.py")
-check = importlib.util.module_from_spec(_check_spec)
-_check_spec.loader.exec_module(check)
 
 RUN_FILES = ["trace.jsonl", "bursts.json", "policies.jsonl", "summary.json", "scenario.json"]
 
@@ -334,6 +329,21 @@ def test_seed_flags_override_config(config_path, tmp_path):
     assert main(["train", "--config", config_path, "--seed-train", "99", "--out", str(out_c)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_bytes() != out_c.read_bytes()
+
+
+def test_seed_eval_flag_overrides_config(config_path, tmp_path):
+    # run --seed-eval N writes what a config holding seed_eval N writes
+    profile = tmp_path / "profile.csv"
+    assert main(["train", "--config", config_path, "--out", str(profile)]) == 0
+    held = tmp_path / "held.json"
+    held.write_text(json.dumps(dict(SMALL_CONFIG, seed_eval=77)))
+    outs = {name: tmp_path / name for name in ("flag", "held", "config")}
+    assert main(["run", "--config", config_path, "--seed-eval", "77", "--profile", str(profile), "--out", str(outs["flag"])]) == 0
+    assert main(["run", "--config", str(held), "--profile", str(profile), "--out", str(outs["held"])]) == 0
+    assert main(["run", "--config", config_path, "--profile", str(profile), "--out", str(outs["config"])]) == 0
+    for name in RUN_FILES:
+        assert (outs["flag"] / name).read_bytes() == (outs["held"] / name).read_bytes(), name
+    assert (outs["flag"] / "trace.jsonl").read_bytes() != (outs["config"] / "trace.jsonl").read_bytes()
 
 
 def test_bad_config_json_exits_nonzero(tmp_path, capsys):

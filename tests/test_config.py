@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stormsim import (
     AttackSpec,
@@ -16,6 +18,8 @@ from stormsim import (
     config_to_dict,
     parse_config,
 )
+
+from conftest import check
 
 NESTED_SPECS = {"legit": LegitTrafficSpec, "attack": AttackSpec}
 
@@ -178,6 +182,40 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build_in_code(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"gamma": float("nan")}, "gamma must not be NaN"),
+            ({"gamma_grid": [1.0, float("nan")]}, "gamma_grid must not contain NaN"),
+        ],
+    )
+    def test_nan_gamma_rejected(self, tmp_path, doc, message):
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"^{path}: {message}$"):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build_in_code(doc)
+
+    @pytest.mark.parametrize("field", ["legit", "attack"])
+    def test_nested_spec_of_the_wrong_type_rejected_in_code(self, field):
+        with pytest.raises(ConfigError, match="^legit must be a LegitTrafficSpec and attack an AttackSpec$"):
+            ScenarioConfig(**{field: {}})
+        with pytest.raises(ConfigError, match="^legit must be a LegitTrafficSpec and attack an AttackSpec$"):
+            ScenarioConfig(**{field: NESTED_SPECS["attack" if field == "legit" else "legit"]()})
+
+    @pytest.mark.parametrize("doc", [[], "x", 3, None])
+    def test_document_not_an_object(self, tmp_path, doc):
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"^{path}: configuration must be a JSON object$"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("field", ["legit", "attack"])
+    @pytest.mark.parametrize("value", [[], 5, "x", None])
+    def test_nested_spec_not_an_object(self, tmp_path, field, value):
+        path = write_config(tmp_path, {field: value})
+        with pytest.raises(ConfigError, match=f"^{path}: {field} must be an object$"):
+            parse_config(path)
+
     def test_interval_end_mode_accepted(self, tmp_path):
         config = parse_config(write_config(tmp_path, {"scoring_mode": "interval_end"}))
         assert config.scoring_mode is ScoringMode.INTERVAL_END
@@ -195,6 +233,22 @@ class TestTableCap:
     def test_table_under_cap_accepted(self):
         # the fine-profile scale: 40 days x 2880 slots x 205 bins x 8 B is 180 MiB
         ScenarioConfig(numerology_mu=3, interval_seconds=30, training_days=40, eval_days=2)
+
+    @given(
+        radius=st.floats(min_value=1e-9, max_value=2000.0, allow_nan=False),
+        mu=st.sampled_from([0, 1, 2, 3]),
+    )
+    def test_max_ta_matches_the_independent_formula(self, radius, mu):
+        config = ScenarioConfig(cell_radius_m=radius, numerology_mu=mu)
+        assert config.max_ta == check.max_ta({"cell_radius_m": radius, "numerology_mu": mu})
+
+    @pytest.mark.parametrize("radius", [1e6, 1e20, 1e300])
+    def test_huge_cell_refused_with_its_exact_bin_count(self, radius):
+        # the TA bin count is an exact Python integer (5.1e18 bins at 1e20 m,
+        # 300 digits at 1e300 m), so the cap sees the true table, not a wrapped one
+        n_ta = check.max_ta({"cell_radius_m": radius, "numerology_mu": 2}) + 1
+        with pytest.raises(ConfigError, match=rf"^a 30-day count table of 288 slots x {n_ta} TA bins takes .* over the 1 GiB cap"):
+            ScenarioConfig(cell_radius_m=radius)
 
     @pytest.mark.parametrize("radius", [float("inf"), float("nan")])
     def test_non_finite_radius_rejected(self, radius):

@@ -37,6 +37,7 @@ from stormsim.core import (
     _read_columns,
     _split_row,
     _with_child,
+    cell_keys,
 )
 
 
@@ -48,6 +49,11 @@ class TestSlotArithmetic:
     def test_interval_must_divide_day(self, bad):
         with pytest.raises(ValueError):
             slots_per_day(bad)
+
+    @pytest.mark.parametrize("days", [0, -1])
+    def test_cell_keys_needs_a_day(self, days):
+        with pytest.raises(ValueError, match=f"^days must be at least 1, got {days}$"):
+            cell_keys(np.empty(0), np.empty(0, np.int64), 300, 10, days)
 
 
 class TestRsrEvent:
@@ -366,6 +372,30 @@ class TestReadTraceOracle:
         )
         with pytest.raises(ValueError, match=f"{path}:1: invalid JSON"):
             read_trace(path)
+
+    @pytest.mark.parametrize("line", ["[]", "3", '"{}"', "null"])
+    def test_line_that_is_not_an_object(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, *random_columns(3))
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=f"^{path}:4: a record must be a JSON object$"):
+            read_trace(path)
+        assert outcome(read_trace, path) == outcome(read_trace_rows, path)
+
+    @pytest.mark.parametrize("chunk", [core.CHUNK_BYTES, 100])
+    def test_line_cut_short_reports_as_the_line_loop(self, tmp_path, monkeypatch, chunk):
+        # json's error positions count a line's end: a record cut short
+        # before its "\n" ends on line 2 of its own text, as file iteration
+        # gives the line to the line loop with its "\n"
+        monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
+        path = tmp_path / "t.jsonl"
+        write_trace(path, *random_columns(5))
+        lines = path.read_text().split("\n")
+        lines[2] = lines[2][:-1]
+        path.write_text("\n".join(lines))
+        expected = outcome(read_trace_rows, path)
+        assert re.match(rf"{path}:3: invalid JSON \(Expecting ',' delimiter: line 2 column 1 ", expected)
+        assert outcome(read_trace, path) == expected
 
     def test_deep_nesting_after_bad_line(self, tmp_path):
         # json.loads raises RecursionError, not ValueError, on deep nesting;

@@ -12,8 +12,10 @@ from stormsim import (
     DetectorState,
     Policy,
     RsrEvent,
+    Trace,
     Verdict,
     anomaly_score,
+    build_score_cache,
     on_rsr,
 )
 from stormsim.core import cell_keys
@@ -312,6 +314,12 @@ class TestScoreEvents:
         assert index.dtype == dtype
         assert np.array_equal(keys, np.arange(cells))
         assert np.array_equal(index, slot_ta)
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, float("nan")])
+    def test_floor_must_be_positive(self, floor):
+        trace = Trace([1.0], [0], [0], [-1])
+        with pytest.raises(ValueError, match=r"^sigma_floor must be positive, got"):
+            build_score_cache(trace, make_profile(), floor, 1)
 
     def test_empty_trace_gives_three_empty_arrays(self):
         keys, index, scores = score_events(np.empty(0), np.empty(0, np.int64), make_profile(), 1.0, 1)

@@ -3,38 +3,45 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stormsim import TaQuantizer, max_ta_index, place_devices, ta_index
+from stormsim import place_devices, ta_index, ta_step_m
 
 
-class TestTaQuantizer:
+class TestTaStep:
     def test_step_at_mu0(self):
-        step = TaQuantizer(0).step_m
+        step = ta_step_m(0)
         assert 78.0 <= step <= 78.2
 
     def test_step_halves_per_numerology(self):
         for mu in range(3):
-            assert TaQuantizer(mu).step_m / TaQuantizer(mu + 1).step_m == 2.0
+            assert ta_step_m(mu) / ta_step_m(mu + 1) == 2.0
 
     @pytest.mark.parametrize("bad", [-1, 4, 10])
     def test_numerology_range(self, bad):
-        with pytest.raises(ValueError):
-            TaQuantizer(bad)
+        with pytest.raises(ValueError, match="numerology_mu must be one of 0..3"):
+            ta_step_m(bad)
+
+    def test_index_checks_the_numerology(self):
+        with pytest.raises(ValueError, match="numerology_mu must be one of 0..3"):
+            ta_index(100.0, 4)
 
 
 class TestTaIndex:
     def test_zero_distance(self):
-        assert ta_index(0.0, TaQuantizer(2)) == 0
+        assert ta_index(0.0, 2) == 0
 
     def test_known_indices(self):
         # floor(1510 / 19.5177) = 77, floor(2000 / 19.5177) = 102,
         # floor(2000 / 78.0710) = 25
-        assert ta_index(1510.0, TaQuantizer(2)) == 77
-        assert ta_index(2000.0, TaQuantizer(2)) == 102
-        assert ta_index(2000.0, TaQuantizer(0)) == 25
+        assert ta_index(1510.0, 2) == 77
+        assert ta_index(2000.0, 2) == 102
+        assert ta_index(2000.0, 0) == 25
+
+    def test_sub_step_distance(self):
+        assert ta_index(10.0, 0) == 0
 
     def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            ta_index(-0.1, TaQuantizer(0))
+        with pytest.raises(ValueError, match="distance_m must be non-negative"):
+            ta_index(-0.1, 0)
 
     @given(
         st.floats(min_value=0.0, max_value=50_000.0, allow_nan=False),
@@ -42,29 +49,15 @@ class TestTaIndex:
         st.sampled_from([0, 1, 2, 3]),
     )
     def test_monotone_in_distance(self, d1, d2, mu):
-        q = TaQuantizer(mu)
         lo, hi = sorted((d1, d2))
-        assert ta_index(lo, q) <= ta_index(hi, q)
+        assert ta_index(lo, mu) <= ta_index(hi, mu)
 
     @given(st.floats(min_value=0.0, max_value=50_000.0, allow_nan=False), st.sampled_from([0, 1, 2, 3]))
     def test_index_interval_membership(self, d, mu):
-        q = TaQuantizer(mu)
-        k = ta_index(d, q)
+        step = ta_step_m(mu)
+        k = ta_index(d, mu)
         # d sits in [k*step, (k+1)*step) up to one float ulp at the boundary
-        assert k * q.step_m <= d * (1 + 1e-12) and d < (k + 1) * q.step_m * (1 + 1e-12)
-
-
-class TestMaxTaIndex:
-    def test_defaults(self):
-        assert max_ta_index(2000.0, TaQuantizer(2)) == 102
-        assert max_ta_index(2000.0, TaQuantizer(0)) == 25
-
-    def test_sub_step_cell(self):
-        assert max_ta_index(10.0, TaQuantizer(0)) == 0
-
-    def test_positive_radius_required(self):
-        with pytest.raises(ValueError):
-            max_ta_index(0.0, TaQuantizer(0))
+        assert k * step <= d * (1 + 1e-12) and d < (k + 1) * step * (1 + 1e-12)
 
 
 class TestPlacement:
@@ -74,6 +67,11 @@ class TestPlacement:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             place_devices(-1, 2000.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("radius", [0.0, -10.0])
+    def test_positive_radius_required(self, radius):
+        with pytest.raises(ValueError, match="cell_radius_m must be positive"):
+            place_devices(5, radius, np.random.default_rng(0))
 
     def test_support_bound(self):
         radii = place_devices(500, 2000.0, np.random.default_rng(3))

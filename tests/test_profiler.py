@@ -158,6 +158,20 @@ class TestTraining:
         profile = train(np.zeros((4, 2, 3), dtype=np.int64))
         assert np.all(profile.mean == 0.0) and np.all(profile.std == 0.0)
 
+    @pytest.mark.parametrize(
+        "shape, match",
+        [
+            ((288, 3), r"^day_counts must be a \(days, slots, ta\) array$"),
+            ((2, 2, 288, 3), r"^day_counts must be a \(days, slots, ta\) array$"),
+            ((0, 288, 3), "^training requires at least one day of counts$"),
+            ((2, 7, 3), "^slot axis of length 7 does not divide the day$"),
+            ((2, 0, 3), "^slot axis of length 0 does not divide the day$"),
+        ],
+    )
+    def test_malformed_day_counts_rejected(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            train(np.zeros(shape, dtype=np.int64))
+
     def test_single_day_std_is_zero(self):
         rng = np.random.default_rng(0)
         day_counts = rng.integers(0, 20, size=(1, 4, 5))
@@ -531,6 +545,13 @@ class TestPersistence:
             ("interval_seconds=300,max_ta=10,training_days=2,bogus=7", "unknown metadata key 'bogus'"),
             ("interval_seconds=300,max_ta=10,training_days=2,max_ta=10", "repeated metadata key 'max_ta'"),
             ("interval_seconds=300,max_ta=10,max_ta=11,training_days=2", "repeated metadata key 'max_ta'"),
+            # an entry without "=", even one naming no key, is malformed before its key is looked at
+            ("interval_seconds=300,max_ta=10,training_days=2,bogus", "malformed metadata entry 'bogus'$"),
+            ("", "malformed metadata entry ''$"),
+            ("interval_seconds=300,max_ta=ten,training_days=2", "malformed metadata entry 'max_ta=ten'$"),
+            ("interval_seconds=300,max_ta=1.5,training_days=2", r"malformed metadata entry 'max_ta=1\.5'$"),
+            ("interval_seconds=300,max_ta=10", r"metadata missing \['training_days'\]$"),
+            ("max_ta=10", r"metadata missing \['interval_seconds', 'training_days'\]$"),
             # "\udcff" is written as the byte 0xff
             ("interval_seconds=300,max_ta=10,training_days=2\udcff", "not valid UTF-8"),
         ],

@@ -55,6 +55,10 @@ class TestLegitGeneration:
     def test_zero_horizon(self):
         assert gen_legit_events(LegitTrafficSpec(), 0.0, np.random.default_rng(0)).size == 0
 
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match=r"^horizon must be non-negative, got -1\.0$"):
+            gen_legit_events(LegitTrafficSpec(), -1.0, np.random.default_rng(0))
+
     def test_homogeneous_count_within_4_sigma(self):
         # amplitude 0, 5/h over 20 days: Poisson mean 2400, sigma ~ 49
         spec = LegitTrafficSpec(diurnal_amplitude=0.0)
@@ -122,6 +126,10 @@ class TestBuildTrace:
         events, bursts, layout = build_trace(config, seed=1, days=2)
         assert len(events) == 0 and bursts == []
         assert layout.legit == () and layout.adversaries == ()
+
+    def test_negative_days_rejected(self, small_config):
+        with pytest.raises(ValueError, match=r"^days must be non-negative, got -1$"):
+            build_trace(small_config, seed=1, days=-1)
 
     def test_sorted_and_deterministic(self, small_config):
         events_a, bursts_a, layout_a = build_trace(small_config, seed=5, days=2)
