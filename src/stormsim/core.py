@@ -210,6 +210,28 @@ CHUNK_BYTES = 2**19  # bytes of a trace that read_trace decodes and parses at a 
 _VERDICT_TEXTS = np.array([',"verdict":"accept"', ',"verdict":"reject"'], object)  # indexed by rejected
 # the characters errors="surrogateescape" decodes undecodable bytes to
 _SURROGATE_ESCAPES = re.compile("[\udc80-\udcff]")
+_FLOAT_BYTES = 24  # the longest text json.dumps gives a float64, as "-2.2250738585072014e-308"
+_ID_DIGITS = 18  # ids of up to 18 digits fit int64
+# JSON's number grammar, with a fraction or an exponent, as a state machine:
+# a row per state, a column per class of byte. NUL pads a text past its end,
+# so only states 5 and 8 stay on it and take the text; state 9 refuses.
+_NUMBER = np.array([
+    # NUL "0" 1-9  "-"  "+"  "."  e/E other
+    [9, 2, 3, 1, 9, 9, 9, 9],  # 0: start
+    [9, 2, 3, 9, 9, 9, 9, 9],  # 1: after the sign
+    [9, 9, 9, 9, 9, 4, 6, 9],  # 2: an integer part 0
+    [9, 3, 3, 9, 9, 4, 6, 9],  # 3: an integer part from 1-9
+    [9, 5, 5, 9, 9, 9, 9, 9],  # 4: after "."
+    [5, 5, 5, 9, 9, 9, 6, 9],  # 5: in the fraction
+    [9, 8, 8, 7, 7, 9, 9, 9],  # 6: after the e
+    [9, 8, 8, 9, 9, 9, 9, 9],  # 7: after the exponent's sign
+    [8, 8, 8, 9, 9, 9, 9, 9],  # 8: in the exponent
+    [9, 9, 9, 9, 9, 9, 9, 9],  # 9: refused
+], np.uint16)  # fmt: skip
+_BYTE_CLASSES = np.full(256, 7)
+_BYTE_CLASSES[[0, *b"0123456789-+.eE"]] = [0, 1, *[2] * 9, 3, 4, 5, 6, 6]
+# the state after a byte, (state << 8) + byte -> next state << 8
+_NUMBER_STEPS = (_NUMBER[:, _BYTE_CLASSES] << 8).ravel()
 
 
 def write_json(path, doc) -> None:
@@ -396,33 +418,34 @@ def _read_columns(fh, size: Optional[int] = None, path=None, lineno: int = 1) ->
 
     The bytes are read ``CHUNK_BYTES`` at a time and decoded as text mode
     decodes them with ``errors="surrogateescape"``, CR and CRLF line ends
-    read as ``\\n``. Each chunk's complete lines are parsed together by
-    :func:`_parse_columns`; its last, partial line is carried into the next
-    chunk, so no process holds more than a chunk of text. A chunk that
-    parse refuses holds a bad line: this returns None, or, given the
-    ``path`` of the file, raises the first bad line's error with its
-    ``path:line`` from the line loop of :func:`_check_lines`.
+    read as ``\\n``. Each chunk's complete lines are parsed together, by
+    :func:`_parse_canonical` when every line has :func:`write_trace`'s
+    layout and by :func:`_parse_columns` when not; its last, partial line
+    is carried into the next chunk, so no process holds more than a chunk
+    of text. A chunk that both refuse holds a bad line: this returns None,
+    or, given the ``path`` of the file, raises the first bad line's error
+    with its ``path:line`` from the line loop of :func:`_check_lines`.
     """
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
     parts, tail, left = [], "", math.inf if size is None else size
     while True:
         block = fh.read(min(CHUNK_BYTES, left))
         left -= len(block)
-        lines = (tail + decoder.decode(block, final=not block)).split("\n")
-        tail = lines.pop() if block else ""
-        part = _parse_columns(lines)
+        text = tail + decoder.decode(block, final=not block)
+        end = text.rfind("\n") + 1 if block else len(text)  # the last line of the file may have no line end
+        text, tail = text[:end], text[end:]
+        part = _parse_canonical(text)
+        lines = None if part else text.split("\n")  # its last entry follows the last line end
+        part = part or _parse_columns(lines)
         if part is None:
             if path is None:
                 return None
-            ends = ["\n"] * len(lines)
-            if not block:
-                ends[-1] = ""  # the file's last line, which has no line end
-            _check_lines(path, lineno, map(str.__add__, lines, ends), _parse_record)
+            _check_lines(path, lineno, lines, _parse_record)
             raise AssertionError(f"{path}: the column parse refused lines that each pass _parse_record")
         parts.append(part)
-        lineno += len(lines)
-        if not block:  # lines[-1] has no line end: "" when the bytes end one, on the line after them
-            return parts, lineno - 1
+        lineno += len(lines) - 1 if lines else len(part[0])  # write_trace's layout holds a record a line
+        if not block:
+            return parts, lineno
 
 
 def _joined(parts: list[tuple[Trace, Verdicts]]) -> tuple[Trace, Verdicts]:
@@ -433,6 +456,106 @@ def _joined(parts: list[tuple[Trace, Verdicts]]) -> tuple[Trace, Verdicts]:
         kind._adopt(*(np.concatenate([getattr(obj, f.name) for obj in objs]) for f in fields(kind)))
         for kind, objs in zip((Trace, Verdicts), zip(*parts))
     )
+
+
+def _parse_canonical(text: str) -> Optional[tuple[Trace, Verdicts]]:
+    """The trace held in ``text``, complete lines of the file's text, when
+    every line has exactly the layout :func:`write_trace` writes, or None,
+    for :func:`_parse_columns` to read them.
+
+    The lines are read as bytes by numpy passes, with no object per record.
+    A line's commas, 5 on a legit line and 6 on an attack one, place its
+    values and its fixed key texts, and each key text must stand where they
+    put it. Each verdict is ``"accept"`` or ``"reject"``, each id 1 to 18
+    digits without a leading zero, and each time and anomaly a number of
+    JSON with a fraction or an exponent, which json reads as the float its
+    text casts to, or ``Infinity``, ``-Infinity`` or ``NaN``. No NUL, no
+    blank line and no character outside ASCII passes.
+    """
+    if text and not text.endswith("\n") or not text.isascii() or "\0" in text:
+        return None
+    data = text.encode("ascii") + bytes(64)  # NUL past the end, where a window 46 bytes past a comma may reach
+    buf = np.frombuffer(data, np.uint8)
+
+    def holds(at: np.ndarray, key_text: bytes) -> np.ndarray:
+        return _windows(data, len(key_text))[at] == key_text
+
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    upto = np.searchsorted(commas, ends)  # the commas before each line's end
+    count = np.diff(upto, prepend=0)
+    attack = count == 6
+    if not np.all(attack | (count == 5)):
+        return None
+    first = upto - count
+    m0, m1, m2, m4 = (commas[first + k] for k in (0, 1, 2, 4))
+    starts = np.append(0, ends[:-1] + 1)[: ends.size]
+    verdict = np.where(attack, m4 + 11, m2 + 27)  # where the verdict's text starts
+    ok = holds(starts, b'{"time_s":') & holds(m0, b',"device_id":') & holds(m1, b',"ta":')
+    ok &= np.where(
+        attack,
+        holds(m2, b',"label":"attack","burst_id":') & holds(m4, b',"verdict":'),
+        holds(m2, b',"label":"legit","verdict":'),
+    )
+    ok &= holds(verdict + 8, b',"anomaly":') & (buf[ends - 1] == ord("}"))
+    decision = _windows(data, 8)[verdict]
+    rejected = decision == b'"reject"'
+    if not np.all(ok & (rejected | (decision == b'"accept"'))):
+        return None
+    n, on_attack = ends.size, np.flatnonzero(attack)
+    floats = _float_texts(data, np.concatenate((starts + 10, verdict + 19)), np.concatenate((m0, ends - 1)))
+    ids = _id_texts(data, np.concatenate((m0 + 13, m1 + 6, m2[on_attack] + 29)), np.concatenate((m1, m2, m4[on_attack])))
+    if floats is None or ids is None:
+        return None
+    burst_id = np.full(n, -1, np.int64)
+    burst_id[on_attack] = ids[2 * n :]
+    try:  # Trace's checks: finite non-negative times
+        trace = Trace._adopt(floats[:n], ids[:n], ids[n : 2 * n], burst_id)
+    except ValueError:
+        return None
+    return trace, Verdicts._adopt(rejected, floats[n:])
+
+
+def _windows(data: bytes, width: int) -> np.ndarray:
+    """The ``width`` bytes from each offset of ``data`` as one value each, a view."""
+    return np.ndarray((len(data) - width + 1,), f"S{width}", data, strides=(1,))
+
+
+def _float_texts(data: bytes, start: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
+    """The float64 of each text from ``start`` to ``stop`` of ``data``, or
+    None unless each is ``Infinity``, ``-Infinity``, ``NaN`` or, in at most
+    ``_FLOAT_BYTES`` bytes, a number of JSON with a fraction or an exponent.
+    A state machine checks the grammar a byte column at a time, each text
+    padded with NUL; numpy's cast reads the numbers as ``float`` does."""
+    length = stop - start
+    width = int(length.max(initial=1))
+    if width > _FLOAT_BYTES:
+        return None
+    texts = _windows(data, width)[start]
+    matrix = texts.view(np.uint8).reshape(-1, width)
+    matrix *= np.arange(width) < length[:, None]
+    state = np.zeros(texts.size, np.uint16)
+    for column in np.ascontiguousarray(matrix.T):
+        np.take(_NUMBER_STEPS, np.add(state, column, out=state), out=state)
+    number = (state == 5 << 8) | (state == 8 << 8)
+    if not np.all(number | (texts == b"NaN") | (texts == b"Infinity") | (texts == b"-Infinity")):
+        return None
+    return texts.astype(np.float64)
+
+
+def _id_texts(data: bytes, start: np.ndarray, stop: np.ndarray) -> Optional[np.ndarray]:
+    """The int64 of each text from ``start`` to ``stop`` of ``data``, or
+    None unless each is 1 to ``_ID_DIGITS`` digits without a leading zero.
+    Each text is read from the window that ends with it."""
+    length = stop - start
+    width = int(length.max(initial=1))
+    if width > _ID_DIGITS or np.any(length < 1):
+        return None
+    digits = _windows(data, width)[stop - width].view(np.uint8).reshape(-1, width) - ord("0")
+    digits *= np.arange(width) >= width - length[:, None]
+    if np.any(digits > 9) or np.any((_windows(data, 1)[start] == b"0") & (length > 1)):
+        return None
+    return digits @ 10 ** np.arange(width - 1, -1, -1)
 
 
 def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Verdicts]]:
@@ -503,11 +626,13 @@ def _check_lines(path, lineno: int, lines: Iterable[str], check: Callable[[str],
 
 
 def _parse_record(line: str) -> dict:
-    """One trace line as a dict; ``ValueError`` unless it is well-formed."""
+    """One trace line, with or without its ``\\n``, as a dict; ``ValueError``
+    unless it is well-formed. json's error positions are those of the line
+    without its ``\\n``, so a record cut short ends on its own line."""
     if _SURROGATE_ESCAPES.search(line):
         raise ValueError("not valid UTF-8")
     try:
-        record = json.loads(line)
+        record = json.loads(line.removesuffix("\n"))
     except (ValueError, RecursionError) as exc:  # json.loads raises RecursionError on deep nesting
         raise ValueError(f"invalid JSON ({exc})") from exc
     if type(record) is not dict:

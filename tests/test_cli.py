@@ -135,6 +135,10 @@ def exit_status(*argv) -> int:
     return status
 
 
+def refused_column_parse(lines):
+    raise AssertionError("a line of write_trace's layout reached _parse_columns")
+
+
 @settings(max_examples=60, deadline=None)
 @given(doc=small_configs)
 @example(doc=EMPTY_CONFIG)
@@ -172,7 +176,9 @@ def test_small_configs_run_end_to_end(doc):
         trace, _bursts, _layout = build_trace(config, seed=config.seed_eval, days=config.eval_days, include_attacks=True)
         detector = DetectorConfig(gamma=config.gamma, sigma_floor=config.sigma_floor)
         report = run(trace, load_profile(profile), detector, config.eval_days, config.scoring_mode)
-        read, verdicts = read_trace(out / "trace.jsonl")
+        with pytest.MonkeyPatch.context() as mp:  # write_trace's layout is read by bytes alone
+            mp.setattr(stormsim.core, "_parse_columns", refused_column_parse)
+            read, verdicts = read_trace(out / "trace.jsonl")
         assert bits(read, verdicts) == bits(trace, report.verdicts)
         if config.scoring_mode is ScoringMode.INTERVAL_END:
             end_verdicts, end_policies = interval_end_replay(trace, load_profile(profile), detector)

@@ -20,12 +20,17 @@ from hypothesis import strategies as st
 from conftest import bits, deadline, needs_pipes, piped, read_trace_rows, trace_of, write_trace_rows
 from stormsim import (
     Decision,
+    DetectorConfig,
     RsrEvent,
+    ScenarioConfig,
     Trace,
     Verdict,
     Verdicts,
+    build_trace,
     read_trace,
+    run,
     slots_per_day,
+    train_profile_for,
     write_trace,
 )
 from stormsim import core
@@ -384,9 +389,10 @@ class TestReadTraceOracle:
 
     @pytest.mark.parametrize("chunk", [core.CHUNK_BYTES, 100])
     def test_line_cut_short_reports_as_the_line_loop(self, tmp_path, monkeypatch, chunk):
-        # json's error positions count a line's end: a record cut short
-        # before its "\n" ends on line 2 of its own text, as file iteration
-        # gives the line to the line loop with its "\n"
+        # json's error positions are those of the line without its "\n": a
+        # record cut short ends on line 1 of its own text, whether the line
+        # loop is given the line with its "\n", as file iteration gives it,
+        # or without, as the chunk's lines are split
         monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
         path = tmp_path / "t.jsonl"
         write_trace(path, *random_columns(5))
@@ -394,7 +400,8 @@ class TestReadTraceOracle:
         lines[2] = lines[2][:-1]
         path.write_text("\n".join(lines))
         expected = outcome(read_trace_rows, path)
-        assert re.match(rf"{path}:3: invalid JSON \(Expecting ',' delimiter: line 2 column 1 ", expected)
+        cut = len(lines[2])
+        assert expected == f"{path}:3: invalid JSON (Expecting ',' delimiter: line 1 column {cut + 1} (char {cut}))"
         assert outcome(read_trace, path) == expected
 
     def test_deep_nesting_after_bad_line(self, tmp_path):
@@ -417,6 +424,7 @@ class TestReadTraceOracle:
         # refused never pass for data
         path = tmp_path / "t.jsonl"
         write_trace(path, *random_columns(3))
+        monkeypatch.setattr(core, "_parse_canonical", lambda text: None)
         monkeypatch.setattr(core, "_parse_columns", lambda lines: None)
         with pytest.raises(AssertionError, match="the column parse refused lines that each pass"):
             read_trace(path)
@@ -702,14 +710,14 @@ class TestTwoCoreTraceIO:
             _with_child(lambda: None, lambda: 1 / 0)
         path = tmp_path / "t.jsonl"
         write_trace(path, *random_columns(SPLIT_ROWS))
-        parent, parse = os.getpid(), core._parse_columns
+        parent, parse = os.getpid(), core._parse_canonical
 
-        def parse_here_only(lines):
+        def parse_here_only(text):
             if os.getpid() != parent:
                 raise MemoryError("out of memory in the child")
-            return parse(lines)
+            return parse(text)
 
-        monkeypatch.setattr(core, "_parse_columns", parse_here_only)
+        monkeypatch.setattr(core, "_parse_canonical", parse_here_only)
         with pytest.raises(MemoryError, match="in the child"):
             read_trace(path)
 
@@ -1004,3 +1012,118 @@ class TestIdDtypes:
         assert len(widths) > 4 and widths[-1] == (np.int16, np.int32)
         assert set(widths[:-1]) == {(np.dtype(np.int8), np.dtype(np.int8))}
         assert bits(loaded, loaded_verdicts) == bits(trace, verdicts)
+
+
+# Texts that edit a line of write_trace's layout, in place of one value's
+# text or just before or after it: number forms that json and numpy's cast
+# read differently or that only one reads, ids past the 18 digits the byte
+# parse takes or past int64, and characters it refuses.
+CANONICAL_TOKENS = [
+    "01", "-0", "5", "+1", "+1.5", ".5", "5.", "01.5", "1E+05", "-0.0", "NaN", "Infinity", "-Infinity", "nan", "inf",
+    "1_0", " 1", "\x00", "١", "1" * 18, "1" * 19, str(2**63), "1" * 40 + ".5", "1e400", "1e-400", "", "-", "e5",
+]  # fmt: skip
+CANONICAL_BYTES = [b"\x00", b"\xff", b"\n", b"\r", b" ", b",", b":", b'"', b"}", b"0", b"-", b"+", b".", b"e"]
+BYTE_FIELD = re.compile(rb'"(\w+)":([^,}]*)')
+ids18 = st.one_of(st.sampled_from([0, 10, 10**18 - 1]), st.integers(min_value=0, max_value=10**18 - 1))
+canonical_rows = st.tuples(
+    st.one_of(st.sampled_from([0.0, 5e-324, 1e300]), st.floats(min_value=0.0, max_value=1e300)),
+    ids18,
+    ids18,
+    st.one_of(st.just(-1), ids18),
+    st.booleans(),
+    st.one_of(st.sampled_from([-0.0, math.inf, -math.inf, math.nan, -2.2250738585072014e-308]), st.floats()),
+)
+canonical_edit = st.one_of(
+    st.tuples(st.just("value"), positions, st.sampled_from(CANONICAL_TOKENS), st.sampled_from(["replace", "before", "after"])),
+    st.tuples(st.just("swap keys"), positions, st.just(""), st.just("")),
+    st.tuples(st.just("insert"), positions, st.sampled_from(CANONICAL_BYTES), st.just("")),
+    st.tuples(st.just("delete"), positions, st.just(b""), st.just("")),
+)
+LEGIT_ROW = (1.5, 3, 7, -1, False, 0.25)  # its line's fields: time_s 0, device_id 1, ta 2, label 3, verdict 4, anomaly 5
+
+
+def apply_canonical_edit(data: bytes, edit) -> bytes:
+    kind, k, new, how = edit
+    if kind in ("insert", "delete"):
+        at = k % (len(data) + 1)
+        return data[:at] + new + data[at + (kind == "delete") :]
+    fields = list(BYTE_FIELD.finditer(data))
+    if not fields:
+        return data
+    field = fields[k % len(fields)]
+    if kind == "swap keys":  # this key's name and the next one's, on this line or the next
+        other = fields[(k + 1) % len(fields)]
+        if other.start() < field.start():
+            field, other = other, field
+        (a, b), (c, d) = field.span(1), other.span(1)
+        return data[:a] + data[c:d] + data[b:c] + data[a:b] + data[d:]
+    start, end = field.span(2)
+    new = new.encode()
+    return data[:start] + {"replace": new, "before": new + data[start:end], "after": data[start:end] + new}[how] + data[end:]
+
+
+class TestCanonicalParse:
+    """``_parse_canonical`` reads the lines of write_trace's layout as bytes.
+    It may refuse a chunk, which ``_parse_columns`` then reads, but every
+    chunk it takes must read as ``_parse_columns`` reads it, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(canonical_rows, min_size=1, max_size=5), edits=st.lists(canonical_edit, max_size=2))
+    @example(rows=[LEGIT_ROW], edits=[])
+    @example(rows=[LEGIT_ROW], edits=[("value", 1, "01", "replace")])  # a leading zero
+    @example(rows=[LEGIT_ROW], edits=[("value", 0, "-0", "replace")])  # json reads the int 0: time 0.0, not -0.0
+    @example(rows=[LEGIT_ROW], edits=[("value", 5, "-0", "replace")])
+    @example(rows=[LEGIT_ROW], edits=[("value", 5, "\x00", "after")])  # the cast would stop at the NUL
+    @example(rows=[(1.5, 3, 7, -1, False, math.nan)], edits=[("value", 5, "\x00", "after")])
+    @example(rows=[LEGIT_ROW], edits=[("value", 0, "+", "before")])
+    @example(rows=[LEGIT_ROW], edits=[("swap keys", 1, "", "")])  # device_id and ta, which json reads alike
+    def test_taken_chunks_read_as_the_column_parse(self, rows, edits):
+        trace, verdicts = columns_of(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "trace.jsonl"
+            write_trace(path, trace, verdicts)
+            data = path.read_bytes()
+            for edit in edits:
+                data = apply_canonical_edit(data, edit)
+            path.write_bytes(data)
+            # the chunk's complete lines as read_trace decodes them
+            text = data.decode("utf-8", "surrogateescape").replace("\r\n", "\n").replace("\r", "\n")
+            text = text[: text.rfind("\n") + 1]
+            taken = core._parse_canonical(text)
+            if not edits:  # every line write_trace writes with ids of up to 18 digits
+                assert taken is not None
+            if taken is not None:
+                columns = core._parse_columns(text.split("\n"))
+                assert columns is not None and bits(*taken) == bits(*columns)
+            assert outcome(read_trace, path) == outcome(read_trace_rows, path)
+
+    def test_empty_text(self):
+        assert bits(*core._parse_canonical("")) == bits(Trace([], [], [], []), Verdicts([], []))
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_pipeline_trace_never_reaches_the_column_parse(self, tmp_path, two_cpus, monkeypatch, split):
+        # a trace that build_trace, run and write_trace made is read by
+        # bytes alone, in one process or in both halves of a split
+        config = ScenarioConfig(training_days=2, eval_days=3)
+        trace = build_trace(config, seed=config.seed_eval, days=config.eval_days)[0]
+        detector = DetectorConfig(gamma=config.gamma, sigma_floor=config.sigma_floor)
+        verdicts = run(trace, train_profile_for(config), detector, config.eval_days, config.scoring_mode).verdicts
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, trace, verdicts)
+        rows = (path.stat().st_size + 1) // SHORTEST_LINE_BYTES
+        assert _split_row(rows) < rows  # large enough to split on two CPUs
+        if not split:
+            monkeypatch.setattr(core, "_split_row", lambda n: n)
+        children = []
+
+        def counted(here, there):
+            children.append(there)
+            return _with_child(here, there)
+
+        def refused(lines):
+            raise AssertionError("a line of write_trace's layout reached _parse_columns")
+
+        monkeypatch.setattr(core, "_with_child", counted)
+        monkeypatch.setattr(core, "_parse_columns", refused)
+        assert bits(*read_trace(path)) == bits(trace, verdicts)
+        assert len(children) == split

@@ -170,3 +170,17 @@ def test_training_trace_and_count_peak():
     table, peak = traced_peak(count_per_interval, trace, config.interval_seconds, config.max_ta, config.training_days)
     assert table.sum() == len(trace)
     assert own + peak <= 4.3 * 8 * len(trace)  # 3.96, and 6.59 with int64 id columns
+
+
+def test_serial_read_trace_peak(scenario, tmp_path, monkeypatch):
+    # the parts' columns and their join take 2.6 A each (21 bytes a row),
+    # and a chunk's text and bytes about 0.25 A: it peaks at 5.27, where the
+    # file's own bytes would be 13.4 A
+    trace, profile = scenario
+    verdicts = run(trace, profile, DetectorConfig(gamma=6.5), DAYS).verdicts
+    path = tmp_path / "trace.jsonl"
+    core.write_trace(path, trace, verdicts)
+    monkeypatch.setattr(core, "_split_row", lambda n: n)  # one process, so the whole read is traced here
+    (read, _verdicts), peak = traced_peak(core.read_trace, path)
+    assert len(read) == EVENTS
+    assert peak <= 5.6 * A
