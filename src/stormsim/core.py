@@ -434,6 +434,8 @@ def _read_columns(fh, size: Optional[int] = None, path=None, lineno: int = 1) ->
         text = tail + decoder.decode(block, final=not block)
         end = text.rfind("\n") + 1 if block else len(text)  # the last line of the file may have no line end
         text, tail = text[:end], text[end:]
+        if block and not text:  # no line has ended yet
+            continue
         part = _parse_canonical(text)
         lines = None if part else text.split("\n")  # its last entry follows the last line end
         part = part or _parse_columns(lines)

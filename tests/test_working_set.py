@@ -173,9 +173,9 @@ def test_training_trace_and_count_peak():
 
 
 def test_serial_read_trace_peak(scenario, tmp_path, monkeypatch):
-    # the parts' columns and their join take 2.6 A each (21 bytes a row),
-    # and a chunk's text and bytes about 0.25 A: it peaks at 5.27, where the
-    # file's own bytes would be 13.4 A
+    # it peaks at 5.27 A, in the join of its chunks' columns: 2.6 A of
+    # parts and 2.6 A joined (21 bytes a row). A chunk's text and bytes take
+    # about 0.25 A each; the whole file's bytes would take 13.4 A
     trace, profile = scenario
     verdicts = run(trace, profile, DetectorConfig(gamma=6.5), DAYS).verdicts
     path = tmp_path / "trace.jsonl"
