@@ -22,7 +22,6 @@ import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -367,16 +366,16 @@ def read_trace(path) -> tuple[Trace, Verdicts]:
 
     Every record is checked, and a bad one raises ``ValueError`` naming its
     ``path:line``, a line that is not valid UTF-8 included. The file is read
-    and parsed a chunk at a time (:func:`_read_columns`) and checked by
-    column; a chunk that fails a check holds a bad line, and the line loop
-    of :func:`_check_lines` raises the first one's error where it stands.
-    When :func:`_split_row` splits the most rows the file's size can hold,
-    the file is cut just past the first ``\\n`` at or after its middle
+    and parsed a chunk at a time (:func:`_read_columns`): by columns when
+    every line has :func:`write_trace`'s layout, else by the line loop of
+    :func:`_check_lines`, which raises the first bad line's error where it
+    stands. When :func:`_split_row` splits the most rows the file's size can
+    hold, the file is cut just past the first ``\\n`` at or after its middle
     byte: this process reads the bytes before the cut while a forked child
     opens the file and reads those after it, and the chunks' columns are
-    joined. A child whose bytes fail a check, and so cannot number their
-    lines, sends None, and this process reads them on from the cut, where
-    its handle stands. A FIFO has no size, so it is read in order, once, here.
+    joined. A child whose bytes hold a bad line, and so cannot number it,
+    sends None, and this process reads them on from the cut, where its
+    handle stands. A FIFO has no size, so it is read in order, once, here.
     """
     with open(path, "rb") as fh:
         # the most rows the file can hold, its last line perhaps without a \n
@@ -388,7 +387,10 @@ def read_trace(path) -> tuple[Trace, Verdicts]:
         def read_rest():
             with open(path, "rb") as rest:
                 rest.seek(cut)
-                return _read_columns(rest)
+                try:
+                    return _read_columns(rest)
+                except ValueError:  # a bad line, numbered from the cut
+                    return None
 
         fh.seek(0)
         (mine, lineno), theirs = _with_child(lambda: _read_columns(fh, cut, path), read_rest)
@@ -411,20 +413,20 @@ def _cut(fh) -> int:
     return at
 
 
-def _read_columns(fh, size: Optional[int] = None, path=None, lineno: int = 1) -> Optional[tuple[list, int]]:
+def _read_columns(fh, size: Optional[int] = None, path=None, lineno: int = 1) -> tuple[list, int]:
     """The trace and verdicts held in the next ``size`` bytes of an open
     binary file (all the rest when None), one part per chunk, and the
     number of the line after them, the first being line ``lineno``.
 
     The bytes are read ``CHUNK_BYTES`` at a time and decoded as text mode
     decodes them with ``errors="surrogateescape"``, CR and CRLF line ends
-    read as ``\\n``. Each chunk's complete lines are parsed together, by
+    read as ``\\n``. Each chunk's complete lines are parsed together by
     :func:`_parse_canonical` when every line has :func:`write_trace`'s
-    layout and by :func:`_parse_columns` when not; its last, partial line
-    is carried into the next chunk, so no process holds more than a chunk
-    of text. A chunk that both refuse holds a bad line: this returns None,
-    or, given the ``path`` of the file, raises the first bad line's error
-    with its ``path:line`` from the line loop of :func:`_check_lines`.
+    layout; a chunk it refuses goes a line at a time to :func:`_parse_record`
+    in the line loop of :func:`_check_lines`, which builds the chunk's
+    columns or raises the first bad line's error as ``path:line``. The
+    last, partial line of a chunk is carried into the next, so no process
+    holds more than a chunk of text.
     """
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
     parts, tail, left = [], "", math.inf if size is None else size
@@ -438,12 +440,7 @@ def _read_columns(fh, size: Optional[int] = None, path=None, lineno: int = 1) ->
             continue
         part = _parse_canonical(text)
         lines = None if part else text.split("\n")  # its last entry follows the last line end
-        part = part or _parse_columns(lines)
-        if part is None:
-            if path is None:
-                return None
-            _check_lines(path, lineno, lines, _parse_record)
-            raise AssertionError(f"{path}: the column parse refused lines that each pass _parse_record")
+        part = part or _records_to_columns(_check_lines(path, lineno, lines, _parse_record))
         parts.append(part)
         lineno += len(lines) - 1 if lines else len(part[0])  # write_trace's layout holds a record a line
         if not block:
@@ -463,7 +460,7 @@ def _joined(parts: list[tuple[Trace, Verdicts]]) -> tuple[Trace, Verdicts]:
 def _parse_canonical(text: str) -> Optional[tuple[Trace, Verdicts]]:
     """The trace held in ``text``, complete lines of the file's text, when
     every line has exactly the layout :func:`write_trace` writes, or None,
-    for :func:`_parse_columns` to read them.
+    for the line loop to read them.
 
     The lines are read as bytes by numpy passes, with no object per record.
     A line's commas, 5 on a legit line and 6 on an attack one, place its
@@ -560,71 +557,28 @@ def _id_texts(data: bytes, start: np.ndarray, stop: np.ndarray) -> Optional[np.n
     return digits @ 10 ** np.arange(width - 1, -1, -1)
 
 
-def _parse_columns(lines: list[str]) -> Optional[tuple[Trace, Verdicts]]:
-    """The trace held in ``lines``, consecutive lines of the file's text split
-    on newlines as file iteration splits it, or None when any check fails.
-
-    The kept lines are joined and parsed with one ``json.loads``, and the
-    columns are held to the rules of :func:`_parse_record`. Each kept line
-    starts with ``{``, after any spaces and tabs (JSON's whitespace, where
-    ``str.lstrip`` would also strip characters ``json.loads`` refuses), the
-    text holds one ``{`` per line and every value is a scalar, so each line
-    is exactly one record: none spans two lines and no two share one.
-    """
-    kept = list(filter(str.strip, lines))
-    text = "[" + ",".join(kept) + "]"
-    firsts = set(map(itemgetter(0), kept))
-    if not firsts <= {"{"}:  # indented lines
-        firsts = set(map(itemgetter(0), map(str.lstrip, kept, repeat(" \t"))))
-    if text.count("{") != len(kept) or not firsts <= {"{"}:
-        return None
-    try:
-        records = json.loads(text)
-    except (ValueError, RecursionError):
-        return None
-    n = len(records)
-    if n != len(kept) or not set(map(type, records)) <= {dict}:
-        return None
-    keys = ("time_s", "device_id", "ta", "label", "verdict", "anomaly")
-    try:
-        time_s, device_id, ta, label, decision, anomaly = (list(map(itemgetter(key), records)) for key in keys)
-    except KeyError:
-        return None
-    burst_id = list(map(dict.get, records, repeat("burst_id"), repeat(-1)))
-    n_attack = label.count("attack")
-    # Each record holds the keys above; attack ones (burst_id >= 0, checked
-    # below) also hold burst_id. Equal totals leave no room for another key.
-    if sum(map(len, records)) != n * len(keys) + n_attack or label.count("legit") + n_attack != n:
-        return None
-    if not (_numbers(time_s) and set(map(type, device_id + ta + burst_id)) <= {int}):
-        return None
-    try:  # int64 overflow, and Trace's checks: finite non-negative times, ids >= 0
-        trace = Trace._adopt(np.array(time_s, np.float64), *(np.array(c, np.int64) for c in (device_id, ta, burst_id)))
-    except (OverflowError, ValueError):
-        return None
-    if not np.array_equal(trace.attack, np.fromiter(map("attack".__eq__, label), bool, n)):
-        return None
-    if decision.count("accept") + decision.count("reject") != n or not _numbers(anomaly):
-        return None
-    return trace, Verdicts._adopt(np.fromiter(map("reject".__eq__, decision), bool, n), np.array(anomaly, np.float64))
-
-
-def _numbers(column: list) -> bool:
-    """Every entry is a float, or an int that a float can hold."""
-    types = set(map(type, column))
-    return types <= {int, float} and (int not in types or all(abs(v) <= sys.float_info.max for v in column if type(v) is int))
-
-
-def _check_lines(path, lineno: int, lines: Iterable[str], check: Callable[[str], object]) -> None:
-    """Call ``check`` on each line of ``lines``, the lines of the file at
-    ``path`` from line ``lineno`` on, skipping blank ones, and raise the
-    first ``ValueError`` it raises as ``path:line: message``."""
+def _check_lines(path, lineno: int, lines: Iterable[str], check: Callable[[str], object]) -> list:
+    """``check`` of each line of ``lines``, the lines of the file at ``path``
+    from line ``lineno`` on, skipping blank ones; the first ``ValueError`` it
+    raises is raised as ``path:line: message``."""
+    results = []
     for lineno, line in enumerate(lines, start=lineno):
         if line.strip():
             try:
-                check(line)
+                results.append(check(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return results
+
+
+def _records_to_columns(records: list[dict]) -> tuple[Trace, Verdicts]:
+    """The trace and verdicts of records that :func:`_parse_record` passed,
+    each number cast as ``float`` or int64 casts it, so ``-0`` reads as 0.0."""
+    time_s, device_id, ta, anomaly = ([r[key] for r in records] for key in ("time_s", "device_id", "ta", "anomaly"))
+    burst_id = [r.get("burst_id", -1) for r in records]  # -1 marks a legit request
+    rejected = [r["verdict"] == "reject" for r in records]
+    trace = Trace._adopt(np.array(time_s, np.float64), *(np.array(c, np.int64) for c in (device_id, ta, burst_id)))
+    return trace, Verdicts._adopt(np.array(rejected, bool), np.array(anomaly, np.float64))
 
 
 def _parse_record(line: str) -> dict:

@@ -260,7 +260,8 @@ def bits(trace: Trace, verdicts: Verdicts | None = None) -> list[tuple]:
 def read_trace_rows(path):
     """Reference reader: one ``_parse_record`` and one row per line, with
     the ``path:line`` errors ``read_trace`` must raise. It shares neither the
-    chunk parse nor the line loop of ``read_trace``, which builds no rows."""
+    chunk parse nor the line loop of ``read_trace``, nor the casts by which
+    that loop builds a chunk's columns from its records."""
     rows = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -135,8 +135,8 @@ def exit_status(*argv) -> int:
     return status
 
 
-def refused_column_parse(lines):
-    raise AssertionError("a line of write_trace's layout reached _parse_columns")
+def line_loop_reached(line):
+    raise AssertionError("a line of write_trace's layout reached _parse_record")
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,7 +177,7 @@ def test_small_configs_run_end_to_end(doc):
         detector = DetectorConfig(gamma=config.gamma, sigma_floor=config.sigma_floor)
         report = run(trace, load_profile(profile), detector, config.eval_days, config.scoring_mode)
         with pytest.MonkeyPatch.context() as mp:  # write_trace's layout is read by bytes alone
-            mp.setattr(stormsim.core, "_parse_columns", refused_column_parse)
+            mp.setattr(stormsim.core, "_parse_record", line_loop_reached)
             read, verdicts = read_trace(out / "trace.jsonl")
         assert bits(read, verdicts) == bits(trace, report.verdicts)
         if config.scoring_mode is ScoringMode.INTERVAL_END:

@@ -360,11 +360,6 @@ class TestReadTraceOracle:
             path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode("utf-8"))
             expected = outcome(read_trace_rows, path)
             assert outcome(read_trace, path) == expected
-            # The chunked parse takes every good file, indented or not, so
-            # the line loop only reports errors.
-            if not isinstance(expected, str):
-                with open(path, "rb") as fh:
-                    assert _read_columns(fh) is not None
 
     def test_split_record_and_shared_line_rejected(self, tmp_path):
         # Three records on three lines, so the joined text parses to three
@@ -419,20 +414,40 @@ class TestReadTraceOracle:
             read_trace(path)
         assert outcome(read_trace, path) == outcome(read_trace_rows, path)
 
-    def test_good_chunk_refused_is_an_error(self, tmp_path, monkeypatch):
-        # the line loop returns no rows, so good lines the column parse
-        # refused never pass for data
+    @pytest.mark.parametrize("split", [False, True])
+    def test_refused_chunks_read_by_the_line_loop(self, tmp_path, split):
+        # every chunk the byte parse refuses is read line by line to the
+        # same columns, in one process or in both halves of a split, where
+        # the child's half comes back from its own line loop
         path = tmp_path / "t.jsonl"
-        write_trace(path, *random_columns(3))
-        monkeypatch.setattr(core, "_parse_canonical", lambda text: None)
-        monkeypatch.setattr(core, "_parse_columns", lambda lines: None)
-        with pytest.raises(AssertionError, match="the column parse refused lines that each pass"):
-            read_trace(path)
+        trace, verdicts = random_columns(300)
+        write_trace(path, trace, verdicts)
+        parent, read_columns, parse_record, starts, parsed = os.getpid(), core._read_columns, core._parse_record, [], []
 
-    def test_indented_line_read_by_columns(self, tmp_path, monkeypatch):
+        def recorded(fh, *args, **kwargs):
+            if os.getpid() == parent:
+                starts.append(fh.tell())
+            return read_columns(fh, *args, **kwargs)
+
+        def parsed_here(line):
+            if os.getpid() == parent:
+                parsed.append(line)
+            return parse_record(line)
+
+        with chunked(1000) as mp:
+            if not split:
+                mp.setattr(core, "_split_row", lambda n: n)
+            mp.setattr(core, "_parse_canonical", lambda text: None)
+            mp.setattr(core, "_read_columns", recorded)
+            mp.setattr(core, "_parse_record", parsed_here)
+            assert bits(*read_trace(path)) == bits(trace, verdicts)
+        with open(path, "rb") as fh:
+            here = path.read_bytes()[: core._cut(fh) if split else None].count(b"\n")
+        assert starts == [0] and len(parsed) == here
+
+    def test_indented_line_read_by_the_line_loop(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(' {"time_s":1.0,"device_id":0,"ta":0,"label":"legit"' + VERDICT_KEYS + "}\n\n")
-        monkeypatch.setattr(core, "_check_lines", None)
         assert bits(*read_trace(path)) == bits(Trace([1.0], [0], [0], [-1]), Verdicts([False], [0.0]))
 
     @pytest.mark.parametrize(
@@ -804,9 +819,6 @@ class TestChunkedReadOracle:
             expected = outcome(read_trace_rows, path)
             with chunked(chunk):
                 assert outcome(read_trace, path) == expected
-                if not isinstance(expected, str):  # a good file, indented or not, is read by columns
-                    with open(path, "rb") as fh:
-                        assert _read_columns(fh) is not None
 
     @pytest.mark.parametrize("fault", [None, "blank", "byte", "record"])
     @pytest.mark.parametrize(
@@ -845,9 +857,8 @@ class TestChunkedReadOracle:
             data[start:stop] = data[start:stop].replace(b'"ta":', b'"tb":')
         path.write_bytes(data)
         expected = outcome(read_trace_rows, path)
-        with chunked(chunk) as mp:
-            if fault in (None, "blank"):  # a good file is never read again line by line
-                mp.setattr(core, "_check_lines", None)
+        with chunked(chunk):
+            if fault in (None, "blank"):
                 kept = np.ones(len(trace), bool)
                 kept[data.count(end, 0, start)] = fault is None
                 assert outcome(read_trace, path) == expected == bits(*rows_of(trace, verdicts, kept))
@@ -892,14 +903,14 @@ class TestOnePassRead:
 
     def test_no_bad_byte_passes_the_column_parse(self, tmp_path):
         # bytes that are not UTF-8 decode to surrogates, which no record the
-        # column parse takes can hold: each falls to the line loop
+        # byte parse takes can hold: each falls to the line loop, which raises
         path = tmp_path / "t.jsonl"
         write_trace(path, *columns_of([(1.0, 5, 3, -1, False, 0.5), (2.0, 6, 4, 7, True, -1.5)]))
         data = path.read_bytes()
         for at in range(len(data)):
             path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
-            with open(path, "rb") as fh:
-                assert _read_columns(fh) is None, at
+            with open(path, "rb") as fh, pytest.raises(ValueError, match="not valid UTF-8"):
+                _read_columns(fh)
             assert outcome(read_trace, path) == outcome(read_trace_rows, path)
 
     @pytest.mark.parametrize("chunk", [core.CHUNK_BYTES, 100])
@@ -933,10 +944,8 @@ class TestOnePassRead:
     @pytest.mark.parametrize("kind", ["fifo", "pipe"])
     @pytest.mark.parametrize("chunk", [core.CHUNK_BYTES, 1000])
     def test_indented_lines_from_a_pipe(self, tmp_path, monkeypatch, kind, chunk):
-        # lines indented by spaces and tabs are read by columns, from a pipe
-        # as from a file
+        # lines indented by spaces and tabs are read, from a pipe as from a file
         monkeypatch.setattr(core, "CHUNK_BYTES", chunk)
-        monkeypatch.setattr(core, "_check_lines", None)
         path = tmp_path / "t.jsonl"
         trace, verdicts = random_columns(40)
         write_trace(path, trace, verdicts)
@@ -1064,8 +1073,8 @@ def apply_canonical_edit(data: bytes, edit) -> bytes:
 
 class TestCanonicalParse:
     """``_parse_canonical`` reads the lines of write_trace's layout as bytes.
-    It may refuse a chunk, which ``_parse_columns`` then reads, but every
-    chunk it takes must read as ``_parse_columns`` reads it, bit for bit."""
+    It may refuse a chunk, which the line loop then reads, but every chunk it
+    takes must read as ``conftest.read_trace_rows`` reads it, bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(rows=st.lists(canonical_rows, min_size=1, max_size=5), edits=st.lists(canonical_edit, max_size=2))
@@ -1077,7 +1086,7 @@ class TestCanonicalParse:
     @example(rows=[(1.5, 3, 7, -1, False, math.nan)], edits=[("value", 5, "\x00", "after")])
     @example(rows=[LEGIT_ROW], edits=[("value", 0, "+", "before")])
     @example(rows=[LEGIT_ROW], edits=[("swap keys", 1, "", "")])  # device_id and ta, which json reads alike
-    def test_taken_chunks_read_as_the_column_parse(self, rows, edits):
+    def test_taken_chunks_read_as_the_line_loop(self, rows, edits):
         trace, verdicts = columns_of(rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "trace.jsonl"
@@ -1092,16 +1101,17 @@ class TestCanonicalParse:
             taken = core._parse_canonical(text)
             if not edits:  # every line write_trace writes with ids of up to 18 digits
                 assert taken is not None
-            if taken is not None:
-                columns = core._parse_columns(text.split("\n"))
-                assert columns is not None and bits(*taken) == bits(*columns)
+            if taken is not None:  # the reference reads the same complete lines
+                lines = pathlib.Path(tmp) / "lines.jsonl"
+                lines.write_bytes(text.encode("ascii"))
+                assert outcome(read_trace_rows, lines) == bits(*taken)
             assert outcome(read_trace, path) == outcome(read_trace_rows, path)
 
     def test_empty_text(self):
         assert bits(*core._parse_canonical("")) == bits(Trace([], [], [], []), Verdicts([], []))
 
     @pytest.mark.parametrize("split", [False, True])
-    def test_pipeline_trace_never_reaches_the_column_parse(self, tmp_path, two_cpus, monkeypatch, split):
+    def test_pipeline_trace_never_reaches_the_line_loop(self, tmp_path, two_cpus, monkeypatch, split):
         # a trace that build_trace, run and write_trace made is read by
         # bytes alone, in one process or in both halves of a split
         config = ScenarioConfig(training_days=2, eval_days=3)
@@ -1120,10 +1130,10 @@ class TestCanonicalParse:
             children.append(there)
             return _with_child(here, there)
 
-        def refused(lines):
-            raise AssertionError("a line of write_trace's layout reached _parse_columns")
+        def line_loop_reached(line):
+            raise AssertionError("a line of write_trace's layout reached _parse_record")
 
         monkeypatch.setattr(core, "_with_child", counted)
-        monkeypatch.setattr(core, "_parse_columns", refused)
+        monkeypatch.setattr(core, "_parse_record", line_loop_reached)
         assert bits(*read_trace(path)) == bits(trace, verdicts)
         assert len(children) == split
