@@ -781,6 +781,10 @@ def chunked(chunk: int):
         yield mp
 
 
+def line_loop_reached(line):
+    raise AssertionError("a line of write_trace's layout reached _parse_record")
+
+
 def line_bounds(data: bytes, at: int) -> tuple[int, int]:
     """Start and end (before its line end) of the line holding byte ``at``."""
     start = max(data.rfind(b"\n", 0, at), data.rfind(b"\r", 0, at)) + 1
@@ -857,7 +861,9 @@ class TestChunkedReadOracle:
             data[start:stop] = data[start:stop].replace(b'"ta":', b'"tb":')
         path.write_bytes(data)
         expected = outcome(read_trace_rows, path)
-        with chunked(chunk):
+        with chunked(chunk) as mp:
+            if fault is None:  # a good file never reaches the line loop, in either process
+                mp.setattr(core, "_parse_record", line_loop_reached)
             if fault in (None, "blank"):
                 kept = np.ones(len(trace), bool)
                 kept[data.count(end, 0, start)] = fault is None
@@ -1129,9 +1135,6 @@ class TestCanonicalParse:
         def counted(here, there):
             children.append(there)
             return _with_child(here, there)
-
-        def line_loop_reached(line):
-            raise AssertionError("a line of write_trace's layout reached _parse_record")
 
         monkeypatch.setattr(core, "_with_child", counted)
         monkeypatch.setattr(core, "_parse_record", line_loop_reached)
